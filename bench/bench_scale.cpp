@@ -39,8 +39,9 @@
 //
 // Environment (see docs/performance.md and EXPERIMENTS.md):
 //   GPBFT_BENCH_JSON        per-point ExperimentResult records (bench_util)
-//   GPBFT_BENCH_SCALE_JSON  append one events/sec record per point; the
-//                           repo keeps its trajectory in BENCH_scale.json
+//   GPBFT_BENCH_SCALE_JSON  append one events/sec record per point, stamped
+//                           with the SHA-256 kernel that ran it; the repo
+//                           keeps its trajectory in BENCH_scale.json
 //   GPBFT_BENCH_SCALE_LABEL build tag stamped into those records ("dev")
 //   GPBFT_PLANE_BUDGET_SECS --plane wall-clock budget per run (default 120)
 #include <chrono>
@@ -51,6 +52,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "crypto/sha256.hpp"
 #include "net/workers.hpp"
 #include "sim/experiment.hpp"
 #include "sim/workload_plane.hpp"
@@ -182,13 +184,14 @@ void append_scale_record(const char* series, const ScaleResult& r) {
     return;
   }
   std::fprintf(out,
-               "{\"bench\":\"bench_scale\",\"build\":\"%s\",\"series\":\"%s\","
+               "{\"bench\":\"bench_scale\",\"build\":\"%s\",\"sha256_kernel\":\"%s\","
+               "\"series\":\"%s\","
                "\"nodes\":%zu,\"committee\":%zu,\"batch_close\":%zu,\"workload\":\"%s\","
                "\"committed\":%llu,"
                "\"sim_seconds\":%.17g,\"sim_events\":%llu,\"wire_messages\":%llu,"
                "\"wall_seconds\":%.3f,\"events_per_sec\":%.0f,\"tip\":\"%s\"}\n",
-               label, series, r.experiment.nodes, r.experiment.committee, r.batch_close,
-               r.workload,
+               label, crypto::sha256_kernel(), series, r.experiment.nodes,
+               r.experiment.committee, r.batch_close, r.workload,
                static_cast<unsigned long long>(r.experiment.committed), r.experiment.sim_seconds,
                static_cast<unsigned long long>(r.sim_events),
                static_cast<unsigned long long>(r.wire_messages), r.wall_seconds,

@@ -2,9 +2,11 @@
 # Builds the tree with ThreadSanitizer (-DGPBFT_SANITIZE=thread) in a
 # separate build directory and runs the suites that exercise real threads:
 # the parallel MAC plane (ordered-runner unit tests + the 20-seed
-# determinism-under-parallelism sweep) and the crypto tests that hammer the
-# shared KeyRegistry caches from worker threads. Any data race aborts the
-# run, so a green exit means the worker-pool plane is race-clean.
+# determinism-under-parallelism sweep), the crypto tests that hammer the
+# shared KeyRegistry caches from worker threads, and the SHA-256 tests, one
+# of which picks the compression kernel from eight threads at once. Any
+# data race aborts the run, so a green exit means the worker-pool plane is
+# race-clean.
 #
 # Kept separate from check_sanitizers.sh because TSan and ASan cannot be
 # combined in one binary; each gets its own tree.
@@ -24,7 +26,7 @@ cmake --build "${BUILD_DIR}"
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
 ctest --test-dir "${BUILD_DIR}" -L tier1-parallel --output-on-failure -j "${JOBS}"
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-ctest --test-dir "${BUILD_DIR}" -R "Authenticator|HmacKey|Seal\." \
+ctest --test-dir "${BUILD_DIR}" -R "Sha256|Authenticator|HmacKey|Seal\." \
   --output-on-failure -j "${JOBS}"
 
 # End-to-end threaded run under TSan: a full seeded scenario with the MAC

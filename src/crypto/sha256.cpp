@@ -1,7 +1,16 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+
+#include "crypto/sha256_kernels.hpp"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define GPBFT_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace gpbft::crypto {
 
@@ -44,7 +53,165 @@ inline std::uint32_t majority(std::uint32_t a, std::uint32_t b, std::uint32_t c)
 
 constexpr char kHexDigits[] = "0123456789abcdef";
 
+#ifdef GPBFT_SHA256_X86
+
+// The SHA extensions keep the eight working variables as two vectors, ABEF
+// and CDGH; sha256rnds2 runs two rounds, sha256msg1/msg2 run the message
+// schedule four words at a time. The helpers inline into the kernel, which
+// is the only function compiled for these instructions, so the rest of the
+// binary still runs on any x86-64.
+#define GPBFT_SHA_TARGET __attribute__((target("sha,sse4.1,ssse3")))
+
+/// Four message words from 16 bytes, big-endian.
+GPBFT_SHA_TARGET inline __attribute__((always_inline)) __m128i sha_load4(const std::uint8_t* p) {
+  const __m128i big_endian = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  return _mm_shuffle_epi8(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)), big_endian);
+}
+
+/// Four rounds: W[4q..4q+3] + K[4q..4q+3] folded into the state.
+GPBFT_SHA_TARGET inline __attribute__((always_inline)) void sha_rounds4(__m128i& abef,
+                                                                          __m128i& cdgh,
+                                                                          __m128i w, int q) {
+  const __m128i wk = _mm_add_epi32(
+      w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[4 * q])));
+  cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+  abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+}
+
+/// The next four schedule words from the previous sixteen, oldest first.
+GPBFT_SHA_TARGET inline __attribute__((always_inline)) __m128i sha_schedule4(__m128i w16,
+                                                                               __m128i w12,
+                                                                               __m128i w8,
+                                                                               __m128i w4) {
+  const __m128i partial = _mm_add_epi32(_mm_sha256msg1_epu32(w16, w12),
+                                        _mm_alignr_epi8(w4, w8, 4));
+  return _mm_sha256msg2_epu32(partial, w4);
+}
+
+GPBFT_SHA_TARGET void compress_x86_sha(std::uint32_t* state, const std::uint8_t* data,
+                                       std::size_t nblocks) {
+  const __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; nblocks > 0; --nblocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i w0 = sha_load4(data);
+    __m128i w1 = sha_load4(data + 16);
+    __m128i w2 = sha_load4(data + 32);
+    __m128i w3 = sha_load4(data + 48);
+    sha_rounds4(abef, cdgh, w0, 0);
+    sha_rounds4(abef, cdgh, w1, 1);
+    sha_rounds4(abef, cdgh, w2, 2);
+    sha_rounds4(abef, cdgh, w3, 3);
+    for (int q = 4; q < 16; q += 4) {
+      w0 = sha_schedule4(w0, w1, w2, w3);
+      sha_rounds4(abef, cdgh, w0, q);
+      w1 = sha_schedule4(w1, w2, w3, w0);
+      sha_rounds4(abef, cdgh, w1, q + 1);
+      w2 = sha_schedule4(w2, w3, w0, w1);
+      sha_rounds4(abef, cdgh, w2, q + 2);
+      w3 = sha_schedule4(w3, w0, w1, w2);
+      sha_rounds4(abef, cdgh, w3, q + 3);
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));
+}
+
+#undef GPBFT_SHA_TARGET
+
+/// CPUID leaf 7 EBX bit 29 (SHA), leaf 1 ECX bits 19 (SSE4.1) and 9 (SSSE3).
+bool cpu_has_sha_extensions() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sse41 = (ecx & (1u << 19)) != 0;
+  const bool ssse3 = (ecx & (1u << 9)) != 0;
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool sha = (ebx & (1u << 29)) != 0;
+  return sha && sse41 && ssse3;
+}
+
+#endif  // GPBFT_SHA256_X86
+
+/// The kernel this process uses, chosen on first use. The function-local
+/// static makes the choice once even when the first hashes race on the MAC
+/// plane's worker threads.
+detail::Sha256Compress active_kernel() {
+  static const detail::Sha256Compress kernel = [] {
+    const detail::Sha256Compress hardware = detail::sha256_compress_x86_sha();
+    return hardware != nullptr ? hardware : &detail::sha256_compress_portable;
+  }();
+  return kernel;
+}
+
 }  // namespace
+
+namespace detail {
+
+void sha256_compress_portable(std::uint32_t* state, const std::uint8_t* data,
+                              std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, data += 64) {
+    std::array<std::uint32_t, 64> w;
+    for (std::size_t i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[i * 4]) << 24) |
+             (static_cast<std::uint32_t>(data[i * 4 + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[i * 4 + 2]) << 8) |
+             static_cast<std::uint32_t>(data[i * 4 + 3]);
+    }
+    for (std::size_t i = 16; i < 64; ++i) {
+      w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) + w[i - 16];
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (std::size_t i = 0; i < 64; ++i) {
+      const std::uint32_t t1 = h + big_sigma1(e) + choose(e, f, g) + kRoundConstants[i] + w[i];
+      const std::uint32_t t2 = big_sigma0(a) + majority(a, b, c);
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+Sha256Compress sha256_compress_x86_sha() {
+#ifdef GPBFT_SHA256_X86
+  return cpu_has_sha_extensions() ? &compress_x86_sha : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace detail
+
+const char* sha256_kernel() {
+  return active_kernel() == &detail::sha256_compress_portable ? "portable" : "x86-sha";
+}
 
 std::string Hash256::hex() const {
   std::string out;
@@ -67,68 +234,36 @@ bool Hash256::is_zero() const {
 
 Sha256::Sha256() : state_(kInitialState), buffer_{} {}
 
-void Sha256::process_block(const std::uint8_t* block) {
-  std::array<std::uint32_t, 64> w;
-  for (int i = 0; i < 16; ++i) {
-    w[static_cast<std::size_t>(i)] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-                                     (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-                                     (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-                                     static_cast<std::uint32_t>(block[i * 4 + 3]);
-  }
-  for (std::size_t i = 16; i < 64; ++i) {
-    w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) + w[i - 16];
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (std::size_t i = 0; i < 64; ++i) {
-    const std::uint32_t t1 = h + big_sigma1(e) + choose(e, f, g) + kRoundConstants[i] + w[i];
-    const std::uint32_t t2 = big_sigma0(a) + majority(a, b, c);
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(BytesView data) {
+  if (data.empty()) return;
   total_len_ += data.size();
-  std::size_t offset = 0;
+  const std::uint8_t* in = data.data();
+  std::size_t left = data.size();
+  const detail::Sha256Compress compress = active_kernel();
 
   if (buffer_len_ > 0) {
-    const std::size_t take = std::min(data.size(), 64 - buffer_len_);
-    std::memcpy(buffer_.data() + buffer_len_, data.data(), take);
+    const std::size_t take = std::min(left, buffer_.size() - buffer_len_);
+    std::memcpy(buffer_.data() + buffer_len_, in, take);
     buffer_len_ += take;
-    offset += take;
-    if (buffer_len_ == 64) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    in += take;
+    left -= take;
+    if (buffer_len_ < buffer_.size()) return;
+    compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
 
-  while (offset + 64 <= data.size()) {
-    process_block(data.data() + offset);
-    offset += 64;
+  // Every whole block goes to the kernel in one call, straight from the
+  // caller's bytes.
+  const std::size_t whole = left / 64;
+  if (whole > 0) {
+    compress(state_.data(), in, whole);
+    in += whole * 64;
+    left -= whole * 64;
   }
 
-  if (offset < data.size()) {
-    const std::size_t rest = data.size() - offset;
-    std::memcpy(buffer_.data(), data.data() + offset, rest);
-    buffer_len_ = rest;
+  if (left > 0) {
+    std::memcpy(buffer_.data(), in, left);
+    buffer_len_ = left;
   }
 }
 
@@ -137,24 +272,18 @@ void Sha256::update(std::string_view data) {
 }
 
 Hash256 Sha256::finalize() {
+  // Padding (FIPS 180-4 §5.1.1): the buffered tail, 0x80, zeros, and the
+  // 64-bit big-endian message length in bits in the last 8 bytes. The tail
+  // spills into a second block when fewer than 9 bytes of its block remain.
+  std::array<std::uint8_t, 128> last{};
+  const std::size_t last_len = buffer_len_ < 56 ? 64 : 128;
+  std::memcpy(last.data(), buffer_.data(), buffer_len_);
+  last[buffer_len_] = 0x80;
   const std::uint64_t bit_len = total_len_ * 8;
-
-  // Padding: 0x80, zeros, 64-bit big-endian bit length.
-  const std::uint8_t pad_byte = 0x80;
-  update(BytesView(&pad_byte, 1));
-  total_len_ -= 1;  // padding does not count toward the message length
-
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update(BytesView(&zero, 1));
-    total_len_ -= 1;
+  for (std::size_t i = 0; i < 8; ++i) {
+    last[last_len - 8 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-
-  std::array<std::uint8_t, 8> len_bytes;
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  update(BytesView(len_bytes.data(), len_bytes.size()));
+  active_kernel()(state_.data(), last.data(), last_len / 64);
 
   Hash256 out;
   for (int i = 0; i < 8; ++i) {

@@ -1,8 +1,11 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
 // Used for transaction/block hashing, Merkle trees, chain addresses and as
-// the compression function inside HMAC. Verified against the NIST example
-// vectors in tests/crypto/sha256_test.cpp.
+// the compression function inside HMAC. Compression runs on the x86-64 SHA
+// extensions when the CPU has them and on a portable loop otherwise
+// (crypto/sha256_kernels.hpp); digests are identical either way. Verified
+// against the NIST example vectors and a known-answer table in
+// tests/crypto_test.cpp.
 #pragma once
 
 #include <array>
@@ -40,8 +43,6 @@ class Sha256 {
   [[nodiscard]] Hash256 finalize();
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_{0};
@@ -54,6 +55,11 @@ class Sha256 {
 
 /// sha256(sha256(x)) — used for chain addresses.
 [[nodiscard]] Hash256 sha256d(BytesView data);
+
+/// The compression kernel this process runs: "x86-sha" or "portable".
+/// Benchmarks record it so numbers from hosts without SHA extensions are
+/// not compared against ones with them.
+[[nodiscard]] const char* sha256_kernel();
 
 }  // namespace gpbft::crypto
 

@@ -14,7 +14,8 @@
 //     side effect a job publishes happens single-threaded, in an order
 //     fixed by submission, never by worker scheduling.
 //
-// The tasks are tiny (an HMAC over a short message is ~1.5 us), so the
+// The tasks are tiny (an HMAC over a 64 B message is ~0.3 us on the SHA
+// extensions, ~1–2 us on the portable SHA-256 kernel), so the
 // implementation is sized for handoff cost, not fairness: a fixed
 // power-of-two ring of cache-line-aligned slots, a single atomic claim
 // cursor workers race on with CAS, and spin-then-park idling. No mutex or
