@@ -19,17 +19,12 @@
 // unbatched points is the pipeline's headline speedup, tracked in
 // BENCH_scale.json.
 //
-// Usage: bench_scale [--smoke] [--plane] [--threads-sweep]
+// Usage: bench_scale [--smoke] [--plane]
 //   --smoke   n = 20 only (both protocols, unbatched + batched): the CI
 //             perf-smoke leg. Fails (exit 1) only on golden-hash mismatch —
 //             events/sec is reported, never gated (machines differ;
 //             regressions are judged against BENCH_scale.json trends
 //             instead).
-//   --threads-sweep  parallel MAC plane showcase: the PBFT n=202 point with
-//             MACs ON at sim.threads in {1, 2, 4, 8}. Fails (exit 1) when
-//             the chain tip differs across thread counts (the determinism
-//             contract); wall-clock scaling is reported and recorded as
-//             scale.pbft.macs202.tN series rows.
 //   --plane   million-device WorkloadPlane smoke: a 10^6-device diurnal
 //             PBFT run (n=20, 8 concrete endpoints, batch.size=32) executed
 //             twice with the same seed. Fails (exit 1) when the two runs
@@ -53,7 +48,6 @@
 
 #include "bench_util.hpp"
 #include "crypto/sha256.hpp"
-#include "net/workers.hpp"
 #include "sim/experiment.hpp"
 #include "sim/workload_plane.hpp"
 
@@ -125,15 +119,6 @@ ScaleResult run_spec(const sim::ScenarioSpec& spec) {
   deployment->stop();
   deployment->simulator().run();  // drain in-flight deliveries deterministically
   const auto wall_end = std::chrono::steady_clock::now();
-  if (const net::OrderedRunner* runner = deployment->mac_runner()) {
-    std::fprintf(stderr, "  [mac plane: %llu jobs, %llu stolen by releaser (%.1f%% offloaded)]\n",
-                 static_cast<unsigned long long>(runner->released()),
-                 static_cast<unsigned long long>(runner->stolen()),
-                 runner->released() == 0
-                     ? 0.0
-                     : 100.0 * static_cast<double>(runner->released() - runner->stolen()) /
-                           static_cast<double>(runner->released()));
-  }
 
   ScaleResult result;
   result.experiment.nodes = spec.nodes;
@@ -239,52 +224,6 @@ int run(bool smoke) {
     return 1;
   }
   std::printf("bench_scale: golden hashes OK\n");
-  return 0;
-}
-
-// --- parallel MAC plane sweep (--threads-sweep) --------------------------------
-
-// The worker-pool showcase: the Fig. 3 PBFT n=202 point with MACs ON —
-// the authenticated configuration the paper's threat model assumes — run
-// at 1, 2, 4 and 8 total threads. Every HMAC seal/verify rides the ordered
-// sequencer, so the tip must be byte-identical across the sweep (enforced
-// here, not just in the test suite); wall-clock is the only thing allowed
-// to move. Recorded as scale.pbft.macs202.tN rows in BENCH_scale.json.
-int run_threads_sweep() {
-  std::printf("bench_scale --threads-sweep: PBFT n=202, MACs on, Fig. 3 workload (seed 1)\n");
-  std::printf("%8s %10s %12s %9s %12s %9s  %s\n", "threads", "committed", "sim events",
-              "wall(s)", "events/sec", "speedup", "tip");
-  sim::ExperimentOptions options = sim::default_options();
-  options.engine.compute_macs = true;
-  sim::ScenarioSpec spec = sim::latency_scenario(sim::ProtocolKind::Pbft, 202, options);
-
-  int failures = 0;
-  std::string baseline_tip;
-  double baseline_wall = 0;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    spec.threads = threads;
-    const ScaleResult r = run_spec(spec);
-    if (threads == 1) {
-      baseline_tip = r.tip_hex;
-      baseline_wall = r.wall_seconds;
-    } else if (r.tip_hex != baseline_tip) {
-      std::fprintf(stderr,
-                   "bench_scale --threads-sweep: NONDETERMINISM at threads=%zu\n"
-                   "  threads=1 tip %s\n  threads=%zu tip %s\n",
-                   threads, baseline_tip.c_str(), threads, r.tip_hex.c_str());
-      ++failures;
-    }
-    const double speedup = r.wall_seconds <= 0 ? 0.0 : baseline_wall / r.wall_seconds;
-    std::printf("%8zu %10llu %12llu %9.2f %12.0f %8.2fx  %s\n", threads,
-                static_cast<unsigned long long>(r.experiment.committed),
-                static_cast<unsigned long long>(r.sim_events), r.wall_seconds,
-                r.events_per_sec(), speedup, r.tip_hex.c_str());
-    const std::string series = "scale.pbft.macs202.t" + std::to_string(threads);
-    append_json_record(series.c_str(), r.experiment, 1);
-    append_scale_record(series.c_str(), r);
-  }
-  if (failures > 0) return 1;
-  std::printf("bench_scale --threads-sweep: tips byte-identical across thread counts\n");
   return 0;
 }
 
@@ -418,20 +357,16 @@ int run_plane() {
 int main(int argc, char** argv) {
   bool smoke = false;
   bool plane = false;
-  bool threads_sweep = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--plane") == 0) {
       plane = true;
-    } else if (std::strcmp(argv[i], "--threads-sweep") == 0) {
-      threads_sweep = true;
     } else {
-      std::fprintf(stderr, "usage: bench_scale [--smoke] [--plane] [--threads-sweep]\n");
+      std::fprintf(stderr, "usage: bench_scale [--smoke] [--plane]\n");
       return 2;
     }
   }
   if (plane) return gpbft::bench::run_plane();
-  if (threads_sweep) return gpbft::bench::run_threads_sweep();
   return gpbft::bench::run(smoke);
 }

@@ -59,24 +59,6 @@ done
 cmp "${TAMPER_DIR}/trace.1.json" "${TAMPER_DIR}/trace.2.json"
 cmp "${TAMPER_DIR}/metrics.1.jsonl" "${TAMPER_DIR}/metrics.2.jsonl"
 
-# Parallel MAC plane gate (docs/performance.md "Parallel MAC plane"). Label
-# re-selection first (same rationale as the legs above): the ordered-runner
-# unit tests plus the 20-seed determinism-under-parallelism sweep. Then the
-# end-to-end check: the same seeded scenario at 1 and 8 threads must export
-# byte-identical telemetry — `--threads` is a host-performance knob, never
-# a model parameter.
-ctest --test-dir "${BUILD_DIR}" -L tier1-parallel -j "${JOBS}" --output-on-failure
-PAR_DIR="${BUILD_DIR}/parallel-ci"
-mkdir -p "${PAR_DIR}"
-for threads in 1 8; do
-  "${BUILD_DIR}/tools/gpbft_cli" run --scenario scenarios/telemetry_smoke.scenario \
-    --threads "${threads}" \
-    --trace-out "${PAR_DIR}/trace.t${threads}.json" \
-    --metrics-out "${PAR_DIR}/metrics.t${threads}.jsonl" >/dev/null
-done
-cmp "${PAR_DIR}/trace.t1.json" "${PAR_DIR}/trace.t8.json"
-cmp "${PAR_DIR}/metrics.t1.jsonl" "${PAR_DIR}/metrics.t8.jsonl"
-
 # Fuzz gate: replay the checked-in malformed corpus and run a seeded
 # mutation sweep over every wire-decode target. Each target carries its own
 # totality + re-encode fixed-point oracle, so a decoder defect aborts the
@@ -84,6 +66,16 @@ cmp "${PAR_DIR}/metrics.t1.jsonl" "${PAR_DIR}/metrics.t8.jsonl"
 # libFuzzer leg needs Clang — GPBFT_FUZZ=ON — and is not part of this gate.)
 "${BUILD_DIR}/tools/gpbft_fuzz" replay fuzz/corpus
 "${BUILD_DIR}/tools/gpbft_fuzz" mutate --seed 1 --iters 2000
+
+# Corpus regeneration gate: `gpbft_fuzz corpus` derives every seed and
+# mutant deterministically, so regenerating into an empty directory must
+# reproduce the checked-in fuzz/corpus byte for byte. A diff means a codec
+# or the scenario text format now emits different bytes: regenerate the
+# corpus on purpose (`gpbft_fuzz corpus fuzz/corpus`) and review the change.
+CORPUS_DIR="${BUILD_DIR}/corpus-ci"
+rm -rf "${CORPUS_DIR}"
+"${BUILD_DIR}/tools/gpbft_fuzz" corpus "${CORPUS_DIR}" >/dev/null
+diff -r "${CORPUS_DIR}" fuzz/corpus
 
 # Telemetry gate: one seeded scenario exports a Perfetto trace and a
 # metrics snapshot, twice; the artifacts must be schema-valid (when python3
@@ -178,9 +170,9 @@ fi
 "${BUILD_DIR}/bench/bench_scale" --plane
 
 # Opt-in sanitizer legs: a full ASan/UBSan build + test sweep, then a TSan
-# build running the threaded suites (the two sanitizers cannot share one
-# binary, so each gets its own build directory). Kept off the default path
-# so the fast gate stays fast.
+# build running the tests that start threads (the two sanitizers cannot
+# share one binary, so each gets its own build directory). Kept off the
+# default path so the fast gate stays fast.
 if [[ "${GPBFT_CI_SANITIZE:-0}" == "1" ]]; then
   scripts/check_sanitizers.sh
   scripts/check_tsan.sh

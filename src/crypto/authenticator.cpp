@@ -25,7 +25,7 @@ const Hash256& KeyRegistry::identity_key(NodeId id) const {
   const Hash256 key = sha256(BytesView(w.buffer().data(), w.buffer().size()));
 
   std::unique_lock lock(identity_mu_);
-  // try_emplace: a concurrent worker may have derived the same (pure,
+  // try_emplace: a concurrent caller may have derived the same (pure,
   // deterministic) value while we did; first insert wins, results agree.
   return identity_cache_.try_emplace(id, key).first->second;
 }

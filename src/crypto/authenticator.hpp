@@ -19,12 +19,13 @@
 // Caching & concurrency: identity keys and pairwise session entries are
 // derived once and cached (a session entry also holds the precomputed
 // HmacKey pad states, so a tag costs two SHA-256 passes over the message,
-// not a rederivation chain of four HMACs). Both caches are guarded by
-// shared mutexes — sharded for the O(n^2) session space — because the
-// parallel MAC plane (net::OrderedRunner) computes seal/verify tags from
-// worker threads against one shared registry. Cache population order is
-// thread-schedule-dependent; cache *contents* are pure functions of the
-// genesis seed, so results never depend on interleaving.
+// not a rederivation chain of four HMACs). The registry is handed out as a
+// const reference, yet its const calls fill these caches, so both are
+// guarded by shared mutexes — sharded for the O(n^2) session space — to
+// keep the usual contract that const calls are safe to make concurrently
+// (tests/crypto_test.cpp drives one registry from eight threads). Cache
+// population order is thread-schedule-dependent; cache *contents* are pure
+// functions of the genesis seed, so results never depend on interleaving.
 #pragma once
 
 #include <array>
@@ -97,7 +98,7 @@ class KeyRegistry {
   /// Stable reference into the session cache (entries are never erased).
   [[nodiscard]] const SessionEntry& session_entry(NodeId a, NodeId b) const;
 
-  /// The pairwise space is O(n^2); shard the cache so concurrent workers
+  /// The pairwise space is O(n^2); shard the cache so concurrent callers
   /// sealing/verifying different links rarely contend on one lock.
   struct SessionShard {
     mutable std::shared_mutex mu;

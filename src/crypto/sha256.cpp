@@ -144,8 +144,8 @@ bool cpu_has_sha_extensions() {
 #endif  // GPBFT_SHA256_X86
 
 /// The kernel this process uses, chosen on first use. The function-local
-/// static makes the choice once even when the first hashes race on the MAC
-/// plane's worker threads.
+/// static makes the choice once even when the first hashes come from
+/// several threads at once.
 detail::Sha256Compress active_kernel() {
   static const detail::Sha256Compress kernel = [] {
     const detail::Sha256Compress hardware = detail::sha256_compress_x86_sha();

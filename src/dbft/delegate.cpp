@@ -163,7 +163,8 @@ void Delegate::handle_extra(const net::Envelope& envelope) {
     Replica::handle_extra(envelope);
     return;
   }
-  auto body = pbft::open_envelope(keys(), id(), envelope, /*compute_macs=*/false);
+  auto body = pbft::open_view(keys(), envelope.from, id(), envelope.type,
+                              envelope.payload.view(), /*compute_macs=*/false);
   if (!body) {
     network().note_rejected(envelope.type);
     return;

@@ -444,9 +444,9 @@ void Endorser::apply_era_config(const ledger::EraConfig& config, Height config_h
 void Endorser::handle_extra(const net::Envelope& envelope) {
   GPBFT_PROFILE_SCOPE("gpbft.endorser.handle");
   // The base class already verified the seal; re-open without verification
-  // to extract the body (cheap: just framing — and a parallel-plane verdict,
-  // when one rode in on the envelope, is reused outright).
-  auto body = pbft::open_envelope(keys(), id(), envelope, /*compute_macs=*/false);
+  // to extract the body (cheap: just framing).
+  auto body = pbft::open_view(keys(), envelope.from, id(), envelope.type,
+                              envelope.payload.view(), /*compute_macs=*/false);
   if (!body) {
     network().note_rejected(envelope.type);
     return;

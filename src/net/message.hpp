@@ -1,15 +1,11 @@
 // Wire envelope delivered between simulated nodes.
 #pragma once
 
-#include <atomic>
-#include <cassert>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 
 #include "common/bytes.hpp"
-#include "common/result.hpp"
 #include "common/types.hpp"
 
 namespace gpbft::net {
@@ -19,7 +15,7 @@ namespace gpbft::net {
 /// per message class.
 using MessageType = std::uint16_t;
 
-/// Refcounted immutable payload buffer, optionally lazily materialized.
+/// Refcounted immutable payload buffer.
 ///
 /// Broadcast fan-out used to deep-copy the payload once per destination and
 /// twice more inside the delivery events; at 202 nodes that memcpy bound
@@ -29,17 +25,6 @@ using MessageType = std::uint16_t;
 /// hand them over, receivers only read — so sharing is safe by constraint,
 /// not by locking.
 ///
-/// The deferred constructor takes an exact size plus a compute closure and
-/// materializes the bytes on first access. This is how per-receiver MAC
-/// sealing rides the parallel plane: the sender pays nothing at send time
-/// (wire size is computable without the tag), and the seal is computed by
-/// whichever thread first needs the bytes — normally the worker running the
-/// receiver's verify prologue, so seal and verify both land off the
-/// simulation thread. The claim-or-compute-inline protocol makes joining
-/// deadlock-free: a thread needing the bytes either computes them itself
-/// (cell unclaimed) or spin-waits on the one thread actively computing —
-/// never on queued work.
-///
 /// Reads go through the same surface Bytes offered (data/size/empty/
 /// operator[]/iterators), so handler code is unchanged; to replace the
 /// content, assign a freshly built Bytes.
@@ -48,20 +33,15 @@ class Payload {
   Payload() = default;
   // NOLINTNEXTLINE(google-explicit-constructor): Bytes is the natural
   // literal at every send site; conversion is the API.
-  Payload(Bytes bytes) : cell_(std::make_shared<Cell>(std::move(bytes))) {}
+  Payload(Bytes bytes) : data_(std::make_shared<const Bytes>(std::move(bytes))) {}
   Payload& operator=(Bytes bytes) {
-    cell_ = std::make_shared<Cell>(std::move(bytes));
+    data_ = std::make_shared<const Bytes>(std::move(bytes));
     return *this;
   }
-  /// Deferred payload: `size` must equal the byte count `compute` returns
-  /// (asserted); size()/wire accounting never force the computation.
-  Payload(std::size_t size, std::function<Bytes()> compute)
-      : cell_(std::make_shared<Cell>(size, std::move(compute))) {}
 
-  [[nodiscard]] const Bytes& bytes() const { return cell_ ? cell_->get() : empty_bytes(); }
-  /// Size without materializing (exact by construction).
-  [[nodiscard]] std::size_t size() const { return cell_ ? cell_->size : 0; }
-  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] const Bytes& bytes() const { return data_ ? *data_ : empty_bytes(); }
+  [[nodiscard]] std::size_t size() const { return bytes().size(); }
+  [[nodiscard]] bool empty() const { return bytes().empty(); }
   [[nodiscard]] const std::uint8_t* data() const { return bytes().data(); }
   [[nodiscard]] std::uint8_t operator[](std::size_t i) const { return bytes()[i]; }
   [[nodiscard]] Bytes::const_iterator begin() const { return bytes().begin(); }
@@ -72,60 +52,12 @@ class Payload {
   friend bool operator==(const Payload& a, const Bytes& b) { return a.bytes() == b; }
 
  private:
-  struct Cell {
-    static constexpr int kEmpty = 0;
-    static constexpr int kComputing = 1;
-    static constexpr int kReady = 2;
-
-    explicit Cell(Bytes b) : buffer(std::move(b)), size(buffer.size()), state(kReady) {}
-    Cell(std::size_t size_hint, std::function<Bytes()> fn)
-        : compute(std::move(fn)), size(size_hint) {}
-
-    const Bytes& get() const {
-      if (state.load(std::memory_order_acquire) == kReady) return buffer;
-      int expected = kEmpty;
-      if (state.compare_exchange_strong(expected, kComputing, std::memory_order_acq_rel)) {
-        buffer = compute();
-        assert(buffer.size() == size && "lazy payload size hint must be exact");
-        compute = nullptr;  // release captured material early
-        state.store(kReady, std::memory_order_release);
-        state.notify_all();
-      } else {
-        // Another thread is actively computing (it claimed the cell, so it
-        // is running, not queued): wait for its release-store.
-        int observed = state.load(std::memory_order_acquire);
-        while (observed != kReady) {
-          state.wait(observed, std::memory_order_acquire);
-          observed = state.load(std::memory_order_acquire);
-        }
-      }
-      return buffer;
-    }
-
-    mutable Bytes buffer;
-    mutable std::function<Bytes()> compute;
-    std::size_t size{0};
-    mutable std::atomic<int> state{kEmpty};
-  };
-
   static const Bytes& empty_bytes() {
     static const Bytes kNone;
     return kNone;
   }
 
-  std::shared_ptr<Cell> cell_;
-};
-
-/// Result of a parallel open/verify prologue (net::OrderedRunner): the
-/// framing-parsed — and, when `macs`, HMAC-verified — body of a sealed
-/// payload. The worker computes the value; the runner's ordered release
-/// publishes it (sets `ready`) on the simulation thread before the
-/// receiver's handler runs, so handlers read it without synchronization.
-struct OpenJob {
-  std::uint64_t ticket{0};
-  bool macs{false};
-  bool ready{false};
-  Result<Bytes> body{make_error("open job not released")};
+  std::shared_ptr<const Bytes> data_;
 };
 
 struct Envelope {
@@ -133,10 +65,6 @@ struct Envelope {
   NodeId to;
   MessageType type{0};
   Payload payload;
-  /// Set at the arrival instant when the parallel MAC plane is active;
-  /// envelopes that bypass it (tamper ghosts) leave this null and are
-  /// opened synchronously.
-  std::shared_ptr<OpenJob> open_job{};
 
   /// Size on the wire: payload plus a fixed transport header (addresses,
   /// type, length, checksum — 32 bytes, a realistic UDP-framing overhead).

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
-#include "net/workers.hpp"
 
 namespace gpbft::net {
 
@@ -114,11 +113,6 @@ void Network::note_tampered() {
     }
     tel_tampered_->add();
   }
-}
-
-void Network::set_mac_plane(OrderedRunner& runner, MacPlaneHook hook) {
-  runner_ = &runner;
-  mac_hook_ = std::move(hook);
 }
 
 void Network::set_tamper(const TamperRule& rule) {
@@ -442,13 +436,6 @@ void Network::on_arrival(Envelope envelope, std::size_t size) {
     tel_recv_stall_->observe((start - sim_.now()).to_seconds());
   }
 
-  // Parallel MAC plane: the open/verify work for this envelope starts now,
-  // on a worker, and is joined at the processing-done instant — the
-  // message's queueing delay becomes compute overlap. Simulated time,
-  // accounting and RNG draws are identical either way (the job computes a
-  // pure function of key material and payload bytes).
-  if (mac_hook_) mac_hook_(envelope);
-
   inbox_[to].push_back(PendingDelivery{std::move(envelope), size, done});
   sim_.schedule_at(done, [this, to]() { process_next(to); });
 }
@@ -479,11 +466,6 @@ void Network::process_next(NodeId to) {
     if (receiver.msgs_received == nullptr) resolve_node_telemetry(receiver, to);
     receiver.msgs_received->add();
     receiver.bytes_received->add(pending.size);
-  }
-  // Join the parallel plane: ordered release up to this envelope's ticket
-  // publishes its open verdict (and any earlier ones) on this thread.
-  if (pending.envelope.open_job != nullptr && runner_ != nullptr) {
-    runner_->release_until(pending.envelope.open_job->ticket);
   }
 #ifndef GPBFT_PROF_DISABLED
   // Per-event-type attribution: the whole handler invocation is accounted

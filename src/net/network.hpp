@@ -43,8 +43,6 @@
 
 namespace gpbft::net {
 
-class OrderedRunner;
-
 /// A node attached to the network. Implementations are the PBFT replica,
 /// the G-PBFT endorser, and client/IoT-device models.
 class INetNode {
@@ -234,21 +232,6 @@ class Network {
   [[nodiscard]] const NetStats& stats() const { return stats_; }
   void reset_stats();
 
-  // --- parallel MAC plane --------------------------------------------------
-  /// Submits one open/verify prologue for an arriving envelope and attaches
-  /// the resulting OpenJob to it. Installed by the deployment layer (which
-  /// knows the key registry and MAC flag the network must stay agnostic
-  /// of); only called for envelopes that passed the arrival liveness check.
-  using MacPlaneHook = std::function<void(Envelope&)>;
-
-  /// Activates the parallel MAC plane: every arriving envelope is handed to
-  /// `hook` at its arrival instant, and process_next() releases the runner
-  /// up to that envelope's ticket before invoking the handler. Both must
-  /// outlive the network's message flow.
-  void set_mac_plane(OrderedRunner& runner, MacPlaneHook hook);
-  /// Whether senders should defer sealing to the plane's workers.
-  [[nodiscard]] bool mac_plane_active() const { return runner_ != nullptr; }
-
   /// One wire-layer rejection, wherever it happens (seal/open failure,
   /// undecodable body, unknown message type, malformed fixed-size payload).
   /// Called by receive paths in all four stacks; keyed by the envelope's
@@ -359,8 +342,6 @@ class Network {
   std::set<std::pair<std::uint64_t, std::uint64_t>> blocked_links_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, LinkFault> link_faults_;
   std::optional<TamperRule> tamper_;
-  OrderedRunner* runner_{nullptr};
-  MacPlaneHook mac_hook_;
   /// Genuine envelopes seen while a rule with a replay family was active;
   /// the replay mutation re-delivers one of these verbatim. Bounded by
   /// TamperRule::replay_history; payloads are refcount bumps, not copies.

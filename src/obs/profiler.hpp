@@ -25,11 +25,11 @@
 // the id in a function-local static, and registering the same name twice
 // returns the same id). The profiler is a process-wide singleton. The tree
 // and stack belong to the thread that created the singleton (the simulation
-// thread): probes hit from any other thread — the parallel MAC plane's
-// workers run seal/verify sites — latch inactive and record nothing, so the
-// hot path stays lock-free and the tree stays single-threaded. Site
-// registration is mutex-guarded because function-local statics in worker-
-// reachable code paths register concurrently.
+// thread). Nothing stops a caller from reaching a probe on another thread,
+// so probes hit from any other thread latch inactive and record nothing:
+// the hot path stays lock-free and the tree stays single-threaded. Site
+// registration is mutex-guarded for the same reason — the function-local
+// statics that register sites may first run on any thread.
 //
 // Exports:
 //   to_json()       nested call tree; `calls` and structure are
@@ -145,9 +145,8 @@ class ScopedProbe {
 
 /// RAII frame around one probe site. The enabled check is latched at
 /// construction so a (misplaced) mid-scope toggle cannot unbalance the
-/// profiler's stack; off-owner-thread probes (worker-side seal/verify under
-/// the parallel MAC plane) latch inactive — the tree is owned by the
-/// simulation thread.
+/// profiler's stack; off-owner-thread probes latch inactive — the tree is
+/// owned by the simulation thread.
 class ScopedProbe {
  public:
   explicit ScopedProbe(Profiler::SiteId site)

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <map>
-#include <memory>
 
 namespace gpbft::pbft {
 
@@ -98,24 +97,6 @@ void Client::send_request(const ledger::Transaction& tx) {
     }
     return;
   }
-  if (network_.mac_plane_active()) {
-    // Per-receiver seals deferred to the worker plane: one shared body
-    // buffer, each receiver's HMAC computed off the simulation thread.
-    const auto shared = std::make_shared<const Bytes>(body);
-    for (NodeId endorser : committee_) {
-      net::Envelope envelope;
-      envelope.from = id_;
-      envelope.to = endorser;
-      envelope.type = msg_type::kClientRequest;
-      envelope.payload = net::Payload(
-          sealed_size(shared->size()), [&keys = keys_, from = id_, endorser, shared]() {
-            return seal(keys, from, endorser, msg_type::kClientRequest,
-                        BytesView(shared->data(), shared->size()), /*compute_macs=*/true);
-          });
-      network_.send(std::move(envelope));
-    }
-    return;
-  }
   for (NodeId endorser : committee_) {
     net::Envelope envelope;
     envelope.from = id_;
@@ -146,7 +127,8 @@ void Client::submit(const ledger::Transaction& tx) {
 void Client::handle(const net::Envelope& envelope) {
   GPBFT_PROFILE_SCOPE("pbft.client.handle");
   if (envelope.type != msg_type::kReply) return;  // not addressed to a client role
-  auto body = open_envelope(keys_, id_, envelope, compute_macs_);
+  auto body = open_view(keys_, envelope.from, id_, envelope.type, envelope.payload.view(),
+                        compute_macs_);
   if (!body) {
     network_.note_rejected(envelope.type);
     return;

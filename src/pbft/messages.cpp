@@ -1,7 +1,6 @@
 #include "pbft/messages.hpp"
 
 #include <array>
-#include <cassert>
 #include <span>
 
 #include "obs/profiler.hpp"
@@ -512,9 +511,7 @@ Bytes seal(const crypto::KeyRegistry& keys, NodeId sender, NodeId receiver, net:
     const std::array<std::uint8_t, 8> zero{};
     w.raw(BytesView(zero.data(), zero.size()));
   }
-  Bytes out = w.take();
-  assert(out.size() == sealed_size(body.size()));
-  return out;
+  return w.take();
 }
 
 Result<BytesView> open_view(const crypto::KeyRegistry& keys, NodeId sender, NodeId receiver,
@@ -551,22 +548,6 @@ Result<Bytes> open(const crypto::KeyRegistry& keys, NodeId sender, NodeId receiv
   auto body = open_view(keys, sender, receiver, type, sealed, compute_macs);
   if (!body) return make_error(body.error());
   return Bytes(body.value().begin(), body.value().end());
-}
-
-Result<BytesView> open_envelope(const crypto::KeyRegistry& keys, NodeId receiver,
-                                const net::Envelope& envelope, bool compute_macs) {
-  const auto& job = envelope.open_job;
-  // A released job is reusable when it checked at least as much as the
-  // caller wants: same strictness, or a *passed* MACs-on verdict serving a
-  // framing-only open (verification implies framing; a MACs-on failure
-  // could be the tag alone, so it cannot answer for framing).
-  if (job != nullptr && job->ready &&
-      (job->macs == compute_macs || (job->macs && job->body.ok()))) {
-    if (!job->body.ok()) return make_error(job->body.error());
-    return BytesView(job->body.value().data(), job->body.value().size());
-  }
-  return open_view(keys, envelope.from, receiver, envelope.type, envelope.payload.view(),
-                   compute_macs);
 }
 
 }  // namespace gpbft::pbft

@@ -199,16 +199,6 @@ struct EraLaunchMsg {
 [[nodiscard]] Bytes seal(const crypto::KeyRegistry& keys, NodeId sender, NodeId receiver,
                          net::MessageType type, BytesView body, bool compute_macs);
 
-/// Exact wire size of seal()'s output for a body of `body_len` bytes,
-/// without computing the tag: varint length prefix + body + 8-byte sender
-/// + 8-byte tag. Lets the lazy-seal send path account bytes (and the
-/// network draw transmission delays) before any HMAC runs.
-[[nodiscard]] constexpr std::size_t sealed_size(std::size_t body_len) {
-  std::size_t prefix = 1;
-  for (std::size_t v = body_len; v >= 0x80; v >>= 7) ++prefix;
-  return prefix + body_len + 8 + 8;
-}
-
 /// Splits and verifies a sealed payload; returns the body on success.
 [[nodiscard]] Result<Bytes> open(const crypto::KeyRegistry& keys, NodeId sender, NodeId receiver,
                                  net::MessageType type, BytesView sealed, bool compute_macs);
@@ -220,15 +210,5 @@ struct EraLaunchMsg {
 [[nodiscard]] Result<BytesView> open_view(const crypto::KeyRegistry& keys, NodeId sender,
                                           NodeId receiver, net::MessageType type, BytesView sealed,
                                           bool compute_macs);
-
-/// Opens an envelope, consuming its parallel-plane verdict when one is
-/// attached (net::OpenJob, published by the ordered runner before the
-/// handler ran) and falling back to a synchronous open_view otherwise —
-/// tamper-injected ghosts and bare-network tests take the fallback. A
-/// verdict computed with MACs on also satisfies a compute_macs=false open
-/// (framing is a subset of verification). The returned view borrows from
-/// the envelope (job body or payload buffer): use it within the handler.
-[[nodiscard]] Result<BytesView> open_envelope(const crypto::KeyRegistry& keys, NodeId receiver,
-                                              const net::Envelope& envelope, bool compute_macs);
 
 }  // namespace gpbft::pbft

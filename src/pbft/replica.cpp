@@ -32,32 +32,11 @@ NodeId Replica::primary_of(ViewId view) const {
 
 void Replica::send_to(NodeId to, net::MessageType type, BytesView body) {
   if (to == id_) return;
-  if (lazy_seal_active()) {
-    send_sealed_lazy(to, type, std::make_shared<const Bytes>(body.begin(), body.end()));
-    return;
-  }
   net::Envelope envelope;
   envelope.from = id_;
   envelope.to = to;
   envelope.type = type;
   envelope.payload = seal(keys_, id_, to, type, body, config_.compute_macs);
-  network_.send(std::move(envelope));
-}
-
-void Replica::send_sealed_lazy(NodeId to, net::MessageType type,
-                               const std::shared_ptr<const Bytes>& body) {
-  net::Envelope envelope;
-  envelope.from = id_;
-  envelope.to = to;
-  envelope.type = type;
-  // Wire size is exact without the tag (sealed_size), so traffic accounting
-  // and transmission delays are untouched; the HMAC itself runs on whichever
-  // worker first needs the bytes — normally the receiver's verify prologue.
-  envelope.payload = net::Payload(
-      sealed_size(body->size()), [&keys = keys_, from = id_, to, type, body]() {
-        return seal(keys, from, to, type, BytesView(body->data(), body->size()),
-                    /*compute_macs=*/true);
-      });
   network_.send(std::move(envelope));
 }
 
@@ -68,16 +47,6 @@ void Replica::broadcast_committee(net::MessageType type, BytesView body) {
 void Replica::send_to_each(const std::vector<NodeId>& peers, net::MessageType type,
                            BytesView body) {
   if (config_.compute_macs) {
-    if (lazy_seal_active()) {
-      // Per-receiver seals, deferred to the plane; one shared body buffer
-      // feeds every receiver's seal closure.
-      const auto shared = std::make_shared<const Bytes>(body.begin(), body.end());
-      for (NodeId peer : peers) {
-        if (peer == id_) continue;
-        send_sealed_lazy(peer, type, shared);
-      }
-      return;
-    }
     // Per-receiver MAC tags: every sealed payload differs, seal per peer.
     for (NodeId peer : peers) send_to(peer, type, body);
     return;
@@ -107,7 +76,8 @@ void Replica::persist_now() {
 }
 
 Result<BytesView> Replica::open_or_drop(const net::Envelope& envelope) {
-  auto body = open_envelope(keys_, id_, envelope, config_.compute_macs);
+  auto body = open_view(keys_, envelope.from, id_, envelope.type, envelope.payload.view(),
+                        config_.compute_macs);
   if (!body) {
     log_debug(id_.str() + ": rejecting message with bad seal: " + body.error());
     network_.note_rejected(envelope.type);

@@ -256,21 +256,9 @@ class Replica : public net::INetNode {
   void reset_batch_state();
 
   [[nodiscard]] bool seq_in_window(SeqNum seq) const;
-  /// Opens the envelope (consuming a parallel-plane verdict when present);
-  /// the returned view borrows from the envelope, valid within handle().
+  /// Opens the envelope; the returned view borrows from the envelope's
+  /// payload, valid within handle().
   [[nodiscard]] Result<BytesView> open_or_drop(const net::Envelope& envelope);
-
-  /// True when seals should be deferred to the parallel MAC plane: MACs are
-  /// on (so sealing costs real HMAC work) and worker threads exist to
-  /// absorb it. The eager path is kept byte-identical, so this is purely a
-  /// scheduling choice.
-  [[nodiscard]] bool lazy_seal_active() const {
-    return config_.compute_macs && network_.mac_plane_active();
-  }
-  /// Sends one lazily sealed envelope; `body` is shared so a broadcast
-  /// fan-out captures one buffer across all per-receiver seal closures.
-  void send_sealed_lazy(NodeId to, net::MessageType type,
-                        const std::shared_ptr<const Bytes>& body);
 
   NodeId id_;
   std::vector<NodeId> committee_;

@@ -5,7 +5,6 @@
 
 #include "common/logging.hpp"
 #include "ledger/store.hpp"
-#include "net/workers.hpp"
 #include "pbft/messages.hpp"
 #include "pow/pow_store.hpp"
 #include "sim/invariants.hpp"
@@ -228,38 +227,10 @@ void Deployment::watch(InvariantMonitor& monitor) {
 
 void Deployment::finish_invariants(InvariantMonitor& monitor) { (void)monitor; }
 
-void Deployment::enable_mac_plane(std::size_t threads, bool compute_macs) {
-  if (threads <= 1) return;  // the seed's single-threaded execution
-  runner_ = std::make_unique<net::OrderedRunner>(threads);
-  // Hook runs at every on_arrival: submit the open prologue and pin the job
-  // to the envelope. The prologue reads only the key registry (thread-safe,
-  // pure) and the envelope's immutable payload cell — capturing the payload
-  // by value is a refcount bump, and forcing a lazy seal on the worker is
-  // exactly the point.
-  network_.set_mac_plane(
-      *runner_, [this, compute_macs](net::Envelope& envelope) {
-        auto job = std::make_shared<net::OpenJob>();
-        job->macs = compute_macs;
-        job->ticket = runner_->submit(
-            [&keys = keys_, from = envelope.from, to = envelope.to, type = envelope.type,
-             payload = envelope.payload, compute_macs, job]() -> net::OrderedRunner::Epilogue {
-              auto body = pbft::open(keys, from, to, type, payload.view(), compute_macs);
-              // The epilogue publishes on the sim thread, in arrival order:
-              // handlers never touch the job until release_until ran.
-              return [job, body = std::move(body)]() mutable {
-                job->body = std::move(body);
-                job->ready = true;
-              };
-            });
-        envelope.open_job = std::move(job);
-      });
-}
-
 // --- PbftCluster -----------------------------------------------------------------
 
 PbftCluster::PbftCluster(PbftClusterConfig config)
     : Deployment(config.seed, config.net, config.placement), config_(config) {
-  enable_mac_plane(config.threads, config.pbft.compute_macs);
   // Genesis: the whole network is the committee (plain PBFT).
   ledger::GenesisConfig genesis_config;
   genesis_config.chain_seed = config.seed;
@@ -335,7 +306,6 @@ bool PbftCluster::restart_node(NodeId id) {
 
 GpbftCluster::GpbftCluster(GpbftClusterConfig config)
     : Deployment(config.seed, config.net, config.placement), config_(std::move(config)) {
-  enable_mac_plane(config_.threads, config_.protocol.pbft.compute_macs);
   const std::size_t committee_size = std::min(config_.initial_committee, config_.nodes);
 
   protocol_ = config_.protocol;
@@ -497,7 +467,6 @@ bool GpbftCluster::restart_node(NodeId id) {
 
 DbftCluster::DbftCluster(DbftClusterConfig config)
     : Deployment(config.seed, config.net, config.placement), config_(config) {
-  enable_mac_plane(config.threads, config.pbft.compute_macs);
   const std::size_t delegate_count = std::min(config.nodes, config.delegates);
   ledger::GenesisConfig genesis_config;
   genesis_config.chain_seed = config.seed;
@@ -790,7 +759,6 @@ std::unique_ptr<PbftCluster> make_pbft_deployment(const ScenarioSpec& spec) {
   config.replicas = spec.nodes;
   config.clients = spec.clients;
   config.seed = spec.seed;
-  config.threads = spec.threads;
   config.net = spec.net;
   config.pbft = to_pbft_config(spec.engine, spec.batch);
   config.placement = spec.placement;
@@ -803,7 +771,6 @@ std::unique_ptr<GpbftCluster> make_gpbft_deployment(const ScenarioSpec& spec) {
   config.initial_committee = std::min(spec.committee.initial, spec.nodes);
   config.clients = spec.clients;
   config.seed = spec.seed;
-  config.threads = spec.threads;
   config.net = spec.net;
   config.placement = spec.placement;
   config.protocol.pbft = to_pbft_config(spec.engine, spec.batch);
@@ -828,7 +795,6 @@ std::unique_ptr<DbftCluster> make_dbft_deployment(const ScenarioSpec& spec) {
   config.nodes = spec.nodes;
   config.clients = spec.clients;
   config.seed = spec.seed;
-  config.threads = spec.threads;
   config.net = spec.net;
   config.pbft = to_pbft_config(spec.engine, spec.batch);
   config.block_interval = spec.dbft.block_interval;

@@ -182,24 +182,6 @@ class Deployment {
   /// Monitor bookkeeping shared by every restart_node override.
   void note_restarted(pbft::Replica& replica);
 
-  /// Turns on the parallel MAC plane: `threads` total host threads (<=1 is
-  /// a no-op — the seed's single-threaded execution), of which threads-1
-  /// become OrderedRunner workers. Every arriving envelope gets an open
-  /// prologue (framing parse, plus HMAC verification when `compute_macs`)
-  /// submitted at its arrival instant and released — in exact submission
-  /// order — before its handler runs. Pure latency hiding: the prologue is
-  /// a pure function of key material and payload bytes, so results are
-  /// byte-identical to the inline path. Call from the subclass constructor,
-  /// after the network exists and before any traffic.
-  void enable_mac_plane(std::size_t threads, bool compute_macs);
-
- public:
-  /// The parallel MAC plane's runner, or null when threads <= 1 (bench
-  /// diagnostics: offload/steal counters).
-  [[nodiscard]] const net::OrderedRunner* mac_runner() const { return runner_.get(); }
-
- protected:
-
   obs::Telemetry telemetry_;  // before network_: the network holds a pointer
   net::Simulator sim_;
   net::Network network_;
@@ -212,10 +194,6 @@ class Deployment {
   /// already-queued submission events become no-ops.
   std::shared_ptr<const bool> workload_alive_;
   std::unique_ptr<WorkloadPlane> plane_;
-  /// Parallel MAC plane (see enable_mac_plane). Declared last: its
-  /// destructor drains in-flight prologues that reference keys_ and node
-  /// state, so it must be destroyed before everything it reads.
-  std::unique_ptr<net::OrderedRunner> runner_;
 };
 
 // --- PBFT baseline ------------------------------------------------------------
@@ -224,8 +202,6 @@ struct PbftClusterConfig {
   std::size_t replicas{4};
   std::size_t clients{0};
   std::uint64_t seed{1};
-  /// Total host threads (see ScenarioSpec::threads); 1 = single-threaded.
-  std::size_t threads{1};
   net::NetConfig net;
   pbft::PbftConfig pbft;
   PlacementConfig placement;
@@ -268,8 +244,6 @@ struct GpbftClusterConfig {
   std::size_t initial_committee{4};
   std::size_t clients{0};
   std::uint64_t seed{1};
-  /// Total host threads (see ScenarioSpec::threads); 1 = single-threaded.
-  std::size_t threads{1};
   net::NetConfig net;
   ::gpbft::gpbft::GpbftConfig protocol;  // genesis roster/area filled by the cluster
   PlacementConfig placement;
@@ -332,8 +306,6 @@ struct DbftClusterConfig {
   std::size_t nodes{7};
   std::size_t clients{0};
   std::uint64_t seed{1};
-  /// Total host threads (see ScenarioSpec::threads); 1 = single-threaded.
-  std::size_t threads{1};
   net::NetConfig net;
   pbft::PbftConfig pbft;
   Duration block_interval = Duration::seconds(15);

@@ -245,14 +245,6 @@ const std::vector<Field>& field_table() {
                    s.deadline.ns = parsed.value();
                    return {};
                  }});
-    f.push_back({"sim.threads", [](const ScenarioSpec& s) { return std::to_string(s.threads); },
-                 [](ScenarioSpec& s, const std::string& v) -> Result<void> {
-                   auto parsed = parse_u64(v);
-                   if (!parsed) return make_error(parsed.error());
-                   if (parsed.value() == 0) return make_error("sim.threads must be >= 1");
-                   s.threads = static_cast<std::size_t>(parsed.value());
-                   return {};
-                 }});
 
     f.push_back(u64_sub_field("workload.txs_per_client", &ScenarioSpec::workload,
                               &WorkloadSpec::txs_per_client));

@@ -218,10 +218,9 @@ struct ScenarioSpec {
   std::size_t clients{0};
   /// Simulation guard rail for run-until-committed drivers.
   Duration deadline = Duration::seconds(4000);
-  /// Total host threads the deployment may use: 1 (default) keeps the seed's
-  /// single-threaded execution; N>1 adds N-1 MAC-plane workers behind the
-  /// ordered sequencer (net::OrderedRunner). Results are byte-identical for
-  /// every value — this is a host-performance knob, not a model parameter.
+  /// Unread, and outside the text format. It remains only because
+  /// perfbench/driver.cpp assigns `spec.threads = 1`; delete it together
+  /// with that assignment.
   std::size_t threads{1};
 
   WorkloadSpec workload;

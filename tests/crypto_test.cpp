@@ -351,8 +351,8 @@ TEST(Sha256, PortableAndX86KernelsAgree) {
 
 TEST(Sha256, FirstUseFromManyThreadsAgrees) {
   // Each test runs in its own process, so nothing has hashed yet and the
-  // kernel is chosen while eight threads hash at once — as when the MAC
-  // plane's workers seal the first messages of a run.
+  // kernel is chosen while eight threads hash at once: the one-time CPUID
+  // pick must be race-free and give every thread the same kernel.
   std::vector<std::string> inputs;
   std::vector<Hash256> expected;
   for (const std::size_t length : {0u, 55u, 56u, 64u, 119u, 1000u}) {
@@ -696,11 +696,12 @@ TEST(Authenticator, MultiPartTagEqualsSinglePartTag) {
 // --- registry caches under concurrent access -----------------------------------------
 
 TEST(Authenticator, RegistryIsConsistentUnderConcurrentDerivation) {
-  // The parallel MAC plane shares one KeyRegistry across workers. Hammer
-  // the identity/session caches from several threads on overlapping links;
-  // every derived value must equal the serial one (cache contents are pure
-  // functions of the seed — population order must not matter). Run under
-  // the TSan CI leg, this is also the data-race probe for the caches.
+  // A KeyRegistry's const calls fill its caches, and the locks keep those
+  // calls safe to make concurrently. Hammer the identity/session caches
+  // from several threads on overlapping links; every derived value must
+  // equal the serial one (cache contents are pure functions of the seed —
+  // population order must not matter). Run under the TSan CI leg, this is
+  // also the data-race probe for the caches.
   KeyRegistry keys(909);
   const Bytes payload = {1, 2, 3, 4, 5};
   const std::array<BytesView, 1> parts{BytesView(payload.data(), payload.size())};

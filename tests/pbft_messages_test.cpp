@@ -1,8 +1,6 @@
 // Wire-format tests for every PBFT / G-PBFT message, plus seal/open framing.
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "ledger/genesis.hpp"
 #include "pbft/messages.hpp"
 
@@ -287,19 +285,6 @@ TEST(Seal, RetypedEnvelopeRejected) {
                   .ok());
 }
 
-TEST(Seal, SealedSizeIsExactAcrossVarintBoundaries) {
-  // sealed_size() lets lazy payloads report wire sizes without sealing;
-  // an off-by-one here would silently skew every net.* byte counter when
-  // the parallel plane defers the seal. Exercise the varint width steps.
-  crypto::KeyRegistry keys(11);
-  for (const std::size_t len : {0u, 1u, 0x7fu, 0x80u, 0x3fffu, 0x4000u}) {
-    const Bytes body(len, 0xab);
-    const Bytes sealed = seal(keys, NodeId{1}, NodeId{2}, msg_type::kPrepare,
-                              BytesView(body.data(), body.size()), true);
-    EXPECT_EQ(sealed.size(), sealed_size(len)) << "len " << len;
-  }
-}
-
 TEST(Seal, OpenViewMatchesOpenWithoutCopying) {
   crypto::KeyRegistry keys(11);
   const Bytes body = {9, 9, 9, 1, 2};
@@ -325,71 +310,6 @@ TEST(Seal, OpenViewMatchesOpenWithoutCopying) {
   ASSERT_FALSE(copied_err.ok());
   ASSERT_FALSE(viewed_err.ok());
   EXPECT_EQ(viewed_err.error(), copied_err.error());
-}
-
-TEST(Seal, LazyPayloadSealsIdenticallyToEager) {
-  // The fan-out path ships net::Payload(sealed_size(...), seal-closure);
-  // forcing the cell must produce the exact bytes an eager seal would, and
-  // size() must be truthful before materialization.
-  crypto::KeyRegistry keys(11);
-  const auto body = std::make_shared<const Bytes>(Bytes{3, 1, 4, 1, 5, 9, 2, 6});
-  const Bytes eager = seal(keys, NodeId{1}, NodeId{2}, msg_type::kCommit,
-                           BytesView(body->data(), body->size()), true);
-  const net::Payload lazy(sealed_size(body->size()), [&keys, body]() {
-    return seal(keys, NodeId{1}, NodeId{2}, msg_type::kCommit,
-                BytesView(body->data(), body->size()), true);
-  });
-  EXPECT_EQ(lazy.size(), eager.size());  // no materialization needed
-  EXPECT_EQ(lazy.bytes(), eager);        // forces the cell
-  EXPECT_EQ(lazy.bytes(), eager);        // second read hits the cached buffer
-}
-
-TEST(Seal, OpenEnvelopeUsesAReleasedJobVerdict) {
-  crypto::KeyRegistry keys(11);
-  const Bytes body = {4, 2};
-  net::Envelope envelope;
-  envelope.from = NodeId{1};
-  envelope.to = NodeId{2};
-  envelope.type = msg_type::kPrepare;
-  envelope.payload = seal(keys, NodeId{1}, NodeId{2}, msg_type::kPrepare,
-                          BytesView(body.data(), body.size()), true);
-
-  // Released job carrying a pass: the handler reads the worker's verdict.
-  auto job = std::make_shared<net::OpenJob>();
-  job->macs = true;
-  job->ready = true;
-  job->body = Bytes{4, 2};
-  envelope.open_job = job;
-  const auto reused = open_envelope(keys, NodeId{2}, envelope, true);
-  ASSERT_TRUE(reused.ok());
-  EXPECT_EQ(reused.value().data(), job->body.value().data());  // zero-copy reuse
-
-  // A MACs-on PASS also answers a framing-only open (verification is a
-  // strict superset of framing)...
-  EXPECT_TRUE(open_envelope(keys, NodeId{2}, envelope, false).ok());
-
-  // ...but a MACs-on FAILURE must not: the tag may be bad while the
-  // framing is fine, so a framing-only caller falls back to a fresh parse.
-  auto failed = std::make_shared<net::OpenJob>();
-  failed->macs = true;
-  failed->ready = true;
-  failed->body = make_error("seal: HMAC verification failed (body or type forged)");
-  envelope.open_job = failed;
-  EXPECT_FALSE(open_envelope(keys, NodeId{2}, envelope, true).ok());
-  const auto framed = open_envelope(keys, NodeId{2}, envelope, false);
-  ASSERT_TRUE(framed.ok());
-  EXPECT_EQ(Bytes(framed.value().begin(), framed.value().end()), body);
-
-  // An unreleased job (ready=false — e.g. a ghost that bypassed the plane)
-  // is ignored; the synchronous path still opens the envelope.
-  auto unreleased = std::make_shared<net::OpenJob>();
-  unreleased->macs = true;
-  envelope.open_job = unreleased;
-  EXPECT_TRUE(open_envelope(keys, NodeId{2}, envelope, true).ok());
-
-  // No job at all: the plain synchronous path.
-  envelope.open_job = nullptr;
-  EXPECT_TRUE(open_envelope(keys, NodeId{2}, envelope, true).ok());
 }
 
 }  // namespace

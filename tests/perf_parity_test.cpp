@@ -74,6 +74,9 @@ ScenarioSpec pbft_golden_spec() {
   spec.seed = 42;
   spec.workload.period = Duration::seconds(2);
   spec.workload.txs_per_client = 4;
+  // Explicit, not left to the EngineSpec default: these goldens are the
+  // byte-level pin on the MACs-on seal/open path.
+  spec.engine.compute_macs = true;
   return spec;
 }
 
@@ -95,6 +98,7 @@ ScenarioSpec gpbft_golden_spec() {
   spec.geo.promotion_threshold = Duration::seconds(20);
   spec.workload.period = Duration::seconds(2);
   spec.workload.txs_per_client = 4;
+  spec.engine.compute_macs = true;  // see pbft_golden_spec()
   return spec;
 }
 

@@ -107,6 +107,9 @@ TEST(Scenario, StrictParseRejectsGarbage) {
   EXPECT_FALSE(parse_scenario("nodes\n").ok());                // no '='
   EXPECT_FALSE(parse_scenario("placement.area_precision=13\n").ok());  // out of range
   EXPECT_FALSE(parse_scenario("workload.period_ns=abc\n").ok());
+  // The simulator runs on one host thread; a file asking for more must
+  // error, not quietly run on one.
+  EXPECT_FALSE(parse_scenario("sim.threads=8\n").ok());
 }
 
 TEST(Scenario, ProtocolNamesRoundTrip) {

@@ -90,11 +90,9 @@ struct CliOptions {
   std::string profile_out;        // profile: probe call tree JSON
   std::string collapsed_out;      // profile: collapsed-stack flamegraph input
   std::size_t top = 15;           // profile/report: hotspot table rows
-  std::size_t threads = 1;        // run/report: host threads (1 = single-threaded)
   bool protocol_set = false;      // chaos/run defaults when unset
   bool seed_set = false;          // run keeps the file's seed when unset
   bool txs_set = false;           // chaos keeps its own default when unset
-  bool threads_set = false;       // run keeps the file's sim.threads when unset
 };
 
 void print_usage() {
@@ -131,8 +129,6 @@ void print_usage() {
                "  --protocol P --seed S            override the file's values\n"
                "  --trace-out FILE                 enable tracing, write Perfetto trace.json\n"
                "  --metrics-out FILE               write the metrics registry as JSONL\n"
-               "  --threads N                      host threads for the MAC plane (default\n"
-               "                                   1 = single-threaded; results identical)\n"
                "profile options:\n"
                "  --profile-out FILE               write the probe call tree as JSON\n"
                "  --collapsed-out FILE             write collapsed stacks (flamegraph input)\n"
@@ -246,10 +242,6 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
     } else if (flag == "--top") {
       options.top = std::strtoull(value.c_str(), nullptr, 10);
       if (options.top == 0) options.top = 15;
-    } else if (flag == "--threads") {
-      options.threads = std::strtoull(value.c_str(), nullptr, 10);
-      if (options.threads == 0) return false;
-      options.threads_set = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
       return false;
@@ -373,7 +365,6 @@ int run_scenario(const CliOptions& options) {
   sim::ScenarioSpec spec = parsed.value();
   if (options.protocol_set) spec.protocol = sim::protocol_from_name(options.protocol).value();
   if (options.seed_set) spec.seed = options.experiment.seed;
-  if (options.threads_set) spec.threads = options.threads;
 
   const std::unique_ptr<sim::Deployment> deployment = sim::make_deployment(spec);
   const bool profiling = options.command == "profile";
