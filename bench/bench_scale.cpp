@@ -49,7 +49,6 @@
 #include "bench_util.hpp"
 #include "crypto/sha256.hpp"
 #include "sim/experiment.hpp"
-#include "sim/workload_plane.hpp"
 
 namespace gpbft::bench {
 namespace {
@@ -97,10 +96,10 @@ struct ScaleResult {
   }
 };
 
-/// One seeded latency run (the Fig. 3 workload) through the deployment
-/// factory, timed on the host clock. Mirrors sim::run_latency but keeps the
-/// deployment in scope so the chain tip and simulator counters are
-/// readable afterwards.
+/// One seeded run of `spec` through the deployment factory, timed on the
+/// host clock: the Fig. 3 workload or the open-loop plane. Mirrors
+/// sim::run_latency but keeps the deployment in scope so the chain tip and
+/// simulator counters are readable afterwards.
 ScaleResult run_spec(const sim::ScenarioSpec& spec) {
   const std::unique_ptr<sim::Deployment> deployment = sim::make_deployment(spec);
 
@@ -108,8 +107,7 @@ ScaleResult run_spec(const sim::ScenarioSpec& spec) {
   deployment->start();
   sim::LatencyRecorder recorder;
   deployment->schedule_workload(spec.workload, &recorder);
-  const bool done = deployment->run_until_committed(spec.workload.txs_per_client,
-                                                    TimePoint{spec.deadline.ns});
+  deployment->run_until_committed(spec.workload.txs_per_client, TimePoint{spec.deadline.ns});
   // Time-to-done, read before the drain: the drain below fires pre-armed
   // periodic timers (e.g. the replicas' pending-request tick at
   // request_timeout/4 = 1000 s) whose timestamps say nothing about when the
@@ -121,28 +119,15 @@ ScaleResult run_spec(const sim::ScenarioSpec& spec) {
   const auto wall_end = std::chrono::steady_clock::now();
 
   ScaleResult result;
-  result.experiment.nodes = spec.nodes;
-  result.experiment.committee = deployment->committee_size();
-  result.experiment.latency_samples = recorder.samples();
-  result.experiment.latency = recorder.boxplot();
-  result.experiment.committed = deployment->committed_count();
-  result.experiment.expected =
-      done ? result.experiment.committed : spec.workload.txs_per_client * spec.clients;
-  result.experiment.consensus_kb = sim::consensus_kilobytes(deployment->stats());
-  result.experiment.total_kb = deployment->stats().total_kilobytes();
+  result.experiment = sim::finish_result(*deployment, spec, recorder);
   result.experiment.sim_seconds = sim_seconds;
-  result.experiment.era_switches = deployment->era_switches();
   result.sim_events = deployment->simulator().events_processed();
   result.wire_messages = deployment->stats().total_messages;
   result.wall_seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(wall_end - wall_start).count();
   result.batch_close = spec.batch.size;
-
-  if (auto* pbft = dynamic_cast<sim::PbftCluster*>(deployment.get())) {
-    result.tip_hex = pbft->replica(0).chain().tip().hash().hex();
-  } else if (auto* gpbft = dynamic_cast<sim::GpbftCluster*>(deployment.get())) {
-    result.tip_hex = gpbft->endorser(0).chain().tip().hash().hex();
-  }
+  if (spec.workload.mode == sim::WorkloadMode::Plane) result.workload = "plane";
+  result.tip_hex = deployment->tip_hex();
   return result;
 }
 
@@ -259,39 +244,6 @@ sim::ScenarioSpec plane_scenario() {
   return spec;
 }
 
-ScaleResult run_plane_once(const sim::ScenarioSpec& spec) {
-  const std::unique_ptr<sim::Deployment> deployment = sim::make_deployment(spec);
-  const auto wall_start = std::chrono::steady_clock::now();
-  deployment->start();
-  sim::LatencyRecorder recorder;
-  deployment->schedule_workload(spec.workload, &recorder);
-  deployment->run_until_committed(0, TimePoint{spec.deadline.ns});
-  const double sim_seconds = deployment->simulator().now().to_seconds();  // time-to-done
-  deployment->stop();
-  deployment->simulator().run();
-  const auto wall_end = std::chrono::steady_clock::now();
-
-  ScaleResult result;
-  result.experiment.nodes = spec.nodes;
-  result.experiment.committee = deployment->committee_size();
-  result.experiment.latency_samples = recorder.samples();
-  result.experiment.latency = recorder.boxplot();
-  result.experiment.committed = deployment->committed_count();
-  result.experiment.expected = deployment->plane()->submitted();
-  result.experiment.consensus_kb = sim::consensus_kilobytes(deployment->stats());
-  result.experiment.total_kb = deployment->stats().total_kilobytes();
-  result.experiment.sim_seconds = sim_seconds;
-  result.sim_events = deployment->simulator().events_processed();
-  result.wire_messages = deployment->stats().total_messages;
-  result.wall_seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(wall_end - wall_start).count();
-  result.batch_close = spec.batch.size;
-  result.workload = "plane";
-  auto* pbft = dynamic_cast<sim::PbftCluster*>(deployment.get());
-  result.tip_hex = pbft->replica(0).chain().tip().hash().hex();
-  return result;
-}
-
 int run_plane() {
   const double budget = plane_budget_seconds();
   const sim::ScenarioSpec spec = plane_scenario();
@@ -305,7 +257,7 @@ int run_plane() {
   int failures = 0;
   ScaleResult runs[2];
   for (int i = 0; i < 2; ++i) {
-    runs[i] = run_plane_once(spec);
+    runs[i] = run_spec(spec);
     const ScaleResult& r = runs[i];
     const double committed_per_sec =
         r.experiment.sim_seconds <= 0

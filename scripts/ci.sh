@@ -23,41 +23,37 @@ JOBS="${GPBFT_CI_JOBS:-$(nproc)}"
 cmake -B "${BUILD_DIR}"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
-ctest --test-dir "${BUILD_DIR}" -L tier1 -j "${JOBS}" --output-on-failure
+# `-L` is a regex, so this selects every tier1* label (adversarial, batch,
+# perf, profile, tamper, telemetry) too; --no-tests=error fails the gate
+# if a label change ever leaves nothing selected.
+ctest --test-dir "${BUILD_DIR}" -L tier1 -j "${JOBS}" --output-on-failure --no-tests=error
 
-# Adversarial election gate. `-L tier1` above already matches the compound
-# tier1-adversarial label; this leg re-selects it explicitly so a label
-# regression (test renamed, label dropped) fails loudly instead of silently
-# shrinking the fast gate, then drives the four election-attack scenarios.
-# Each scenario run arms the invariant monitor and exits non-zero on any
-# SYBIL-SEATED / COMMITTEE-QUALITY / ERA-CONVERGENCE violation, agreement
-# break or liveness miss.
-ctest --test-dir "${BUILD_DIR}" -L tier1-adversarial -j "${JOBS}" --output-on-failure
-
-# Batched-pipeline gate (same label-regression rationale as above): the
-# batch.size=1 golden-equivalence tests, the client-table replay tests and
-# the million-device WorkloadPlane determinism tests (docs/protocol.md §11).
-ctest --test-dir "${BUILD_DIR}" -L tier1-batch -j "${JOBS}" --output-on-failure
-for sc in election_sybil_burst election_targeted_crash \
-          election_boundary_oscillation election_churn_long; do
-  "${BUILD_DIR}/tools/gpbft_cli" run --scenario "scenarios/${sc}.scenario" >/dev/null
+# Scenario determinism gate: every checked-in scenario file except the
+# profiler's (its own leg below) runs twice with telemetry exports. Each run
+# must exit 0 — a chaos scenario arms the invariant monitor and fails on any
+# agreement break, SYBIL-SEATED / COMMITTEE-QUALITY / ERA-CONVERGENCE
+# violation or liveness miss — and the two runs' trace and metrics must be
+# byte-identical: fault plans, attack and tamper streams all replay from
+# the file's seed. The fault-free telemetry smoke run is also schema-checked.
+SCENARIO_DIR="${BUILD_DIR}/scenario-ci"
+mkdir -p "${SCENARIO_DIR}"
+for path in scenarios/*.scenario; do
+  sc="$(basename "${path}" .scenario)"
+  [[ "${sc}" == profile_pbft20 ]] && continue
+  for run in 1 2; do
+    "${BUILD_DIR}/tools/gpbft_cli" run --scenario "${path}" \
+      --trace-out "${SCENARIO_DIR}/${sc}.trace.${run}.json" \
+      --metrics-out "${SCENARIO_DIR}/${sc}.metrics.${run}.jsonl" >/dev/null
+  done
+  cmp "${SCENARIO_DIR}/${sc}.trace.1.json" "${SCENARIO_DIR}/${sc}.trace.2.json"
+  cmp "${SCENARIO_DIR}/${sc}.metrics.1.jsonl" "${SCENARIO_DIR}/${sc}.metrics.2.jsonl"
 done
-
-# Wire-tamper gate (docs/protocol.md §12). Label re-selection first (same
-# rationale as the legs above), then the pinned MITM storm scenario run
-# twice with telemetry exports: the run must finish with zero invariant
-# violations AND byte-identical artifacts — the adversary draws from its
-# own forked RNG stream, so a seeded storm replays exactly.
-ctest --test-dir "${BUILD_DIR}" -L tier1-tamper -j "${JOBS}" --output-on-failure
-TAMPER_DIR="${BUILD_DIR}/tamper-ci"
-mkdir -p "${TAMPER_DIR}"
-for run in 1 2; do
-  "${BUILD_DIR}/tools/gpbft_cli" run --scenario scenarios/tamper_storm.scenario \
-    --trace-out "${TAMPER_DIR}/trace.${run}.json" \
-    --metrics-out "${TAMPER_DIR}/metrics.${run}.jsonl" >/dev/null
-done
-cmp "${TAMPER_DIR}/trace.1.json" "${TAMPER_DIR}/trace.2.json"
-cmp "${TAMPER_DIR}/metrics.1.jsonl" "${TAMPER_DIR}/metrics.2.jsonl"
+if command -v python3 >/dev/null 2>&1; then
+  python3 scripts/check_trace.py "${SCENARIO_DIR}/telemetry_smoke.trace.1.json" \
+    "${SCENARIO_DIR}/telemetry_smoke.metrics.1.jsonl"
+else
+  echo "ci: python3 not found; skipping telemetry schema check"
+fi
 
 # Fuzz gate: replay the checked-in malformed corpus and run a seeded
 # mutation sweep over every wire-decode target. Each target carries its own
@@ -77,43 +73,14 @@ rm -rf "${CORPUS_DIR}"
 "${BUILD_DIR}/tools/gpbft_fuzz" corpus "${CORPUS_DIR}" >/dev/null
 diff -r "${CORPUS_DIR}" fuzz/corpus
 
-# Telemetry gate: one seeded scenario exports a Perfetto trace and a
-# metrics snapshot, twice; the artifacts must be schema-valid (when python3
-# is available) and byte-identical across the two same-seed runs.
-OBS_DIR="${BUILD_DIR}/telemetry-ci"
-mkdir -p "${OBS_DIR}"
-for run in 1 2; do
-  "${BUILD_DIR}/tools/gpbft_cli" run --scenario scenarios/telemetry_smoke.scenario \
-    --trace-out "${OBS_DIR}/trace.${run}.json" \
-    --metrics-out "${OBS_DIR}/metrics.${run}.jsonl" >/dev/null
-done
-cmp "${OBS_DIR}/trace.1.json" "${OBS_DIR}/trace.2.json"
-cmp "${OBS_DIR}/metrics.1.jsonl" "${OBS_DIR}/metrics.2.jsonl"
-# Same determinism bar under attack: the Sybil-burst scenario's forked
-# attack RNG streams, reputation strikes and quarantine decisions must all
-# replay byte-identically from the same seed.
-for run in 1 2; do
-  "${BUILD_DIR}/tools/gpbft_cli" run --scenario scenarios/election_sybil_burst.scenario \
-    --trace-out "${OBS_DIR}/attack-trace.${run}.json" \
-    --metrics-out "${OBS_DIR}/attack-metrics.${run}.jsonl" >/dev/null
-done
-cmp "${OBS_DIR}/attack-trace.1.json" "${OBS_DIR}/attack-trace.2.json"
-cmp "${OBS_DIR}/attack-metrics.1.jsonl" "${OBS_DIR}/attack-metrics.2.jsonl"
-if command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace.py "${OBS_DIR}/trace.1.json" "${OBS_DIR}/metrics.1.jsonl"
-else
-  echo "ci: python3 not found; skipping telemetry schema check"
-fi
-
-# Profiler gate (docs/observability.md "Profiling & perf analytics").
-# Label re-selection first (same rationale as the legs above): the probe
-# unit tests plus the guard test proving a profiled run's chain tip,
-# metrics and trace are byte-identical to an unprofiled run. Then the
-# end-to-end check: the same seeded scenario profiled twice must produce
-# byte-identical telemetry AND profile exports that agree on every
-# deterministic field (tree shape, site names, call counts — wall-clock
-# ns are machine noise and excluded by check_trace.py --profile-same).
-ctest --test-dir "${BUILD_DIR}" -L tier1-profile -j "${JOBS}" --output-on-failure
+# Profiler gate (docs/observability.md "Profiling & perf analytics"). The
+# probe unit tests and the guard test proving a profiled run's chain tip,
+# metrics and trace are byte-identical to an unprofiled run carry the
+# tier1-profile label (run above). End to end, the same seeded scenario
+# profiled twice must produce byte-identical telemetry AND profile exports
+# that agree on every deterministic field (tree shape, site names, call
+# counts — wall-clock ns are machine noise and excluded by
+# check_trace.py --profile-same).
 PROF_DIR="${BUILD_DIR}/profile-ci"
 mkdir -p "${PROF_DIR}"
 for run in 1 2; do

@@ -7,7 +7,7 @@
 #include <optional>
 
 #include "sim/deployment.hpp"
-#include "sim/workload.hpp"
+#include "sim/experiment.hpp"
 
 namespace gpbft::sim {
 
@@ -462,14 +462,6 @@ std::string FaultPlan::describe() const {
 }
 
 void FaultPlan::schedule(net::Simulator& sim, net::Network& network,
-                         ByzantineSetter set_byzantine, EventHook hook) const {
-  ChaosHandlers handlers;
-  handlers.set_byzantine = std::move(set_byzantine);
-  handlers.hook = std::move(hook);
-  schedule(sim, network, handlers);
-}
-
-void FaultPlan::schedule(net::Simulator& sim, net::Network& network,
                          const ChaosHandlers& handlers) const {
   for (const ChaosEvent& event : events_) {
     sim.schedule_at(event.at, [&sim, &network, handlers, event]() {
@@ -566,6 +558,117 @@ ChaosProfile profile_for(const std::string& intensity) {
   std::abort();
 }
 
+ChaosProfile chaos_profile(const ScenarioSpec& spec, std::size_t targets) {
+  const ChaosSpec& chaos = spec.chaos;
+  ChaosProfile profile = profile_for(chaos.intensity);
+  profile.restart_chance = chaos.restart_chance;
+  profile.disk_fault_chance = chaos.disk_fault_chance;
+  profile.sybil_burst_chance = chaos.sybil_burst_chance;
+  profile.targeted_crash_chance = chaos.targeted_crash_chance;
+  profile.oscillate_chance = chaos.oscillate_chance;
+  profile.tamper_chance = chaos.tamper_chance;
+  if (chaos.tamper_mode == "inject") {
+    profile.tamper_template.mode = net::TamperRule::Mode::Inject;
+    // Replays re-deliver *genuine* sealed messages; honest nodes answer them
+    // (reply caches, sync responses), legitimately perturbing the clean
+    // plane. REJECT-SAFE claims silence for forgeries only, so Inject turns
+    // the replay family off — Replace storms still exercise it.
+    profile.tamper_template.replay = 0.0;
+  }
+  profile.max_faulty = targets == 0 ? 0 : (targets - 1) / 3;
+  // Miners model no equivocation faults (there is no FaultMode to toggle);
+  // PoW runs get the profile's crash/partition/link/brownout families only.
+  if (spec.protocol == ProtocolKind::Pow) {
+    profile.byzantine_chance = 0.0;
+    // PoW's wire carries no MACs and its client requests no signatures:
+    // tampering a request forges workload (a VALIDITY violation by
+    // construction), and replaying a mined one re-seeds the mempool. Spare
+    // the request plane; the proof/merkle checks cover the block plane.
+    profile.tamper_template.spare_types.push_back(pbft::msg_type::kClientRequest);
+    if (profile.tamper_template.mode == net::TamperRule::Mode::Inject) {
+      // A mutated block header can pass the proof check by sheer luck and
+      // would then be a *valid* sibling block — an outcome MAC-based tip
+      // identity cannot claim anything about. Inject runs spare the gossip
+      // plane; Replace storms still cover it (as loss).
+      profile.tamper_template.spare_types.push_back(pow::kPowBlock);
+    }
+  }
+  return profile;
+}
+
+ChaosRunResult run_chaos_scenario(Deployment& deployment, InvariantMonitor& monitor,
+                                  const ScenarioSpec& spec, std::uint64_t plan_seed,
+                                  LatencyRecorder* recorder) {
+  deployment.watch(monitor);
+  if (spec.protocol == ProtocolKind::Gpbft) {
+    // A flood can only show up as a rate anomaly once it spans the audit's
+    // lookback window; only seatings past that age count as violations.
+    monitor.set_sybil_detection_grace(spec.geo.window + spec.geo.report_period);
+    // The reputation-weighted election also claims bounded committee churn:
+    // every honest application of an era's configuration must land within
+    // the bound of the first one (generous enough for a crash-held victim's
+    // resync).
+    if (spec.reputation.enabled) monitor.set_era_convergence_bound(Duration::seconds(30));
+  }
+  deployment.start();
+  deployment.schedule_workload(
+      spec.workload, recorder,
+      [&monitor](const ledger::Transaction& tx) { monitor.expect_submission(tx); });
+
+  const std::vector<NodeId> targets = deployment.fault_targets();
+  const FaultPlan plan = FaultPlan::random(plan_seed, chaos_profile(spec, targets.size()),
+                                           targets, spec.chaos.horizon);
+  FaultPlan::ChaosHandlers handlers;
+  handlers.set_byzantine = [&deployment, &monitor](NodeId id, pbft::FaultMode mode) {
+    deployment.set_fault_mode(id, mode);
+    // A Sybil report flood leaves the consensus plane honest: the node is
+    // still held to agreement, but marked for the no-Sybil-seated check.
+    monitor.set_faulty(id, mode != pbft::FaultMode::None &&
+                               mode != pbft::FaultMode::SybilGeoReports);
+    monitor.note_sybil(id, mode == pbft::FaultMode::SybilGeoReports);
+  };
+  handlers.resolve_target = [&deployment]() { return deployment.latest_elected(); };
+  handlers.oscillate = [&deployment](NodeId id, bool displaced) {
+    deployment.displace_node(id, displaced);
+  };
+  handlers.restart = [&deployment](NodeId id) { (void)deployment.restart_node(id); };
+  handlers.disk_fault = [&deployment](NodeId id, DiskFaultKind kind) {
+    deployment.inject_disk_fault(id, kind);
+  };
+  handlers.hook = [&monitor](const ChaosEvent& event) { monitor.note_fault(event.describe()); };
+  plan.schedule(deployment.simulator(), deployment.network(), handlers);
+
+  deployment.run_for(spec.chaos.horizon);
+  const TimePoint healed = plan.all_healed_at();
+  const TimePoint deadline{std::max(spec.chaos.horizon.ns, healed.ns) +
+                           spec.chaos.liveness_grace.ns};
+  deployment.run_until_committed(spec.workload.txs_per_client, deadline);
+  // Restarted nodes may still be closing their resync gap when the last
+  // client transaction lands; give the final round-trips time to settle
+  // before holding them to the post-restart convergence bound.
+  if (monitor.restarts_observed() > 0) {
+    deployment.run_for(spec.engine.request_timeout * 3);
+  }
+  deployment.stop();
+
+  ChaosRunResult result;
+  result.protocol = protocol_name(spec.protocol);
+  result.intensity = spec.chaos.intensity;
+  result.seed = spec.seed;
+  result.tip_hex = deployment.tip_hex();
+  deployment.finish_invariants(monitor);
+  monitor.check_restart_convergence();
+  result.expected = expected_commits(deployment, spec);
+  result.committed = deployment.committed_count();
+  monitor.check_bounded_liveness(result.committed, result.expected, healed,
+                                 spec.chaos.liveness_grace);
+  result.violations = monitor.violations();
+  result.blocks_checked = monitor.blocks_checked();
+  result.fault_events = plan.events().size();
+  result.restarts = monitor.restarts_observed();
+  return result;
+}
+
 namespace {
 
 /// Decorrelates (base seed, run index, intensity) into a plan seed.
@@ -575,11 +678,12 @@ std::uint64_t mix_seed(std::uint64_t base, std::uint64_t run, const std::string&
   return splitmix64(h);
 }
 
-/// The ScenarioSpec a chaos run deploys for `protocol`. Shared pieces:
+/// The ScenarioSpec a campaign cell deploys for `protocol`. Shared pieces:
 /// campaign workload with retries on (faulty networks), PBFT timeouts tuned
-/// below the horizon so view changes fire under faults.
+/// below the horizon so view changes fire under faults, and the campaign's
+/// chaos block at the cell's intensity.
 ScenarioSpec chaos_scenario(ProtocolKind protocol, const ChaosCampaignOptions& options,
-                            std::uint64_t seed) {
+                            const std::string& intensity, std::uint64_t seed) {
   ScenarioSpec spec;
   spec.protocol = protocol;
   spec.seed = seed;
@@ -589,6 +693,8 @@ ScenarioSpec chaos_scenario(ProtocolKind protocol, const ChaosCampaignOptions& o
   spec.workload.period = options.tx_period;
   spec.engine.request_timeout = Duration::seconds(6);
   spec.engine.view_change_timeout = Duration::seconds(5);
+  spec.chaos = options.chaos;
+  spec.chaos.intensity = intensity;
   // Only the G-PBFT deployment reads this; for the other protocols it is
   // inert configuration.
   spec.reputation.enabled = options.reputation;
@@ -626,104 +732,13 @@ ScenarioSpec chaos_scenario(ProtocolKind protocol, const ChaosCampaignOptions& o
 
 ChaosRunResult run_protocol_chaos(ProtocolKind protocol, const ChaosCampaignOptions& options,
                                   const std::string& intensity, std::uint64_t run_index) {
-  const std::uint64_t seed = options.base_seed + run_index;
-  ChaosRunResult result;
-  result.protocol = protocol_name(protocol);
-  result.intensity = intensity;
-  result.seed = seed;
-
-  const ScenarioSpec spec = chaos_scenario(protocol, options, seed);
+  const ScenarioSpec spec =
+      chaos_scenario(protocol, options, intensity, options.base_seed + run_index);
   const std::unique_ptr<Deployment> deployment = make_deployment(spec);
-
   InvariantMonitor monitor(deployment->simulator());
-  deployment->watch(monitor);
-  if (protocol == ProtocolKind::Gpbft) {
-    // A flood can only show up as a rate anomaly once it spans the audit's
-    // lookback window; only seatings past that age count as violations.
-    monitor.set_sybil_detection_grace(spec.geo.window + spec.geo.report_period);
-    // Reputation campaigns also claim bounded committee churn: every honest
-    // application of an era's configuration must land within the bound of
-    // the first one (generous enough for a crash-held victim's resync).
-    if (options.reputation) monitor.set_era_convergence_bound(Duration::seconds(30));
-  }
-  deployment->start();
-  deployment->schedule_workload(
-      spec.workload, nullptr,
-      [&monitor](const ledger::Transaction& tx) { monitor.expect_submission(tx); });
-
-  ChaosProfile profile = profile_for(intensity);
-  profile.max_faulty = (options.committee - 1) / 3;
-  profile.restart_chance = options.restart_chance;
-  profile.disk_fault_chance = options.disk_fault_chance;
-  profile.sybil_burst_chance = options.sybil_burst_chance;
-  profile.targeted_crash_chance = options.targeted_crash_chance;
-  profile.oscillate_chance = options.oscillate_chance;
-  profile.tamper_chance = options.tamper_chance;
-  profile.tamper_template = options.tamper_template;
-  // Miners model no equivocation faults (there is no FaultMode to toggle);
-  // PoW runs get the profile's crash/partition/link/brownout families only.
-  if (protocol == ProtocolKind::Pow) {
-    profile.byzantine_chance = 0.0;
-    // PoW's wire carries no MACs and its client requests no signatures:
-    // tampering a request forges workload (a VALIDITY violation by
-    // construction), and replaying a mined one re-seeds the mempool. Spare
-    // the request plane; the proof/merkle checks cover the block plane.
-    profile.tamper_template.spare_types.push_back(pbft::msg_type::kClientRequest);
-    if (profile.tamper_template.mode == net::TamperRule::Mode::Inject) {
-      // A mutated block header can pass the proof check by sheer luck and
-      // would then be a *valid* sibling block — an outcome MAC-based tip
-      // identity cannot claim anything about. The Inject campaign spares
-      // the gossip plane; Replace storms still cover it (as loss).
-      profile.tamper_template.spare_types.push_back(pow::kPowBlock);
-    }
-  }
-  const FaultPlan plan = FaultPlan::random(
-      mix_seed(options.base_seed, run_index, std::string(protocol_name(protocol)) + "-" + intensity),
-      profile, deployment->fault_targets(), options.horizon);
-  FaultPlan::ChaosHandlers handlers;
-  handlers.set_byzantine = [&deployment, &monitor](NodeId id, pbft::FaultMode mode) {
-    deployment->set_fault_mode(id, mode);
-    // A Sybil report flood leaves the consensus plane honest: the node is
-    // still held to agreement, but marked for the no-Sybil-seated check.
-    monitor.set_faulty(id, mode != pbft::FaultMode::None &&
-                               mode != pbft::FaultMode::SybilGeoReports);
-    monitor.note_sybil(id, mode == pbft::FaultMode::SybilGeoReports);
-  };
-  handlers.resolve_target = [&deployment]() { return deployment->latest_elected(); };
-  handlers.oscillate = [&deployment](NodeId id, bool displaced) {
-    deployment->displace_node(id, displaced);
-  };
-  handlers.restart = [&deployment](NodeId id) { (void)deployment->restart_node(id); };
-  handlers.disk_fault = [&deployment](NodeId id, DiskFaultKind kind) {
-    deployment->inject_disk_fault(id, kind);
-  };
-  handlers.hook = [&monitor](const ChaosEvent& event) { monitor.note_fault(event.describe()); };
-  plan.schedule(deployment->simulator(), deployment->network(), handlers);
-
-  deployment->run_for(options.horizon);
-  const TimePoint healed = plan.all_healed_at();
-  const TimePoint deadline{std::max(options.horizon.ns, healed.ns) + options.liveness_grace.ns};
-  deployment->run_until_committed(options.txs_per_client, deadline);
-  // Restarted nodes may still be closing their resync gap when the last
-  // client transaction lands; give the final round-trips time to settle
-  // before holding them to the post-restart convergence bound.
-  if (monitor.restarts_observed() > 0) {
-    deployment->run_for(spec.engine.request_timeout * 3);
-  }
-  deployment->stop();
-  result.tip_hex = deployment->tip_hex();
-  deployment->finish_invariants(monitor);
-  monitor.check_restart_convergence();
-
-  result.expected = options.txs_per_client * options.clients;
-  result.committed = deployment->committed_count();
-  monitor.check_bounded_liveness(result.committed, result.expected, healed,
-                                 options.liveness_grace);
-  result.violations = monitor.violations();
-  result.blocks_checked = monitor.blocks_checked();
-  result.fault_events = plan.events().size();
-  result.restarts = monitor.restarts_observed();
-  return result;
+  const std::string cell = std::string(protocol_name(protocol)) + "-" + intensity;
+  return run_chaos_scenario(*deployment, monitor, spec,
+                            mix_seed(options.base_seed, run_index, cell));
 }
 
 }  // namespace
@@ -778,15 +793,11 @@ ChaosCampaignResult run_chaos_campaign(const ChaosCampaignOptions& options) {
 ChaosCampaignResult run_tamper_campaign(const ChaosCampaignOptions& options) {
   ChaosCampaignResult result;
   ChaosCampaignOptions clean = options;
-  clean.tamper_chance = 0.0;
+  clean.chaos.tamper_chance = 0.0;
   ChaosCampaignOptions tampered = options;
-  tampered.tamper_chance = options.tamper_chance > 0.0 ? options.tamper_chance : 0.75;
-  tampered.tamper_template.mode = net::TamperRule::Mode::Inject;
-  // Replays re-deliver *genuine* sealed messages; honest nodes answer them
-  // (reply caches, sync responses), legitimately perturbing the clean
-  // plane. REJECT-SAFE claims silence for forgeries only, so the Inject
-  // pair disables the replay family — Replace storms still exercise it.
-  tampered.tamper_template.replay = 0.0;
+  tampered.chaos.tamper_chance =
+      options.chaos.tamper_chance > 0.0 ? options.chaos.tamper_chance : 0.75;
+  tampered.chaos.tamper_mode = "inject";
   for (const ProtocolKind protocol : options.protocols) {
     for (std::uint64_t run = 0; run < options.seeds; ++run) {
       const ChaosRunResult clean_run = run_protocol_chaos(protocol, clean, "none", run);

@@ -15,15 +15,22 @@
 // the paper's evaluation rests on (§IV: tolerance under node churn and
 // failures), turned into a repeatable harness.
 //
-// run_chaos_campaign drives N seeds x intensity levels x protocols
-// (PBFT / G-PBFT / dBFT / PoW, all behind the Deployment interface) with an
-// InvariantMonitor attached and renders a deterministic pass/fail report
-// (the CLI `chaos` subcommand is a thin wrapper over it). Each protocol is
-// checked against the invariant subset that applies to it: the BFT
-// deployments hook every execution online; PoW has no execution hook and
-// instead replays every miner's confirmed prefix at run end — agreement is
-// only claimed at the configured confirmation depth. Byzantine fault-mode
-// toggles only exist for the BFT protocols; PoW profiles zero that chance.
+// run_chaos_scenario is the one monitored chaos run: it turns a
+// ScenarioSpec's chaos block into a ChaosProfile (chaos_profile), draws the
+// plan from a seed the caller supplies, and checks the run with an
+// InvariantMonitor attached. Scenario files (`gpbft_cli run`) pass the spec
+// seed, so a file replays exactly; campaigns pass a seed mixed per cell
+// from the base seed, run index, protocol and intensity. run_chaos_campaign
+// drives N seeds x intensity levels x protocols (PBFT / G-PBFT / dBFT /
+// PoW, all behind the Deployment interface) through it and renders a
+// deterministic pass/fail report (the CLI `chaos` subcommand is a thin
+// wrapper over it). Each protocol is checked against the invariant subset
+// that applies to it: the BFT deployments hook every execution online; PoW
+// has no execution hook and instead replays every miner's confirmed prefix
+// at run end — agreement is only claimed at the configured confirmation
+// depth. Byzantine fault-mode toggles only exist for the BFT protocols; PoW
+// profiles zero that chance. An Inject-mode tamper block turns the replay
+// family off (see chaos_profile).
 #pragma once
 
 #include <functional>
@@ -37,6 +44,9 @@
 #include "sim/storage.hpp"
 
 namespace gpbft::sim {
+
+class Deployment;
+class LatencyRecorder;
 
 /// One scheduled fault action.
 struct ChaosEvent {
@@ -114,8 +124,8 @@ struct ChaosProfile {
   double byzantine_chance{0.0};
   double link_fault_chance{0.2};
   double brownout_chance{0.15};
-  /// Durability faults; zero in the built-in profiles (campaigns opt in via
-  /// ChaosCampaignOptions). Their randomness draws from a stream forked off
+  /// Durability faults; zero in the built-in profiles (runs opt in via
+  /// ChaosSpec). Their randomness draws from a stream forked off
   /// the plan seed, so enabling them never perturbs the other families.
   double restart_chance{0.0};
   double disk_fault_chance{0.0};
@@ -145,8 +155,8 @@ struct ChaosProfile {
   Duration max_reorder = Duration::millis(20);
   double max_brownout{6.0};
 
-  /// Concurrent crashed + Byzantine + partitioned-away budget (set to the
-  /// committee's f by campaigns).
+  /// Concurrent crashed + Byzantine + partitioned-away budget (chaos_profile
+  /// sets it to the fault targets' f).
   std::size_t max_faulty{1};
 
   static ChaosProfile light();
@@ -184,35 +194,38 @@ class FaultPlan {
   /// Network-level events (crash, partition, link, brownout) always apply;
   /// an event whose handler is unset is skipped (the hook still fires).
   struct ChaosHandlers {
-    ByzantineSetter set_byzantine;
-    RestartHandler restart;        // wire to Deployment::restart_node
-    DiskFaultHandler disk_fault;   // wire to Deployment::inject_disk_fault
+    ByzantineSetter set_byzantine{};
+    RestartHandler restart{};        // wire to Deployment::restart_node
+    DiskFaultHandler disk_fault{};   // wire to Deployment::inject_disk_fault
     /// TargetedCrash resolution: called at fire time, returns the victim
     /// (G-PBFT wires the most-recently-elected endorser). Unset = skipped.
-    TargetResolver resolve_target;
+    TargetResolver resolve_target{};
     /// OscillateMobility: displace (`true`) or restore (`false`) a device's
     /// reported cell (G-PBFT moves its location and area-registry slot).
-    MobilityToggler oscillate;
-    EventHook hook;                // fires after each applied event
+    MobilityToggler oscillate{};
+    EventHook hook{};                // fires after each applied event
   };
 
   /// Schedules every event onto the simulator with the full handler set.
   void schedule(net::Simulator& sim, net::Network& network, const ChaosHandlers& handlers) const;
 
-  /// Convenience overload for plans without restart/disk-fault events.
-  void schedule(net::Simulator& sim, net::Network& network, ByzantineSetter set_byzantine = {},
-                EventHook hook = {}) const;
-
  private:
   std::vector<ChaosEvent> events_;
 };
 
-// --- seeded campaigns ---------------------------------------------------------------
+// --- seeded runs and campaigns -----------------------------------------------------
 
 /// Profile by name; aborts on an unknown intensity. "none" yields an
-/// all-zero profile — no fault family fires — so campaigns can isolate an
+/// all-zero profile — no fault family fires — so runs can isolate an
 /// opt-in family (tamper storms, REJECT-SAFE pairs) from node faults.
 [[nodiscard]] ChaosProfile profile_for(const std::string& intensity);
+
+/// The profile a run of `spec` draws its plan from: spec.chaos's intensity
+/// and opt-in chances, its tamper mode (Inject turns the replay family off),
+/// a concurrent-fault budget of f = (targets - 1) / 3 over `targets`
+/// faultable nodes, and PoW's exemptions (no Byzantine toggles; client
+/// requests, and under Inject also blocks, are never tampered).
+[[nodiscard]] ChaosProfile chaos_profile(const ScenarioSpec& spec, std::size_t targets);
 
 struct ChaosCampaignOptions {
   std::size_t seeds{10};
@@ -231,30 +244,12 @@ struct ChaosCampaignOptions {
   std::uint64_t txs_per_client{6};
   Duration tx_period = Duration::seconds(4);
 
-  /// Fault-injection window; the liveness deadline is horizon + grace.
-  Duration horizon = Duration::seconds(40);
-  Duration liveness_grace = Duration::seconds(300);
-
-  /// Durability chaos, applied on top of the intensity profile: per step,
-  /// the chance a node is crash–restarted from its simulated disk, and the
-  /// chance a random disk suffers a fault (torn write / bit rot / stale
-  /// snapshot). Zero keeps campaigns byte-identical to pre-durability runs.
-  double restart_chance{0.0};
-  double disk_fault_chance{0.0};
-
-  /// Election-attack chances (per step, own forked RNG stream; see
-  /// ChaosProfile). Meaningful for G-PBFT runs; the other protocols have no
-  /// election to attack, so the events degrade to plain faults or no-ops.
-  double sybil_burst_chance{0.0};
-  double targeted_crash_chance{0.0};
-  double oscillate_chance{0.0};
-
-  /// Wire-tamper chaos: per step, the chance a tamper window opens (the
-  /// in-flight adversary of `tamper_template` with a drawn mutation rate).
-  /// Campaigns spare PoW client requests automatically — nothing end-to-end
-  /// authenticates them, so tampering there forges workload, not wire noise.
-  double tamper_chance{0.0};
-  net::TamperRule tamper_template{};
+  /// Every run's chaos block: horizon, liveness grace and the opt-in
+  /// families (durability, election attacks, wire tamper) layered on each
+  /// intensity. `chaos.intensity` is ignored — `intensities` sweeps it.
+  /// Election attacks only have an election to target on G-PBFT; on the
+  /// other protocols the events degrade to plain faults or no-ops.
+  ChaosSpec chaos;
 
   /// Enables the reputation-weighted election (G-PBFT deployments): scores
   /// shape the roster, quarantine demotes attackers, configuration blocks
@@ -287,6 +282,20 @@ struct ChaosCampaignResult {
   [[nodiscard]] std::string summary() const;
 };
 
+/// The monitored chaos run behind both campaigns and scenario files.
+/// `deployment` is built from `spec` and not yet started; `monitor` is
+/// bound to its simulator. In order: attaches the monitor (Sybil grace for
+/// G-PBFT, era-convergence bound under the reputation election), starts
+/// the deployment, schedules spec.workload (latencies into `recorder` when
+/// given, every submission into the monitor), schedules the FaultPlan
+/// drawn from chaos_profile() with `plan_seed`, runs to the liveness
+/// deadline (horizon or last heal, whichever is later, plus the grace),
+/// lets restarted nodes settle, stops, and runs the end-of-run checks. The
+/// caller finalizes telemetry afterwards, so the verdicts land in its exports.
+ChaosRunResult run_chaos_scenario(Deployment& deployment, InvariantMonitor& monitor,
+                                  const ScenarioSpec& spec, std::uint64_t plan_seed,
+                                  LatencyRecorder* recorder = nullptr);
+
 [[nodiscard]] ChaosCampaignResult run_chaos_campaign(const ChaosCampaignOptions& options);
 
 /// The REJECT-SAFE campaign: for every protocol x seed it runs the scenario
@@ -297,8 +306,8 @@ struct ChaosCampaignResult {
 /// every forged ghost must be rejected at the wire layer without perturbing
 /// the genuine plane; a tip mismatch records a RejectSafe violation. Runs
 /// with `options.intensities` ignored ("none" is used so node faults stay
-/// out of the picture); a non-positive options.tamper_chance defaults to
-/// windows opening on three quarters of the steps.
+/// out of the picture); a non-positive options.chaos.tamper_chance defaults
+/// to windows opening on three quarters of the steps.
 [[nodiscard]] ChaosCampaignResult run_tamper_campaign(const ChaosCampaignOptions& options);
 
 }  // namespace gpbft::sim

@@ -83,25 +83,30 @@ PhaseBreakdown phase_breakdown(Deployment& deployment) {
   return phases;
 }
 
-ExperimentResult finish_result(std::size_t nodes, std::size_t committee,
-                               const LatencyRecorder& recorder, const net::NetStats& stats,
-                               std::uint64_t committed, std::uint64_t expected,
-                               double sim_seconds, std::uint64_t era_switches) {
-  ExperimentResult result;
-  result.nodes = nodes;
-  result.committee = committee;
-  result.latency_samples = recorder.samples();
-  result.latency = recorder.boxplot();
-  result.committed = committed;
-  result.expected = expected;
-  result.consensus_kb = consensus_kilobytes(stats);
-  result.total_kb = stats.total_kilobytes();
-  result.sim_seconds = sim_seconds;
-  result.era_switches = era_switches;
-  return result;
+}  // namespace
+
+std::uint64_t expected_commits(const Deployment& deployment, const ScenarioSpec& spec) {
+  return deployment.plane() != nullptr ? deployment.plane()->submitted()
+                                       : spec.workload.txs_per_client * spec.clients;
 }
 
-}  // namespace
+ExperimentResult finish_result(Deployment& deployment, const ScenarioSpec& spec,
+                               const LatencyRecorder& recorder) {
+  ExperimentResult result;
+  result.nodes = spec.nodes;
+  result.committee = deployment.committee_size();
+  result.latency_samples = recorder.samples();
+  result.latency = recorder.boxplot();
+  result.committed = deployment.committed_count();
+  result.expected = expected_commits(deployment, spec);
+  result.consensus_kb = consensus_kilobytes(deployment.stats());
+  result.total_kb = deployment.stats().total_kilobytes();
+  result.sim_seconds = deployment.simulator().now().to_seconds();
+  result.era_switches = deployment.era_switches();
+  result.hashes_computed = deployment.hashes_computed();
+  result.phases = phase_breakdown(deployment);
+  return result;
+}
 
 ScenarioSpec latency_scenario(ProtocolKind protocol, std::size_t nodes,
                               const ExperimentOptions& options) {
@@ -119,24 +124,10 @@ ExperimentResult run_latency(ProtocolKind protocol, std::size_t nodes,
 
   LatencyRecorder recorder;
   deployment->schedule_workload(spec.workload, &recorder);
-
-  const TimePoint deadline{spec.deadline.ns};
-  deployment->run_until_committed(spec.workload.txs_per_client, deadline);
-  // Open-loop plane: expect what the arrival process actually generated,
-  // not a per-client quota.
-  const std::uint64_t expected = deployment->plane() != nullptr
-                                     ? deployment->plane()->submitted()
-                                     : spec.workload.txs_per_client * nodes;
+  deployment->run_until_committed(spec.workload.txs_per_client, TimePoint{spec.deadline.ns});
   deployment->stop();
-
   deployment->finalize_telemetry();
-  ExperimentResult result = finish_result(
-      nodes, deployment->committee_size(), recorder, deployment->stats(),
-      deployment->committed_count(), expected,
-      deployment->simulator().now().to_seconds(), deployment->era_switches());
-  result.hashes_computed = deployment->hashes_computed();
-  result.phases = phase_breakdown(*deployment);
-  return result;
+  return finish_result(*deployment, spec, recorder);
 }
 
 ExperimentResult run_pbft_latency(std::size_t nodes, const ExperimentOptions& options) {
@@ -159,9 +150,15 @@ ExperimentResult run_pow_latency(std::size_t nodes, const ExperimentOptions& opt
 
 namespace {
 
-template <typename Cluster>
-ExperimentResult run_single_tx(Cluster& cluster, std::size_t nodes,
-                               const ExperimentOptions& options) {
+/// One client proposing exactly one transaction.
+ScenarioSpec single_tx_scenario(ProtocolKind protocol, std::size_t nodes,
+                                const ExperimentOptions& options) {
+  ScenarioSpec spec = scenario_for(protocol, nodes, 1, options);
+  spec.workload.txs_per_client = 1;
+  return spec;
+}
+
+ExperimentResult run_single_tx(Deployment& cluster, const ScenarioSpec& spec) {
   cluster.start();
   cluster.run_for(Duration::millis(100));  // settle attachments
   cluster.network().reset_stats();
@@ -174,34 +171,25 @@ ExperimentResult run_single_tx(Cluster& cluster, std::size_t nodes,
       });
   const ledger::Transaction tx = make_workload_tx(
       cluster.client(0).id(), 1, cluster.placement().position(0),
-      cluster.simulator().now(), 32, 10, options.seed);
+      cluster.simulator().now(), 32, 10, spec.seed);
   cluster.client(0).submit(tx);
 
-  const TimePoint deadline{options.hard_deadline.ns};
-  cluster.run_until_committed(1, deadline);
+  cluster.run_until_committed(1, TimePoint{spec.deadline.ns});
   cluster.stop();
   cluster.finalize_telemetry();
-
-  ExperimentResult result =
-      finish_result(nodes, cluster.committee_size(), recorder, cluster.stats(),
-                    cluster.client(0).committed_count(), 1,
-                    cluster.simulator().now().to_seconds(), cluster.era_switches());
-  result.phases = phase_breakdown(cluster);
-  return result;
+  return finish_result(cluster, spec, recorder);
 }
 
 }  // namespace
 
 ExperimentResult run_pbft_single_tx(std::size_t nodes, const ExperimentOptions& options) {
-  const ScenarioSpec spec = scenario_for(ProtocolKind::Pbft, nodes, 1, options);
-  const std::unique_ptr<PbftCluster> cluster = make_pbft_deployment(spec);
-  return run_single_tx(*cluster, nodes, options);
+  const ScenarioSpec spec = single_tx_scenario(ProtocolKind::Pbft, nodes, options);
+  return run_single_tx(*make_pbft_deployment(spec), spec);
 }
 
 ExperimentResult run_gpbft_single_tx(std::size_t nodes, const ExperimentOptions& options) {
-  const ScenarioSpec spec = scenario_for(ProtocolKind::Gpbft, nodes, 1, options);
-  const std::unique_ptr<GpbftCluster> cluster = make_gpbft_deployment(spec);
-  return run_single_tx(*cluster, nodes, options);
+  const ScenarioSpec spec = single_tx_scenario(ProtocolKind::Gpbft, nodes, options);
+  return run_single_tx(*make_gpbft_deployment(spec), spec);
 }
 
 }  // namespace gpbft::sim

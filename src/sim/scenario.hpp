@@ -155,9 +155,13 @@ struct PowSpec {
   friend bool operator==(const PowSpec&, const PowSpec&) = default;
 };
 
-/// Optional fault-plan reference: intensity "none" runs fault-free;
-/// light/medium/heavy select the seeded ChaosProfile of the same name
-/// (chaos.hpp), generated over `horizon` with the spec's seed.
+/// Optional fault-plan reference: light/medium/heavy select the ChaosProfile
+/// of the same name (chaos.hpp), and the chances below layer opt-in
+/// families on top ("none" with every chance zero runs fault-free). The
+/// plan is generated over `horizon` from a seed the caller of
+/// sim::run_chaos_scenario supplies: a scenario file's run uses the spec's
+/// seed, a campaign cell a seed mixed from its base seed, run index,
+/// protocol and intensity.
 struct ChaosSpec {
   std::string intensity{"none"};
   Duration horizon = Duration::seconds(40);
@@ -181,9 +185,17 @@ struct ChaosSpec {
   /// oversized payloads and replays. `tamper_mode` picks the adversary
   /// model: "replace" (MITM: the mutant takes the genuine message's place)
   /// or "inject" (man-on-the-side: the genuine message is untouched and the
-  /// mutant arrives as an extra edge-injected ghost).
+  /// mutant arrives as an extra edge-injected ghost; replays are off, since
+  /// a replayed genuine message legitimately draws an answer).
   double tamper_chance{0.0};
   std::string tamper_mode{"replace"};
+
+  /// Whether a run of this block injects any fault at all.
+  [[nodiscard]] bool enabled() const {
+    return intensity != "none" || restart_chance > 0.0 || disk_fault_chance > 0.0 ||
+           sybil_burst_chance > 0.0 || targeted_crash_chance > 0.0 || oscillate_chance > 0.0 ||
+           tamper_chance > 0.0;
+  }
 
   friend bool operator==(const ChaosSpec&, const ChaosSpec&) = default;
 };

@@ -79,11 +79,7 @@ RunOutcome run_spec(const ScenarioSpec& spec, Duration horizon = Duration{}) {
 
   RunOutcome out;
   out.committed = deployment->committed_count();
-  if (auto* pbft = dynamic_cast<PbftCluster*>(deployment.get())) {
-    out.tip = pbft->replica(0).chain().tip().hash().hex();
-  } else if (auto* gpbft = dynamic_cast<GpbftCluster*>(deployment.get())) {
-    out.tip = gpbft->endorser(0).chain().tip().hash().hex();
-  }
+  out.tip = deployment->tip_hex();
   const obs::Registry& reg = deployment->telemetry().metrics();
   out.metrics_sha256 = crypto::sha256(reg.to_jsonl()).hex();
   out.closed_full = reg.counter_total("pbft.batch.closed_full");

@@ -242,8 +242,8 @@ TEST(ChaosCampaign, RestartAndDiskFaultSweepIsGreenAndDeterministic) {
   ChaosCampaignOptions options;
   options.seeds = 2;
   options.intensities = {"medium"};
-  options.restart_chance = 0.25;
-  options.disk_fault_chance = 0.2;
+  options.chaos.restart_chance = 0.25;
+  options.chaos.disk_fault_chance = 0.2;
   const ChaosCampaignResult first = run_chaos_campaign(options);
   const ChaosCampaignResult second = run_chaos_campaign(options);
   EXPECT_EQ(first.summary(), second.summary());

@@ -53,9 +53,9 @@ ChaosCampaignOptions attack_campaign(std::size_t seeds) {
   options.protocols = {ProtocolKind::Gpbft};
   options.committee = 7;
   options.candidates = 2;
-  options.sybil_burst_chance = 0.25;
-  options.targeted_crash_chance = 0.2;
-  options.oscillate_chance = 0.25;
+  options.chaos.sybil_burst_chance = 0.25;
+  options.chaos.targeted_crash_chance = 0.2;
+  options.chaos.oscillate_chance = 0.25;
   options.reputation = true;
   return options;
 }
@@ -174,9 +174,9 @@ TEST(ElectionAttack, ZeroChancePlansMatchPreAttackPlans) {
   // with all three chances at zero the generated fault plan — and hence the
   // whole run — is byte-identical to a pre-attack-pack campaign.
   ChaosCampaignOptions base = attack_campaign(3);
-  base.sybil_burst_chance = 0.0;
-  base.targeted_crash_chance = 0.0;
-  base.oscillate_chance = 0.0;
+  base.chaos.sybil_burst_chance = 0.0;
+  base.chaos.targeted_crash_chance = 0.0;
+  base.chaos.oscillate_chance = 0.0;
   base.reputation = false;
   ChaosCampaignOptions again = base;
   EXPECT_EQ(run_chaos_campaign(base).summary(), run_chaos_campaign(again).summary());

@@ -51,11 +51,7 @@ RunDigests run_and_digest(const ScenarioSpec& spec, Duration horizon) {
 
   RunDigests digests;
   digests.committed = deployment->committed_count();
-  if (auto* pbft = dynamic_cast<PbftCluster*>(deployment.get())) {
-    digests.tip = pbft->replica(0).chain().tip().hash().hex();
-  } else if (auto* gpbft = dynamic_cast<GpbftCluster*>(deployment.get())) {
-    digests.tip = gpbft->endorser(0).chain().tip().hash().hex();
-  }
+  digests.tip = deployment->tip_hex();
   digests.metrics_sha256 = crypto::sha256(deployment->telemetry().metrics().to_jsonl()).hex();
   digests.trace_sha256 =
       crypto::sha256(deployment->telemetry().trace().to_perfetto_json()).hex();
@@ -149,9 +145,8 @@ TEST(PerfParity, FaultyNetworkRunIsBitIdentical) {
       crypto::sha256(deployment->telemetry().metrics().to_jsonl()).hex();
   const std::string trace_sha =
       crypto::sha256(deployment->telemetry().trace().to_perfetto_json()).hex();
-  auto* pbft = dynamic_cast<PbftCluster*>(deployment.get());
-  ASSERT_NE(pbft, nullptr);
-  EXPECT_EQ(pbft->replica(0).chain().tip().hash().hex(), "b5d28fba6a2cf03efee1ef2b4b30f68ed4713d407a225f5160f2ebbb9fa5f1cd");
+  EXPECT_EQ(deployment->tip_hex(),
+            "b5d28fba6a2cf03efee1ef2b4b30f68ed4713d407a225f5160f2ebbb9fa5f1cd");
   // The tip and trace digests match the pre-refactor run exactly. The
   // metrics digest was re-recorded once, deliberately, in the same PR that
   // rewrote the hot path: delivery-time drops (receiver crashed/detached

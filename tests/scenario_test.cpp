@@ -1,11 +1,18 @@
 // Scenario layer tests: the declarative spec round-trips through its text
 // format exactly, the deployment factory reproduces the pre-refactor
-// clusters seed-for-seed (golden block hashes), and the dBFT / PoW
-// deployments hold their invariants under a monitored smoke run.
+// clusters seed-for-seed (golden block hashes), the dBFT / PoW deployments
+// hold their invariants under a monitored smoke run, a spec's chaos block
+// translates onto the fault-plan profile, and every checked-in chaos
+// scenario file runs clean through the monitored driver `gpbft_cli run`
+// uses.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <memory>
+#include <sstream>
 
+#include "sim/chaos.hpp"
 #include "sim/deployment.hpp"
 #include "sim/invariants.hpp"
 #include "sim/scenario.hpp"
@@ -257,6 +264,91 @@ TEST(DeploymentSmoke, PowConfirmsAndPassesChainInvariants) {
   EXPECT_GT(deployment->hashes_computed(), 0.0);
   EXPECT_TRUE(monitor.clean()) << monitor.report();
 }
+
+// --- chaos blocks --------------------------------------------------------------------
+
+TEST(ChaosProfileTranslation, SpecChaosBlockMapsOntoThePlanProfile) {
+  ScenarioSpec spec;  // G-PBFT, intensity "none"
+  spec.chaos.restart_chance = 0.125;
+  spec.chaos.disk_fault_chance = 0.0625;
+  spec.chaos.sybil_burst_chance = 0.25;
+  spec.chaos.targeted_crash_chance = 0.1875;
+  spec.chaos.oscillate_chance = 0.09375;
+  spec.chaos.tamper_chance = 0.5;
+  ChaosProfile profile = chaos_profile(spec, 7);
+  // "none" fires no node-fault family; only the opted-in chances remain.
+  EXPECT_EQ(profile.crash_chance, 0.0);
+  EXPECT_EQ(profile.partition_chance, 0.0);
+  EXPECT_EQ(profile.byzantine_chance, 0.0);
+  EXPECT_EQ(profile.link_fault_chance, 0.0);
+  EXPECT_EQ(profile.brownout_chance, 0.0);
+  EXPECT_EQ(profile.restart_chance, 0.125);
+  EXPECT_EQ(profile.disk_fault_chance, 0.0625);
+  EXPECT_EQ(profile.sybil_burst_chance, 0.25);
+  EXPECT_EQ(profile.targeted_crash_chance, 0.1875);
+  EXPECT_EQ(profile.oscillate_chance, 0.09375);
+  EXPECT_EQ(profile.tamper_chance, 0.5);
+  EXPECT_EQ(profile.tamper_template.mode, net::TamperRule::Mode::Replace);
+  EXPECT_GT(profile.tamper_template.replay, 0.0);
+  EXPECT_TRUE(profile.tamper_template.spare_types.empty());
+  EXPECT_EQ(profile.max_faulty, 2u);  // f = (7 - 1) / 3
+
+  spec.chaos.tamper_mode = "inject";
+  profile = chaos_profile(spec, 10);
+  EXPECT_EQ(profile.tamper_template.mode, net::TamperRule::Mode::Inject);
+  EXPECT_EQ(profile.tamper_template.replay, 0.0);
+  EXPECT_EQ(profile.max_faulty, 3u);
+  EXPECT_EQ(chaos_profile(spec, 0).max_faulty, 0u);
+
+  // PoW: no Byzantine toggles; client requests are never tampered, and
+  // under Inject neither are blocks.
+  spec.protocol = ProtocolKind::Pow;
+  spec.chaos.intensity = "heavy";
+  spec.chaos.tamper_mode = "replace";
+  profile = chaos_profile(spec, 4);
+  EXPECT_EQ(profile.crash_chance, ChaosProfile::heavy().crash_chance);
+  EXPECT_EQ(profile.byzantine_chance, 0.0);
+  EXPECT_EQ(profile.tamper_template.spare_types,
+            (std::vector<net::MessageType>{pbft::msg_type::kClientRequest}));
+  EXPECT_EQ(profile.max_faulty, 1u);
+  spec.chaos.tamper_mode = "inject";
+  EXPECT_EQ(chaos_profile(spec, 4).tamper_template.spare_types,
+            (std::vector<net::MessageType>{pbft::msg_type::kClientRequest, pow::kPowBlock}));
+}
+
+/// Each checked-in chaos scenario file, run the way `gpbft_cli run` runs it:
+/// the shared monitored driver with the file's seed drawing the fault plan.
+class ChaosScenarioFile : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ChaosScenarioFile, RunsCleanAndCommitsEveryTransaction) {
+  const std::filesystem::path path = std::filesystem::path(GPBFT_SOURCE_DIR) / "scenarios" /
+                                     (std::string(GetParam()) + ".scenario");
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "cannot open " << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  const Result<ScenarioSpec> parsed = parse_scenario(text.str());
+  ASSERT_TRUE(parsed.ok()) << path << ": " << parsed.error();
+  const ScenarioSpec& spec = parsed.value();
+  ASSERT_TRUE(spec.chaos.enabled());
+
+  const std::unique_ptr<Deployment> deployment = make_deployment(spec);
+  InvariantMonitor monitor(deployment->simulator());
+  const ChaosRunResult run = run_chaos_scenario(*deployment, monitor, spec, spec.seed);
+  EXPECT_TRUE(run.passed()) << monitor.report();
+  EXPECT_EQ(run.committed, run.expected);
+  EXPECT_GT(run.expected, 0u);
+  EXPECT_GT(run.blocks_checked, 0u);
+  EXPECT_GT(run.fault_events, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(CheckedIn, ChaosScenarioFile,
+                         ::testing::Values("election_boundary_oscillation", "election_churn_long",
+                                           "election_sybil_burst", "election_targeted_crash",
+                                           "tamper_storm"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 }  // namespace
 }  // namespace gpbft::sim

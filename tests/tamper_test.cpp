@@ -38,8 +38,8 @@ ChaosCampaignOptions quick_options() {
 TEST(TamperChaos, ReplaceStormAllProtocolsNoViolations) {
   ChaosCampaignOptions options = quick_options();
   options.intensities = {"none"};  // isolate the wire adversary
-  options.tamper_chance = 0.75;
-  options.tamper_template.mode = net::TamperRule::Mode::Replace;
+  options.chaos.tamper_chance = 0.75;
+  options.chaos.tamper_mode = "replace";
   const ChaosCampaignResult result = run_chaos_campaign(options);
 
   ASSERT_EQ(result.runs.size(), 8u);  // 4 protocols x 2 seeds
@@ -58,8 +58,8 @@ TEST(TamperChaos, ReplaceStormOnTopOfNodeFaults) {
   ChaosCampaignOptions options = quick_options();
   options.seeds = 1;
   options.intensities = {"light"};
-  options.tamper_chance = 0.5;
-  options.tamper_template.mode = net::TamperRule::Mode::Replace;
+  options.chaos.tamper_chance = 0.5;
+  options.chaos.tamper_mode = "replace";
   const ChaosCampaignResult result = run_chaos_campaign(options);
 
   ASSERT_EQ(result.runs.size(), 4u);

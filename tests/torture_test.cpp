@@ -79,8 +79,10 @@ TEST_P(PbftTorture, RandomCrashRecoverScheduleNeverDiverges) {
   profile.max_faulty = 2;
   const Duration horizon = Duration::seconds(120);
   const FaultPlan plan = FaultPlan::random(seed, profile, cluster.committee(), horizon);
-  plan.schedule(cluster.simulator(), cluster.network(), {},
-                [&monitor](const ChaosEvent& event) { monitor.note_fault(event.describe()); });
+  plan.schedule(cluster.simulator(), cluster.network(),
+                {.hook = [&monitor](const ChaosEvent& event) {
+                  monitor.note_fault(event.describe());
+                }});
 
   cluster.run_for(horizon);
 
@@ -145,15 +147,17 @@ TEST_P(ByzantineTorture, FByzantineReplicasCannotBreakSafety) {
                                  modes[rng.uniform(0, 2)]));
   plan.add(ChaosEvent::byzantine(TimePoint{Duration::millis(500).ns}, cluster.replica(bad_b).id(),
                                  modes[rng.uniform(0, 2)]));
-  plan.schedule(
-      cluster.simulator(), cluster.network(),
-      [&cluster, &monitor](NodeId id, pbft::FaultMode mode) {
-        for (std::size_t i = 0; i < cluster.replica_count(); ++i) {
-          if (cluster.replica(i).id() == id) cluster.replica(i).set_fault_mode(mode);
-        }
-        monitor.set_faulty(id, mode != pbft::FaultMode::None);
-      },
-      [&monitor](const ChaosEvent& event) { monitor.note_fault(event.describe()); });
+  plan.schedule(cluster.simulator(), cluster.network(),
+                {.set_byzantine =
+                     [&cluster, &monitor](NodeId id, pbft::FaultMode mode) {
+                       for (std::size_t i = 0; i < cluster.replica_count(); ++i) {
+                         if (cluster.replica(i).id() == id) cluster.replica(i).set_fault_mode(mode);
+                       }
+                       monitor.set_faulty(id, mode != pbft::FaultMode::None);
+                     },
+                 .hook = [&monitor](const ChaosEvent& event) {
+                   monitor.note_fault(event.describe());
+                 }});
 
   WorkloadConfig workload;
   workload.period = Duration::seconds(3);
@@ -231,8 +235,10 @@ TEST_P(GpbftTorture, ChurnPlusFaultsKeepCommitteeChainsConsistent) {
   const std::size_t crashed = rng.uniform(0, 5);
   FaultPlan plan;
   plan.add(ChaosEvent::crash(TimePoint{Duration::seconds(12).ns}, cluster.endorser(crashed).id()));
-  plan.schedule(cluster.simulator(), cluster.network(), {},
-                [&monitor](const ChaosEvent& event) { monitor.note_fault(event.describe()); });
+  plan.schedule(cluster.simulator(), cluster.network(),
+                {.hook = [&monitor](const ChaosEvent& event) {
+                  monitor.note_fault(event.describe());
+                }});
 
   cluster.run_for(Duration::seconds(24));
   const std::size_t moved = 6 + rng.uniform(0, 3);

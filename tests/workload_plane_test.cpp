@@ -103,9 +103,7 @@ PlaneRun run_plane(const ScenarioSpec& spec) {
   run.generation_done = plane->generation_done();
   run.committed = deployment->committed_count();
   deployment->stop();
-  if (auto* pbft = dynamic_cast<PbftCluster*>(deployment.get())) {
-    run.tip = pbft->replica(0).chain().tip().hash().hex();
-  }
+  run.tip = deployment->tip_hex();
   return run;
 }
 

@@ -20,8 +20,10 @@
 //            violation
 //   run      one deployment described by a declarative scenario file
 //            (key=value; see sim/scenario.hpp). When the scenario's chaos
-//            intensity is not "none", a seeded fault plan is injected and
-//            the invariant report printed (non-zero exit on violations).
+//            block injects faults, the run goes through the same monitored
+//            driver as the `chaos` campaigns (sim::run_chaos_scenario) with
+//            the fault plan seeded from the file's seed, and the invariant
+//            report is printed (non-zero exit on violations).
 //            --metrics-out writes the telemetry registry as JSONL;
 //            --trace-out enables causal tracing and writes a Chrome/
 //            Perfetto trace.json (both byte-identical for identical seeds).
@@ -62,7 +64,6 @@
 #include "obs/profiler.hpp"
 #include "sim/chaos.hpp"
 #include "sim/experiment.hpp"
-#include "sim/workload_plane.hpp"
 
 namespace {
 
@@ -273,17 +274,17 @@ int run_chaos(const CliOptions& options) {
   campaign.seeds = options.seeds;
   campaign.base_seed = options.experiment.seed;
   campaign.committee = options.nodes.empty() ? 7 : options.nodes.front();
-  campaign.restart_chance = options.restart_chance;
-  campaign.disk_fault_chance = options.disk_fault_chance;
+  campaign.chaos.restart_chance = options.restart_chance;
+  campaign.chaos.disk_fault_chance = options.disk_fault_chance;
   if (options.txs_set) campaign.txs_per_client = options.experiment.workload.txs_per_client;
   if (options.intensity != "all") campaign.intensities = {options.intensity};
   if (options.protocol != "all") {
     campaign.protocols = {sim::protocol_from_name(options.protocol).value()};
   }
   if (options.attack_election) {
-    campaign.sybil_burst_chance = 0.25;
-    campaign.targeted_crash_chance = 0.2;
-    campaign.oscillate_chance = 0.25;
+    campaign.chaos.sybil_burst_chance = 0.25;
+    campaign.chaos.targeted_crash_chance = 0.2;
+    campaign.chaos.oscillate_chance = 0.25;
     campaign.reputation = !options.stock_election;
     // The attacks target the endorser election; torture G-PBFT unless the
     // user named a protocol explicitly.
@@ -292,14 +293,13 @@ int run_chaos(const CliOptions& options) {
   if (options.reject_safe) {
     // Clean/Inject pairs at each seed; intensities are ignored ("none" is
     // used so node faults stay out of the tip-identity comparison).
-    campaign.tamper_chance = options.tamper_chance;
+    campaign.chaos.tamper_chance = options.tamper_chance;
     const sim::ChaosCampaignResult result = sim::run_tamper_campaign(campaign);
     std::fputs(result.summary().c_str(), stdout);
     return result.failed_runs() == 0 ? 0 : 1;
   }
   if (options.tamper || options.tamper_chance > 0.0) {
-    campaign.tamper_chance = options.tamper_chance > 0.0 ? options.tamper_chance : 0.5;
-    campaign.tamper_template.mode = net::TamperRule::Mode::Replace;
+    campaign.chaos.tamper_chance = options.tamper_chance > 0.0 ? options.tamper_chance : 0.5;
   }
 
   const sim::ChaosCampaignResult result = sim::run_chaos_campaign(campaign);
@@ -376,119 +376,19 @@ int run_scenario(const CliOptions& options) {
   }
   if (!options.trace_out.empty()) deployment->telemetry().set_trace_enabled(true);
   sim::InvariantMonitor monitor(deployment->simulator());
-  const bool durability =
-      spec.chaos.restart_chance > 0.0 || spec.chaos.disk_fault_chance > 0.0;
-  const bool attacks = spec.chaos.sybil_burst_chance > 0.0 ||
-                       spec.chaos.targeted_crash_chance > 0.0 ||
-                       spec.chaos.oscillate_chance > 0.0;
-  const bool tampering = spec.chaos.tamper_chance > 0.0;
-  const bool chaos = spec.chaos.intensity != "none" || durability || attacks || tampering;
-  sim::FaultPlan plan;
-  if (chaos) {
-    deployment->watch(monitor);
-    if (spec.protocol == sim::ProtocolKind::Gpbft) {
-      // Floods younger than the audit's lookback window cannot show up as a
-      // rate anomaly yet; only older seatings count as violations.
-      monitor.set_sybil_detection_grace(spec.geo.window + spec.geo.report_period);
-      // The reputation-weighted election claims bounded committee churn;
-      // hold it to a convergence bound on era-config application spread.
-      if (spec.reputation.enabled) {
-        monitor.set_era_convergence_bound(Duration::seconds(30));
-      }
-    }
-    // intensity "none" with durability/attack chances still runs a plan —
-    // one whose only families are the explicitly enabled ones.
-    sim::ChaosProfile profile = spec.chaos.intensity == "none"
-                                    ? sim::ChaosProfile{.crash_chance = 0.0,
-                                                        .link_fault_chance = 0.0,
-                                                        .brownout_chance = 0.0}
-                                    : sim::profile_for(spec.chaos.intensity);
-    profile.restart_chance = spec.chaos.restart_chance;
-    profile.disk_fault_chance = spec.chaos.disk_fault_chance;
-    profile.sybil_burst_chance = spec.chaos.sybil_burst_chance;
-    profile.targeted_crash_chance = spec.chaos.targeted_crash_chance;
-    profile.oscillate_chance = spec.chaos.oscillate_chance;
-    profile.tamper_chance = spec.chaos.tamper_chance;
-    profile.tamper_template.mode = spec.chaos.tamper_mode == "inject"
-                                       ? net::TamperRule::Mode::Inject
-                                       : net::TamperRule::Mode::Replace;
-    const std::vector<NodeId> victims = deployment->fault_targets();
-    profile.max_faulty = victims.empty() ? 0 : (victims.size() - 1) / 3;
-    if (spec.protocol == sim::ProtocolKind::Pow) {
-      profile.byzantine_chance = 0.0;
-      // PoW client requests carry no end-to-end authenticator; tampering
-      // them forges workload, not wire noise (see run_protocol_chaos).
-      profile.tamper_template.spare_types.push_back(pbft::msg_type::kClientRequest);
-      if (profile.tamper_template.mode == net::TamperRule::Mode::Inject) {
-        profile.tamper_template.spare_types.push_back(pow::kPowBlock);
-      }
-    }
-    plan = sim::FaultPlan::random(spec.seed, profile, victims, spec.chaos.horizon);
-    sim::FaultPlan::ChaosHandlers handlers;
-    handlers.set_byzantine = [&deployment, &monitor](NodeId id, pbft::FaultMode mode) {
-      deployment->set_fault_mode(id, mode);
-      // Sybil report floods stay honest on the consensus plane; the node is
-      // still held to agreement but marked for the no-Sybil-seated check.
-      monitor.set_faulty(id, mode != pbft::FaultMode::None &&
-                                 mode != pbft::FaultMode::SybilGeoReports);
-      monitor.note_sybil(id, mode == pbft::FaultMode::SybilGeoReports);
-    };
-    handlers.resolve_target = [&deployment]() { return deployment->latest_elected(); };
-    handlers.oscillate = [&deployment](NodeId id, bool displaced) {
-      deployment->displace_node(id, displaced);
-    };
-    handlers.restart = [&deployment](NodeId id) { (void)deployment->restart_node(id); };
-    handlers.disk_fault = [&deployment](NodeId id, sim::DiskFaultKind kind) {
-      deployment->inject_disk_fault(id, kind);
-    };
-    handlers.hook = [&monitor](const sim::ChaosEvent& event) { monitor.note_fault(event.describe()); };
-    plan.schedule(deployment->simulator(), deployment->network(), handlers);
-  }
-
-  deployment->start();
   sim::LatencyRecorder recorder;
-  sim::Deployment::SubmitHook on_submit;
+  const bool chaos = spec.chaos.enabled();
   if (chaos) {
-    on_submit = [&monitor](const ledger::Transaction& tx) { monitor.expect_submission(tx); };
-  }
-  deployment->schedule_workload(spec.workload, &recorder, on_submit);
-
-  TimePoint deadline{spec.deadline.ns};
-  if (chaos) {
-    deployment->run_for(spec.chaos.horizon);
-    deadline = TimePoint{std::max(spec.chaos.horizon.ns, plan.all_healed_at().ns) +
-                         spec.chaos.liveness_grace.ns};
-  }
-  deployment->run_until_committed(spec.workload.txs_per_client, deadline);
-  // Give restarted nodes time to finish resyncing the agreed prefix before
-  // the convergence check.
-  if (monitor.restarts_observed() > 0) deployment->run_for(spec.engine.request_timeout * 3);
-  deployment->stop();
-
-  sim::ExperimentResult result;
-  result.nodes = spec.nodes;
-  result.committee = deployment->committee_size();
-  result.latency_samples = recorder.samples();
-  result.latency = recorder.boxplot();
-  result.committed = deployment->committed_count();
-  // Open-loop plane: expect what the arrival process actually generated,
-  // not a per-client quota (sim/experiment.cpp does the same).
-  result.expected = deployment->plane() != nullptr
-                        ? deployment->plane()->submitted()
-                        : spec.workload.txs_per_client * spec.clients;
-  result.consensus_kb = sim::consensus_kilobytes(deployment->stats());
-  result.total_kb = deployment->stats().total_kilobytes();
-  result.era_switches = deployment->era_switches();
-  result.hashes_computed = deployment->hashes_computed();
-  // Invariant verdicts land in the registry/trace, so run the end-of-run
-  // checks before the exports are snapshotted.
-  if (chaos) {
-    deployment->finish_invariants(monitor);
-    monitor.check_restart_convergence();
-    monitor.check_bounded_liveness(result.committed, result.expected, plan.all_healed_at(),
-                                   spec.chaos.liveness_grace);
+    // The spec seed draws the fault plan, so a scenario file replays exactly.
+    sim::run_chaos_scenario(*deployment, monitor, spec, spec.seed, &recorder);
+  } else {
+    deployment->start();
+    deployment->schedule_workload(spec.workload, &recorder);
+    deployment->run_until_committed(spec.workload.txs_per_client, TimePoint{spec.deadline.ns});
+    deployment->stop();
   }
   deployment->finalize_telemetry();
+  const sim::ExperimentResult result = sim::finish_result(*deployment, spec, recorder);
 
   if (options.csv) print_csv_header();
   print_result(sim::protocol_name(spec.protocol), options.csv, result);
