@@ -8,12 +8,18 @@
 # Knobs:
 #   GPBFT_CI_BUILD_DIR=build   build directory (default build)
 #   GPBFT_CI_JOBS=N            parallel ctest jobs (default nproc)
-#   GPBFT_CI_SANITIZE=1        also run the ASan/UBSan and TSan legs
-#                              (scripts/check_sanitizers.sh + check_tsan.sh;
-#                              off by default — each configures and builds
-#                              its own tree)
+#   GPBFT_CI_SANITIZE=1        also run the ASan/UBSan leg
+#                              (scripts/check_sanitizers.sh; off by default —
+#                              it configures and builds its own tree)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Single-threaded by construction: nothing in the simulator starts a thread,
+# so nothing under src/ may pull in a threading header to guard against one.
+if grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*<(atomic|condition_variable|future|mutex|shared_mutex|thread)>' src; then
+  echo "ci: src/ includes a threading header (listed above)" >&2
+  exit 1
+fi
 
 BUILD_DIR="${GPBFT_CI_BUILD_DIR:-build}"
 JOBS="${GPBFT_CI_JOBS:-$(nproc)}"
@@ -136,13 +142,10 @@ fi
 # and the wall budget (GPBFT_PLANE_BUDGET_SECS, default 120 s per run).
 "${BUILD_DIR}/bench/bench_scale" --plane
 
-# Opt-in sanitizer legs: a full ASan/UBSan build + test sweep, then a TSan
-# build running the tests that start threads (the two sanitizers cannot
-# share one binary, so each gets its own build directory). Kept off the
-# default path so the fast gate stays fast.
+# Opt-in sanitizer leg: a full ASan/UBSan build + test sweep in its own
+# build directory. Kept off the default path so the fast gate stays fast.
 if [[ "${GPBFT_CI_SANITIZE:-0}" == "1" ]]; then
   scripts/check_sanitizers.sh
-  scripts/check_tsan.sh
 fi
 
 echo "ci: OK"

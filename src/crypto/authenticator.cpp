@@ -1,45 +1,35 @@
 #include "crypto/authenticator.hpp"
 
 #include <algorithm>
-#include <mutex>
+#include <cstdio>
+#include <cstdlib>
 
 #include "serde/writer.hpp"
 
 namespace gpbft::crypto {
 
+namespace {
+
+/// Payload parts one tag streams; the MAC prefix takes the eighth slot.
+constexpr std::size_t kMaxTagParts = 7;
+
+}  // namespace
+
 KeyRegistry::KeyRegistry(std::uint64_t genesis_seed) : genesis_seed_(genesis_seed) {}
 
-const Hash256& KeyRegistry::identity_key(NodeId id) const {
-  {
-    std::shared_lock lock(identity_mu_);
-    const auto it = identity_cache_.find(id);
-    // References are stable (node-based map, never erased), so returning
-    // one after dropping the lock is safe.
-    if (it != identity_cache_.end()) return it->second;
-  }
-
+Hash256 KeyRegistry::identity_key(NodeId id) const {
   serde::Writer w;
   w.string("gpbft-identity-key");
   w.u64(genesis_seed_);
   w.u64(id.value);
-  const Hash256 key = sha256(BytesView(w.buffer().data(), w.buffer().size()));
-
-  std::unique_lock lock(identity_mu_);
-  // try_emplace: a concurrent caller may have derived the same (pure,
-  // deterministic) value while we did; first insert wins, results agree.
-  return identity_cache_.try_emplace(id, key).first->second;
+  return sha256(BytesView(w.buffer().data(), w.buffer().size()));
 }
 
 const KeyRegistry::SessionEntry& KeyRegistry::session_entry(NodeId a, NodeId b) const {
   const NodeId lo = std::min(a, b);
   const NodeId hi = std::max(a, b);
-  const std::pair<std::uint64_t, std::uint64_t> link{lo.value, hi.value};
-  SessionShard& shard = sessions_[(lo.value * 31 + hi.value) % kSessionShards];
-  {
-    std::shared_lock lock(shard.mu);
-    const auto it = shard.entries.find(link);
-    if (it != shard.entries.end()) return it->second;
-  }
+  const Link link{lo.value, hi.value};
+  if (const auto it = sessions_.find(link); it != sessions_.end()) return it->second;
 
   serde::Writer w;
   w.string("gpbft-session-key");
@@ -47,15 +37,18 @@ const KeyRegistry::SessionEntry& KeyRegistry::session_entry(NodeId a, NodeId b) 
   SessionEntry entry;
   entry.key = hmac_sha256(identity_key(lo).view(), BytesView(w.buffer().data(), w.buffer().size()));
   entry.mac = HmacKey(entry.key.view());
-
-  std::unique_lock lock(shard.mu);
-  return shard.entries.try_emplace(link, std::move(entry)).first->second;
+  return sessions_.emplace(link, std::move(entry)).first->second;
 }
 
 Hash256 KeyRegistry::session_key(NodeId a, NodeId b) const { return session_entry(a, b).key; }
 
 std::array<std::uint8_t, 8> KeyRegistry::tag(NodeId sender, NodeId receiver,
                                              std::span<const BytesView> payload_parts) const {
+  if (payload_parts.size() > kMaxTagParts) {
+    std::fprintf(stderr, "KeyRegistry::tag: %zu payload parts, at most %zu\n",
+                 payload_parts.size(), kMaxTagParts);
+    std::abort();
+  }
   const SessionEntry& entry = session_entry(sender, receiver);
 
   // Byte-identical to the historical Writer-built input: u64(sender) in
@@ -80,7 +73,7 @@ std::array<std::uint8_t, 8> KeyRegistry::tag(NodeId sender, NodeId receiver,
   }
   prefix[prefix_len++] = static_cast<std::uint8_t>(v);
 
-  std::array<BytesView, 8> parts;
+  std::array<BytesView, kMaxTagParts + 1> parts;
   parts[0] = BytesView(prefix.data(), prefix_len);
   std::size_t count = 1;
   for (const BytesView part : payload_parts) parts[count++] = part;

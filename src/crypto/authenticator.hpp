@@ -16,24 +16,20 @@
 // The threat model (§III-A) matches: adversaries cannot forge or tamper with
 // others' messages, only emit invalid ones of their own.
 //
-// Caching & concurrency: identity keys and pairwise session entries are
-// derived once and cached (a session entry also holds the precomputed
-// HmacKey pad states, so a tag costs two SHA-256 passes over the message,
-// not a rederivation chain of four HMACs). The registry is handed out as a
-// const reference, yet its const calls fill these caches, so both are
-// guarded by shared mutexes — sharded for the O(n^2) session space — to
-// keep the usual contract that const calls are safe to make concurrently
-// (tests/crypto_test.cpp drives one registry from eight threads). Cache
-// population order is thread-schedule-dependent; cache *contents* are pure
-// functions of the genesis seed, so results never depend on interleaving.
+// Caching: pairwise session entries are derived once and cached; an entry
+// also holds the precomputed HmacKey pad states, so a tag costs two SHA-256
+// passes over the message, not a rederivation chain of four HMACs. The
+// registry is handed out as a const reference, yet its const calls fill this
+// cache, so one registry must not be shared between threads. Cache contents
+// are pure functions of the genesis seed, so results never depend on the
+// order in which links are first used.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <shared_mutex>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -64,15 +60,17 @@ class KeyRegistry {
  public:
   explicit KeyRegistry(std::uint64_t genesis_seed);
 
-  /// 32-byte identity key of a node (derived lazily, cached).
-  [[nodiscard]] const Hash256& identity_key(NodeId id) const;
+  /// 32-byte identity key of a node (derived on every call; only a session
+  /// cache miss needs it).
+  [[nodiscard]] Hash256 identity_key(NodeId id) const;
 
   /// Symmetric pairwise session key (derived lazily, cached).
   [[nodiscard]] Hash256 session_key(NodeId a, NodeId b) const;
 
   /// One truncated tag for a single receiver, streaming `payload_parts`
   /// (logically concatenated) into the HMAC without materializing the
-  /// buffer. This is the seal/open hot path; at most 7 parts.
+  /// buffer. This is the seal/open hot path; at most 7 parts, and more
+  /// abort the process.
   [[nodiscard]] std::array<std::uint8_t, 8> tag(NodeId sender, NodeId receiver,
                                                 std::span<const BytesView> payload_parts) const;
 
@@ -98,19 +96,17 @@ class KeyRegistry {
   /// Stable reference into the session cache (entries are never erased).
   [[nodiscard]] const SessionEntry& session_entry(NodeId a, NodeId b) const;
 
-  /// The pairwise space is O(n^2); shard the cache so concurrent callers
-  /// sealing/verifying different links rarely contend on one lock.
-  struct SessionShard {
-    mutable std::shared_mutex mu;
-    // std::map: node-based, so references stay valid across inserts.
-    std::map<std::pair<std::uint64_t, std::uint64_t>, SessionEntry> entries;
+  /// A link is its (lower, higher) node-id pair, so both directions share
+  /// one entry.
+  using Link = std::pair<std::uint64_t, std::uint64_t>;
+  struct LinkHash {
+    std::size_t operator()(const Link& link) const {
+      return std::hash<std::uint64_t>{}((link.first << 32) ^ link.second);
+    }
   };
-  static constexpr std::size_t kSessionShards = 16;
 
   std::uint64_t genesis_seed_;
-  mutable std::shared_mutex identity_mu_;
-  mutable std::unordered_map<NodeId, Hash256> identity_cache_;
-  mutable std::array<SessionShard, kSessionShards> sessions_;
+  mutable std::unordered_map<Link, SessionEntry, LinkHash> sessions_;
 };
 
 }  // namespace gpbft::crypto

@@ -23,8 +23,8 @@
 namespace gpbft::crypto {
 
 /// Precomputed HMAC-SHA256 key context (keyed pads hashed once, cloned per
-/// message). Copyable; safe to use concurrently from multiple threads —
-/// mac() clones the stored mid-states and never mutates the context.
+/// message). Copyable; mac() clones the stored mid-states and never mutates
+/// the context.
 class HmacKey {
  public:
   HmacKey() = default;

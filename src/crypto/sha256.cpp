@@ -143,9 +143,7 @@ bool cpu_has_sha_extensions() {
 
 #endif  // GPBFT_SHA256_X86
 
-/// The kernel this process uses, chosen on first use. The function-local
-/// static makes the choice once even when the first hashes come from
-/// several threads at once.
+/// The kernel this process uses, chosen once, on first use.
 detail::Sha256Compress active_kernel() {
   static const detail::Sha256Compress kernel = [] {
     const detail::Sha256Compress hardware = detail::sha256_compress_x86_sha();

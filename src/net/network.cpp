@@ -251,8 +251,8 @@ void Network::apply_tamper(Envelope& envelope, std::size_t& size) {
                                                          config_.bandwidth_bytes_per_sec);
     const TimePoint arrival =
         sim_.now() + config_.base_latency + transmission + ghost_jitter + delay;
-    sim_.schedule_at(arrival, [this, replayed = std::move(replayed), ghost_size]() mutable {
-      deliver_injected(std::move(replayed), ghost_size);
+    sim_.schedule_at(arrival, [this, replayed = std::move(replayed), ghost_size]() {
+      deliver(replayed, ghost_size);
     });
     return;
   }
@@ -271,35 +271,9 @@ void Network::apply_tamper(Envelope& envelope, std::size_t& size) {
   const Duration transmission =
       Duration::from_seconds(static_cast<double>(ghost_size) / config_.bandwidth_bytes_per_sec);
   const TimePoint arrival = sim_.now() + config_.base_latency + transmission + ghost_jitter;
-  sim_.schedule_at(arrival, [this, mutant = std::move(mutant), ghost_size]() mutable {
-    deliver_injected(std::move(mutant), ghost_size);
+  sim_.schedule_at(arrival, [this, mutant = std::move(mutant), ghost_size]() {
+    deliver(mutant, ghost_size);
   });
-}
-
-void Network::deliver_injected(Envelope envelope, std::size_t size) {
-  const NodeId to = envelope.to;
-  const auto node_it = nodes_.find(to);
-  if (node_it == nodes_.end() || crashed_.contains(to)) {
-    note_dropped();
-    return;
-  }
-  NodeHandles& receiver = node_handles(to);
-  receiver.traffic->messages_received += 1;
-  receiver.traffic->bytes_received += size;
-  if (telemetry_->enabled()) {
-    if (receiver.msgs_received == nullptr) resolve_node_telemetry(receiver, to);
-    receiver.msgs_received->add();
-    receiver.bytes_received->add(size);
-  }
-#ifndef GPBFT_PROF_DISABLED
-  TypeHandles& by_type = type_handles(envelope.type);
-  if (by_type.deliver_site == obs::Profiler::kNoSite) {
-    by_type.deliver_site = obs::Profiler::instance().register_site(
-        "net.deliver." + telemetry_->message_name(envelope.type));
-  }
-  obs::ScopedProbe deliver_probe(by_type.deliver_site);
-#endif
-  node_it->second->handle(envelope);
 }
 
 void Network::send(Envelope envelope) {
@@ -451,33 +425,35 @@ void Network::process_next(NodeId to) {
   while (entry->done != sim_.now()) ++entry;
   const PendingDelivery pending = std::move(*entry);
   queue.erase(entry);
+  deliver(pending.envelope, pending.size);
+}
 
+void Network::deliver(const Envelope& envelope, std::size_t size) {
+  const NodeId to = envelope.to;
   const auto node_it = nodes_.find(to);
   if (node_it == nodes_.end() || crashed_.contains(to)) {
-    // The receiver died (or was torn down) between arrival and the end of
-    // processing: the message is lost with it.
+    // The receiver died (or was torn down) before delivery: the message
+    // is lost with it.
     note_dropped();
     return;
   }
   NodeHandles& receiver = node_handles(to);
   receiver.traffic->messages_received += 1;
-  receiver.traffic->bytes_received += pending.size;
+  receiver.traffic->bytes_received += size;
   if (telemetry_->enabled()) {
     if (receiver.msgs_received == nullptr) resolve_node_telemetry(receiver, to);
     receiver.msgs_received->add();
-    receiver.bytes_received->add(pending.size);
+    receiver.bytes_received->add(size);
   }
-#ifndef GPBFT_PROF_DISABLED
   // Per-event-type attribution: the whole handler invocation is accounted
   // to one "net.deliver.<TYPE>" site, resolved once per message type.
-  TypeHandles& by_type = type_handles(pending.envelope.type);
+  TypeHandles& by_type = type_handles(envelope.type);
   if (by_type.deliver_site == obs::Profiler::kNoSite) {
     by_type.deliver_site = obs::Profiler::instance().register_site(
-        "net.deliver." + telemetry_->message_name(pending.envelope.type));
+        "net.deliver." + telemetry_->message_name(envelope.type));
   }
   obs::ScopedProbe deliver_probe(by_type.deliver_site);
-#endif
-  node_it->second->handle(pending.envelope);
+  node_it->second->handle(envelope);
 }
 
 void Network::recover(NodeId id) {

@@ -258,9 +258,19 @@ class Network {
   /// Arrival instant: crash/detach check, serial-queue fold into
   /// busy_until_, inbox enqueue, done-event scheduling.
   void on_arrival(Envelope envelope, std::size_t size);
-  /// Processing-done instant: pops the receiver's inbox front, re-checks
-  /// liveness, accounts the receive and invokes the handler.
+  /// Processing-done instant: pops the receiver's inbox front and
+  /// delivers it.
   void process_next(NodeId to);
+  /// The one receive path: re-checks the receiver's liveness, accounts the
+  /// receive, then invokes the handler under its `net.deliver.<TYPE>`
+  /// probe. process_next() calls it at the end of processing; Inject-mode
+  /// ghosts call it at their arrival instant without folding into the
+  /// serial processing queue — the injection happens at the network edge,
+  /// and the receiver's wire-integrity check discards forgeries at line
+  /// rate. This keeps the genuine plane causally untouched, which is what
+  /// makes the REJECT-SAFE invariant (tampered tips byte-identical to clean
+  /// tips with MACs on) exact rather than probabilistic.
+  void deliver(const Envelope& envelope, std::size_t size);
   /// One drop, wherever it happens (send-time fault, receiver down at
   /// arrival or at processing-done): NetStats and the `net.msgs_dropped`
   /// counter always move together.
@@ -273,14 +283,6 @@ class Network {
   /// stream. Called only when a rule with chance > 0 is installed and the
   /// type is not spared.
   void apply_tamper(Envelope& envelope, std::size_t& size);
-  /// Delivery path for Inject-mode ghosts: hands the envelope to the
-  /// receiver at the arrival instant without folding into the serial
-  /// processing queue — the injection happens at the network edge, and the
-  /// receiver's wire-integrity check discards forgeries at line rate. This
-  /// keeps the genuine plane causally untouched, which is what makes the
-  /// REJECT-SAFE invariant (tampered tips byte-identical to clean tips with
-  /// MACs on) exact rather than probabilistic.
-  void deliver_injected(Envelope envelope, std::size_t size);
   /// Builds the mutated envelope for the drawn family (never replay).
   [[nodiscard]] Envelope mutate_envelope(const Envelope& original, const TamperRule& rule,
                                          int family);

@@ -42,10 +42,6 @@ Profiler& Profiler::instance() {
 }
 
 Profiler::SiteId Profiler::register_site(std::string name) {
-  // Registration runs once per site per thread reaching the macro's
-  // function-local static; several threads can race here, so the tables
-  // are locked. Probe enter/leave stay lock-free.
-  const std::lock_guard<std::mutex> lock(sites_mu_);
   const auto it = site_ids_.find(name);
   if (it != site_ids_.end()) return it->second;
   const SiteId id = static_cast<SiteId>(site_names_.size());

@@ -2,8 +2,8 @@
 //
 // The deterministic telemetry registry (metrics.hpp) answers *what* a run
 // computed; this profiler answers *where the host CPU time went* while
-// computing it — the attribution layer the parallel-core work is judged
-// with (ROADMAP "parallel simulation core"). Design rules:
+// computing it — the attribution layer hot-path work is judged with.
+// Design rules:
 //
 //   - Strictly outside the simulation. The profiler reads
 //     std::chrono::steady_clock and nothing else; it never touches RNG
@@ -11,10 +11,8 @@
 //     covers. A profiled run's chain tip, metrics JSONL and Perfetto trace
 //     are byte-identical to an unprofiled same-seed run (guarded by
 //     tests/profiler_test.cpp, ctest label tier1-profile).
-//   - Cheap when off, zero when compiled out. Probes are gated on one
-//     boolean; with the profiler disabled a probe site costs a static-init
-//     check plus one branch. Defining GPBFT_PROF_DISABLED folds every
-//     probe macro to nothing, so the instrumentation vanishes entirely.
+//   - Cheap when off. Probes are gated on one boolean; with the profiler
+//     disabled a probe site costs a static-init check plus one branch.
 //   - Hierarchical. Active probes form a stack; time is accounted to a
 //     call tree keyed by probe site, so a site's *inclusive* time (its
 //     whole subtree) and *exclusive* time (inclusive minus children) are
@@ -23,13 +21,8 @@
 //
 // Sites register once per process (static registration: the macro stores
 // the id in a function-local static, and registering the same name twice
-// returns the same id). The profiler is a process-wide singleton. The tree
-// and stack belong to the thread that created the singleton (the simulation
-// thread). Nothing stops a caller from reaching a probe on another thread,
-// so probes hit from any other thread latch inactive and record nothing:
-// the hot path stays lock-free and the tree stays single-threaded. Site
-// registration is mutex-guarded for the same reason — the function-local
-// statics that register sites may first run on any thread.
+// returns the same id). The profiler is a process-wide, single-threaded
+// singleton, like the simulation it measures.
 //
 // Exports:
 //   to_json()       nested call tree; `calls` and structure are
@@ -42,13 +35,10 @@
 //                   `profile` subcommand prints this).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace gpbft::obs {
@@ -66,16 +56,10 @@ class Profiler {
   [[nodiscard]] const std::string& site_name(SiteId id) const { return site_names_.at(id); }
   [[nodiscard]] std::size_t site_count() const { return site_names_.size(); }
 
-  [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  [[nodiscard]] bool enabled() const { return enabled_; }
   /// Toggle only between runs (with no probes open): enabling or disabling
   /// mid-scope would unbalance the probe stack.
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-
-  /// True on the thread that owns the probe tree (the one that first
-  /// touched the singleton — the simulation thread).
-  [[nodiscard]] bool on_owner_thread() const {
-    return std::this_thread::get_id() == owner_thread_;
-  }
+  void set_enabled(bool on) { enabled_ = on; }
 
   /// Opens/closes a frame for `site` under the current tree position.
   /// Callers normally go through ScopedProbe, which pairs these.
@@ -123,35 +107,20 @@ class Profiler {
 
   Profiler() = default;
 
-  std::atomic<bool> enabled_{false};
-  const std::thread::id owner_thread_{std::this_thread::get_id()};
-  mutable std::mutex sites_mu_;  // guards site_names_ / site_ids_ only
+  bool enabled_{false};
   std::vector<std::string> site_names_;
   std::map<std::string, SiteId> site_ids_;
   Node root_;
   std::vector<Frame> stack_;
 };
 
-#ifdef GPBFT_PROF_DISABLED
-
-class ScopedProbe {
- public:
-  explicit constexpr ScopedProbe(Profiler::SiteId) {}
-};
-
-#define GPBFT_PROFILE_SCOPE(name) static_cast<void>(0)
-
-#else
-
 /// RAII frame around one probe site. The enabled check is latched at
 /// construction so a (misplaced) mid-scope toggle cannot unbalance the
-/// profiler's stack; off-owner-thread probes latch inactive — the tree is
-/// owned by the simulation thread.
+/// profiler's stack.
 class ScopedProbe {
  public:
   explicit ScopedProbe(Profiler::SiteId site)
-      : profiler_(Profiler::instance()),
-        active_(profiler_.enabled() && profiler_.on_owner_thread()) {
+      : profiler_(Profiler::instance()), active_(profiler_.enabled()) {
     if (active_) profiler_.enter(site);
   }
   ~ScopedProbe() {
@@ -177,7 +146,5 @@ class ScopedProbe {
       ::gpbft::obs::Profiler::instance().register_site(name);                      \
   ::gpbft::obs::ScopedProbe GPBFT_PROF_CONCAT(gpbft_prof_probe_, __LINE__)(        \
       GPBFT_PROF_CONCAT(gpbft_prof_site_, __LINE__))
-
-#endif  // GPBFT_PROF_DISABLED
 
 }  // namespace gpbft::obs

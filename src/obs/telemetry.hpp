@@ -5,9 +5,7 @@
 //   - no randomness, no wall clock: the only time source is the simulated
 //     clock injected via set_clock(), so telemetry can never perturb a run;
 //   - cheap when off: every emitter is gated on enabled() (metrics) or
-//     trace_enabled() (spans/instants), and the compile-time kill switch
-//     GPBFT_OBS_DISABLED turns both gates into constant false so the
-//     instrumentation folds away entirely;
+//     trace_enabled() (spans/instants);
 //   - metrics stay on by default, tracing is opt-in (the CLI enables it
 //     when --trace-out is given) so the 200-node benches pay no per-block
 //     string cost.
@@ -43,13 +41,8 @@ class Telemetry {
   /// null check. Do not enable or write to it.
   [[nodiscard]] static Telemetry& noop();
 
-#ifdef GPBFT_OBS_DISABLED
-  [[nodiscard]] constexpr bool enabled() const { return false; }
-  [[nodiscard]] constexpr bool trace_enabled() const { return false; }
-#else
   [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] bool trace_enabled() const { return enabled_ && trace_enabled_; }
-#endif
   void set_enabled(bool on) { enabled_ = on; }
   void set_trace_enabled(bool on) { trace_enabled_ = on; }
 

@@ -4,10 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <span>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -349,36 +348,6 @@ TEST(Sha256, PortableAndX86KernelsAgree) {
   }
 }
 
-TEST(Sha256, FirstUseFromManyThreadsAgrees) {
-  // Each test runs in its own process, so nothing has hashed yet and the
-  // kernel is chosen while eight threads hash at once: the one-time CPUID
-  // pick must be race-free and give every thread the same kernel.
-  std::vector<std::string> inputs;
-  std::vector<Hash256> expected;
-  for (const std::size_t length : {0u, 55u, 56u, 64u, 119u, 1000u}) {
-    inputs.push_back(pattern_text(length));
-    expected.push_back(portable_sha256(inputs.back()));
-  }
-  constexpr std::size_t kThreads = 8;
-  std::atomic<bool> go{false};
-  std::vector<std::vector<Hash256>> results(kThreads);
-  std::vector<std::string> kernels(kThreads);
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      for (const std::string& input : inputs) results[t].push_back(sha256(input));
-      kernels[t] = sha256_kernel();
-    });
-  }
-  go.store(true, std::memory_order_release);
-  for (std::thread& thread : threads) thread.join();
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    EXPECT_EQ(results[t], expected) << "thread " << t;
-    EXPECT_EQ(kernels[t], kernels[0]) << "thread " << t;
-  }
-}
-
 TEST(Sha256, Sha256dDiffersFromSingle) {
   const Bytes data = {1, 2, 3};
   EXPECT_NE(sha256d(data), sha256(BytesView(data.data(), data.size())));
@@ -693,46 +662,41 @@ TEST(Authenticator, MultiPartTagEqualsSinglePartTag) {
   EXPECT_EQ(whole, split);
 }
 
-// --- registry caches under concurrent access -----------------------------------------
+TEST(AuthenticatorDeathTest, TagAbortsOnMoreThanSevenParts) {
+  // tag() streams the parts through a fixed array behind its own prefix;
+  // an eighth part must abort rather than write past it.
+  KeyRegistry keys(55);
+  const Bytes body(8, 0x5a);
+  std::array<BytesView, 8> eight;
+  for (std::size_t i = 0; i < eight.size(); ++i) eight[i] = BytesView(body.data() + i, 1);
+  EXPECT_DEATH(static_cast<void>(keys.tag(NodeId{1}, NodeId{2}, eight)), "8 payload parts");
+}
 
-TEST(Authenticator, RegistryIsConsistentUnderConcurrentDerivation) {
-  // A KeyRegistry's const calls fill its caches, and the locks keep those
-  // calls safe to make concurrently. Hammer the identity/session caches
-  // from several threads on overlapping links; every derived value must
-  // equal the serial one (cache contents are pure functions of the seed —
-  // population order must not matter). Run under the TSan CI leg, this is
-  // also the data-race probe for the caches.
-  KeyRegistry keys(909);
+// --- registry cache --------------------------------------------------------------------
+
+TEST(Authenticator, RegistryIsIndependentOfDerivationOrder) {
+  // Cache contents are pure functions of the seed. Derive the same 2,080
+  // links in opposite orders on two registries (enough inserts to rehash
+  // the cache many times over); every tag, in both directions, must agree.
+  std::vector<std::pair<NodeId, NodeId>> links;
+  for (std::uint64_t a = 1; a <= 65; ++a) {
+    for (std::uint64_t b = a + 1; b <= 65; ++b) links.emplace_back(NodeId{a}, NodeId{b});
+  }
+  ASSERT_EQ(links.size(), 2080u);
   const Bytes payload = {1, 2, 3, 4, 5};
   const std::array<BytesView, 1> parts{BytesView(payload.data(), payload.size())};
-
-  KeyRegistry serial(909);
-  std::vector<std::array<std::uint8_t, 8>> expected;
-  for (std::uint64_t s = 1; s <= 6; ++s) {
-    for (std::uint64_t r = 1; r <= 6; ++r) {
-      if (s == r) continue;
-      expected.push_back(serial.tag(NodeId{s}, NodeId{r}, std::span<const BytesView>(parts.data(), 1)));
-    }
-  }
-
-  std::atomic<bool> mismatch{false};
-  std::vector<std::thread> threads;
-  threads.reserve(8);
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&keys, &parts, &expected, &mismatch]() {
-      std::size_t idx = 0;
-      for (std::uint64_t s = 1; s <= 6; ++s) {
-        for (std::uint64_t r = 1; r <= 6; ++r) {
-          if (s == r) continue;
-          const auto tag = keys.tag(NodeId{s}, NodeId{r}, std::span<const BytesView>(parts.data(), 1));
-          if (tag != expected[idx]) mismatch.store(true);
-          ++idx;
-        }
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_FALSE(mismatch.load());
+  using TagPair = std::pair<std::array<std::uint8_t, 8>, std::array<std::uint8_t, 8>>;
+  const auto tags = [&](const KeyRegistry& keys, std::size_t i) {
+    const auto [a, b] = links[i];
+    return TagPair{keys.tag(a, b, parts), keys.tag(b, a, parts)};
+  };
+  const KeyRegistry forward(909);
+  const KeyRegistry reverse(909);
+  std::vector<TagPair> forward_tags(links.size());
+  std::vector<TagPair> reverse_tags(links.size());
+  for (std::size_t i = 0; i < links.size(); ++i) forward_tags[i] = tags(forward, i);
+  for (std::size_t i = links.size(); i-- > 0;) reverse_tags[i] = tags(reverse, i);
+  EXPECT_EQ(forward_tags, reverse_tags);
 }
 
 }  // namespace
