@@ -36,7 +36,7 @@ ThresholdResult run_with_threshold(std::size_t min_reports) {
   spec.geo.promotion_threshold = Duration::seconds(6);
   spec.engine.request_timeout = Duration::seconds(4000);
 
-  const std::unique_ptr<sim::GpbftCluster> cluster = sim::make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<sim::GpbftCluster>(spec);
 
   // Devices 11..16 are mobile: they hop between disjoint grid slots every
   // 8 s (honest moves — the registry follows).

@@ -119,7 +119,7 @@ ScaleResult run_spec(const sim::ScenarioSpec& spec) {
   const auto wall_end = std::chrono::steady_clock::now();
 
   ScaleResult result;
-  result.experiment = sim::finish_result(*deployment, spec, recorder);
+  result.experiment = sim::finish_result(*deployment, recorder);
   result.experiment.sim_seconds = sim_seconds;
   result.sim_events = deployment->simulator().events_processed();
   result.wire_messages = deployment->stats().total_messages;

@@ -59,7 +59,7 @@ void BM_ConsensusRound(benchmark::State& state) {
     spec.clients = 1;
     spec.seed = 1;
     spec.engine.compute_macs = false;
-    const std::unique_ptr<sim::PbftCluster> cluster = sim::make_pbft_deployment(spec);
+    const auto cluster = std::make_unique<sim::PbftCluster>(spec);
     cluster->start();
     state.ResumeTiming();
 

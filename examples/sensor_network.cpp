@@ -32,7 +32,7 @@ int main() {
   spec.workload.period = Duration::seconds(5);
   spec.workload.txs_per_client = 10;
 
-  const std::unique_ptr<sim::GpbftCluster> cluster = sim::make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<sim::GpbftCluster>(spec);
   cluster->start();
 
   // Mobile probes upload air-quality readings continuously.

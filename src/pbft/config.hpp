@@ -23,11 +23,6 @@ struct PbftConfig {
   /// occupancy. Only consulted when batch_close_size > 1.
   Duration batch_close_timeout = Duration::millis(250);
 
-  /// Concurrent consensus instances the primary keeps in flight. 1 gives the
-  /// strict one-at-a-time ordering whose queueing the paper's latency curves
-  /// exhibit; larger values pipeline.
-  std::size_t pipeline_depth{1};
-
   /// Log window above the low watermark within which sequences are accepted.
   SeqNum watermark_window{128};
 

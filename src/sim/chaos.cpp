@@ -597,8 +597,8 @@ ChaosProfile chaos_profile(const ScenarioSpec& spec, std::size_t targets) {
 }
 
 ChaosRunResult run_chaos_scenario(Deployment& deployment, InvariantMonitor& monitor,
-                                  const ScenarioSpec& spec, std::uint64_t plan_seed,
-                                  LatencyRecorder* recorder) {
+                                  std::uint64_t plan_seed, LatencyRecorder* recorder) {
+  const ScenarioSpec& spec = deployment.spec();
   deployment.watch(monitor);
   if (spec.protocol == ProtocolKind::Gpbft) {
     // A flood can only show up as a rate anomaly once it spans the audit's
@@ -658,7 +658,7 @@ ChaosRunResult run_chaos_scenario(Deployment& deployment, InvariantMonitor& moni
   result.tip_hex = deployment.tip_hex();
   deployment.finish_invariants(monitor);
   monitor.check_restart_convergence();
-  result.expected = expected_commits(deployment, spec);
+  result.expected = expected_commits(deployment);
   result.committed = deployment.committed_count();
   monitor.check_bounded_liveness(result.committed, result.expected, healed,
                                  spec.chaos.liveness_grace);
@@ -737,8 +737,7 @@ ChaosRunResult run_protocol_chaos(ProtocolKind protocol, const ChaosCampaignOpti
   const std::unique_ptr<Deployment> deployment = make_deployment(spec);
   InvariantMonitor monitor(deployment->simulator());
   const std::string cell = std::string(protocol_name(protocol)) + "-" + intensity;
-  return run_chaos_scenario(*deployment, monitor, spec,
-                            mix_seed(options.base_seed, run_index, cell));
+  return run_chaos_scenario(*deployment, monitor, mix_seed(options.base_seed, run_index, cell));
 }
 
 }  // namespace

@@ -282,9 +282,9 @@ struct ChaosCampaignResult {
   [[nodiscard]] std::string summary() const;
 };
 
-/// The monitored chaos run behind both campaigns and scenario files.
-/// `deployment` is built from `spec` and not yet started; `monitor` is
-/// bound to its simulator. In order: attaches the monitor (Sybil grace for
+/// The monitored chaos run behind both campaigns and scenario files, driven
+/// by the deployment's own spec. `deployment` is not yet started; `monitor`
+/// is bound to its simulator. In order: attaches the monitor (Sybil grace for
 /// G-PBFT, era-convergence bound under the reputation election), starts
 /// the deployment, schedules spec.workload (latencies into `recorder` when
 /// given, every submission into the monitor), schedules the FaultPlan
@@ -293,8 +293,7 @@ struct ChaosCampaignResult {
 /// lets restarted nodes settle, stops, and runs the end-of-run checks. The
 /// caller finalizes telemetry afterwards, so the verdicts land in its exports.
 ChaosRunResult run_chaos_scenario(Deployment& deployment, InvariantMonitor& monitor,
-                                  const ScenarioSpec& spec, std::uint64_t plan_seed,
-                                  LatencyRecorder* recorder = nullptr);
+                                  std::uint64_t plan_seed, LatencyRecorder* recorder = nullptr);
 
 [[nodiscard]] ChaosCampaignResult run_chaos_campaign(const ChaosCampaignOptions& options);
 

@@ -1,6 +1,8 @@
 #include "sim/deployment.hpp"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <string_view>
 
 #include "common/logging.hpp"
@@ -24,19 +26,37 @@ std::uint64_t request_trace_id(const crypto::Hash256& digest) {
   return id;
 }
 
+/// The replica configuration the PBFT, G-PBFT and dBFT engines share.
+pbft::PbftConfig replica_config(const ScenarioSpec& spec) {
+  pbft::PbftConfig config;
+  config.max_batch_size = spec.engine.batch_size;
+  config.checkpoint_interval = spec.engine.checkpoint_interval;
+  config.compute_macs = spec.engine.compute_macs;
+  config.request_timeout = spec.engine.request_timeout;
+  config.view_change_timeout = spec.engine.view_change_timeout;
+  config.batch_close_size = spec.batch.size;
+  config.batch_close_timeout = spec.batch.timeout;
+  return config;
+}
+
 }  // namespace
 
 // --- Deployment base -----------------------------------------------------------------
 
-Deployment::Deployment(std::uint64_t seed, const net::NetConfig& net,
-                       const PlacementConfig& placement)
-    : sim_(seed),
-      network_(sim_, net),
-      keys_(seed ^ 0x67e55044'10b1426full),
-      placement_(placement),
+Deployment::Deployment(const ScenarioSpec& spec, ProtocolKind protocol)
+    : spec_(spec),
+      sim_(spec.seed),
+      network_(sim_, spec.net),
+      keys_(spec.seed ^ 0x67e55044'10b1426full),
+      placement_(spec.placement),
       // Disk-fault randomness gets its own stream, decorrelated from the
       // simulator, key and network-fault streams.
-      storage_(seed ^ 0x6469736b'5f666c74ull) {
+      storage_(spec.seed ^ 0x6469736b'5f666c74ull) {
+  if (spec.protocol != protocol) {
+    std::fprintf(stderr, "Deployment: a %s cluster cannot run a %s scenario\n",
+                 protocol_name(protocol), protocol_name(spec.protocol));
+    std::abort();
+  }
   telemetry_.set_clock([this]() { return sim_.now(); });
   telemetry_.set_message_namer([](std::uint32_t type) -> std::string {
     switch (type) {
@@ -229,30 +249,30 @@ void Deployment::finish_invariants(InvariantMonitor& monitor) { (void)monitor; }
 
 // --- PbftCluster -----------------------------------------------------------------
 
-PbftCluster::PbftCluster(PbftClusterConfig config)
-    : Deployment(config.seed, config.net, config.placement), config_(config) {
+PbftCluster::PbftCluster(const ScenarioSpec& spec) : Deployment(spec, ProtocolKind::Pbft) {
   // Genesis: the whole network is the committee (plain PBFT).
   ledger::GenesisConfig genesis_config;
-  genesis_config.chain_seed = config.seed;
-  for (std::size_t i = 0; i < config.replicas; ++i) {
+  genesis_config.chain_seed = spec.seed;
+  for (std::size_t i = 0; i < spec.nodes; ++i) {
     genesis_config.initial_endorsers.push_back(
         ledger::EndorserInfo{NodeId{i + 1}, placement_.position(i)});
   }
-  genesis_config.policy.min_endorsers = config.replicas;
-  genesis_config.policy.max_endorsers = config.replicas;
+  genesis_config.policy.min_endorsers = spec.nodes;
+  genesis_config.policy.max_endorsers = spec.nodes;
   genesis_ = ledger::make_genesis_block(genesis_config);
 
-  for (std::size_t i = 0; i < config.replicas; ++i) member_ids_.push_back(NodeId{i + 1});
+  for (std::size_t i = 0; i < spec.nodes; ++i) member_ids_.push_back(NodeId{i + 1});
 
-  for (std::size_t i = 0; i < config.replicas; ++i) {
+  const pbft::PbftConfig config = replica_config(spec);
+  for (std::size_t i = 0; i < spec.nodes; ++i) {
     replicas_.push_back(std::make_unique<pbft::Replica>(NodeId{i + 1}, member_ids_, genesis_,
-                                                        config.pbft, network_, keys_));
+                                                        config, network_, keys_));
     attach_persistence(*replicas_.back());
   }
-  for (std::size_t i = 0; i < config.clients; ++i) {
+  for (std::size_t i = 0; i < spec.clients; ++i) {
     clients_.push_back(std::make_unique<pbft::Client>(NodeId{kClientIdBase + i + 1}, member_ids_,
                                                       network_, keys_,
-                                                      config.pbft.compute_macs));
+                                                      spec.engine.compute_macs));
   }
 }
 
@@ -289,8 +309,8 @@ bool PbftCluster::restart_node(NodeId id) {
     network_.detach(id);
     slot.reset();  // scheduled timers die with the lifetime token
 
-    auto replica = std::make_unique<pbft::Replica>(id, member_ids_, genesis_, config_.pbft,
-                                                   network_, keys_);
+    auto replica = std::make_unique<pbft::Replica>(id, member_ids_, genesis_,
+                                                   replica_config(spec_), network_, keys_);
     restore_from_disk(*replica);  // replay happens before the monitor re-watches
     attach_persistence(*replica);
     note_restarted(*replica);
@@ -304,24 +324,35 @@ bool PbftCluster::restart_node(NodeId id) {
 
 // --- GpbftCluster ------------------------------------------------------------------
 
-GpbftCluster::GpbftCluster(GpbftClusterConfig config)
-    : Deployment(config.seed, config.net, config.placement), config_(std::move(config)) {
-  const std::size_t committee_size = std::min(config_.initial_committee, config_.nodes);
-
-  protocol_ = config_.protocol;
-  protocol_.genesis.chain_seed = config_.seed;
-  protocol_.genesis.area_prefix = placement_.area_prefix();
-  protocol_.genesis.initial_endorsers.clear();
+GpbftCluster::GpbftCluster(const ScenarioSpec& spec) : Deployment(spec, ProtocolKind::Gpbft) {
+  protocol_.pbft = replica_config(spec);
+  protocol_.geo_reports_on_chain = spec.geo.reports_on_chain;
+  ledger::GenesisConfig& genesis = protocol_.genesis;
+  genesis.chain_seed = spec.seed;
+  genesis.area_prefix = placement_.area_prefix();
+  genesis.policy.blacklist = spec.committee.blacklist;
+  genesis.policy.whitelist = spec.committee.whitelist;
+  genesis.policy.min_endorsers = spec.committee.min;
+  genesis.policy.max_endorsers = spec.committee.max;
+  genesis.era_period = spec.committee.era_period;
+  genesis.geo_report_period = spec.geo.report_period;
+  genesis.geo_window = spec.geo.window;
+  genesis.min_geo_reports = spec.geo.min_reports;
+  genesis.promotion_threshold = spec.geo.promotion_threshold;
+  genesis.reputation.enabled = spec.reputation.enabled;
+  genesis.reputation.half_life = spec.reputation.half_life;
+  genesis.reputation.quarantine_enter = spec.reputation.quarantine_enter;
+  genesis.reputation.quarantine_exit = spec.reputation.quarantine_exit;
+  genesis.sybil_rate_factor = spec.reputation.sybil_rate_factor;
+  const std::size_t committee_size = std::min(spec.committee.initial, spec.nodes);
   for (std::size_t i = 0; i < committee_size; ++i) {
-    protocol_.genesis.initial_endorsers.push_back(
+    genesis.initial_endorsers.push_back(
         ledger::EndorserInfo{NodeId{i + 1}, placement_.position(i)});
+    roster_.push_back(NodeId{i + 1});
   }
-  genesis_ = ledger::make_genesis_block(protocol_.genesis);
+  genesis_ = ledger::make_genesis_block(genesis);
 
-  roster_.clear();
-  for (std::size_t i = 0; i < committee_size; ++i) roster_.push_back(NodeId{i + 1});
-
-  for (std::size_t i = 0; i < config_.nodes; ++i) {
+  for (std::size_t i = 0; i < spec.nodes; ++i) {
     const NodeId id{i + 1};
     const geo::GeoPoint position = placement_.position(i);
     area_.place(id, position);
@@ -333,12 +364,12 @@ GpbftCluster::GpbftCluster(GpbftClusterConfig config)
     endorsers_.push_back(std::move(endorser));
   }
 
-  for (std::size_t i = 0; i < config_.clients; ++i) {
+  for (std::size_t i = 0; i < spec.clients; ++i) {
     const NodeId id{kClientIdBase + i + 1};
     // Clients sit next to "their" fixed device (one per node position).
-    area_.place(id, placement_.position(i % std::max<std::size_t>(config_.nodes, 1)));
+    area_.place(id, placement_.position(i % std::max<std::size_t>(spec.nodes, 1)));
     clients_.push_back(std::make_unique<pbft::Client>(id, roster_, network_, keys_,
-                                                      config_.protocol.pbft.compute_macs));
+                                                      spec.engine.compute_macs));
   }
 }
 
@@ -370,7 +401,7 @@ void GpbftCluster::on_roster(EraId era, const std::vector<NodeId>& roster) {
 }
 
 std::vector<NodeId> GpbftCluster::fault_targets() const {
-  const std::size_t committee_size = std::min(config_.initial_committee, config_.nodes);
+  const std::size_t committee_size = std::min(spec_.committee.initial, spec_.nodes);
   std::vector<NodeId> victims;
   for (std::size_t i = 0; i < committee_size; ++i) victims.push_back(NodeId{i + 1});
   return victims;
@@ -465,33 +496,32 @@ bool GpbftCluster::restart_node(NodeId id) {
 
 // --- DbftCluster -------------------------------------------------------------------
 
-DbftCluster::DbftCluster(DbftClusterConfig config)
-    : Deployment(config.seed, config.net, config.placement), config_(config) {
-  const std::size_t delegate_count = std::min(config.nodes, config.delegates);
+DbftCluster::DbftCluster(const ScenarioSpec& spec) : Deployment(spec, ProtocolKind::Dbft) {
+  const std::size_t delegate_count = std::min(spec.nodes, spec.dbft.delegates);
   ledger::GenesisConfig genesis_config;
-  genesis_config.chain_seed = config.seed;
+  genesis_config.chain_seed = spec.seed;
   for (std::size_t i = 0; i < delegate_count; ++i) {
     genesis_config.initial_endorsers.push_back(
         ledger::EndorserInfo{NodeId{i + 1}, placement_.position(i)});
   }
   genesis_ = ledger::make_genesis_block(genesis_config);
 
-  dbft_config_.pbft = config.pbft;
-  dbft_config_.block_interval = config.block_interval;
-  dbft_config_.delegate_count = config.delegates;
-  dbft_config_.epoch_blocks = config.epoch_blocks;
+  dbft_config_.pbft = replica_config(spec);
+  dbft_config_.block_interval = spec.dbft.block_interval;
+  dbft_config_.delegate_count = spec.dbft.delegates;
+  dbft_config_.epoch_blocks = spec.dbft.epoch_blocks;
 
-  for (std::size_t i = 0; i < config.nodes; ++i) all_members_.push_back(NodeId{i + 1});
+  for (std::size_t i = 0; i < spec.nodes; ++i) all_members_.push_back(NodeId{i + 1});
   roster_.assign(all_members_.begin(), all_members_.begin() + static_cast<long>(delegate_count));
 
-  for (std::size_t i = 0; i < config.nodes; ++i) {
+  for (std::size_t i = 0; i < spec.nodes; ++i) {
     members_.push_back(std::make_unique<dbft::Delegate>(NodeId{i + 1}, genesis_, dbft_config_,
                                                         stakes_, all_members_, network_, keys_));
     attach_persistence(*members_.back());
   }
-  for (std::size_t i = 0; i < config.clients; ++i) {
+  for (std::size_t i = 0; i < spec.clients; ++i) {
     clients_.push_back(std::make_unique<pbft::Client>(NodeId{kClientIdBase + i + 1}, roster_,
-                                                      network_, keys_, config.pbft.compute_macs));
+                                                      network_, keys_, spec.engine.compute_macs));
   }
 }
 
@@ -591,17 +621,17 @@ struct PowDriver {
 
 }  // namespace
 
-PowCluster::PowCluster(PowClusterConfig config)
-    : Deployment(config.seed, config.net, config.placement), config_(config) {
-  miner_config_.hashrate = config.hashrate;
+PowCluster::PowCluster(const ScenarioSpec& spec) : Deployment(spec, ProtocolKind::Pow) {
+  miner_config_.hashrate = spec.pow.hashrate;
   // Network-wide solve rate = miners * hashrate / difficulty = 1/interval.
-  miner_config_.difficulty = static_cast<std::uint64_t>(
-      static_cast<double>(config.miners) * config.hashrate * config.block_interval.to_seconds());
-  miner_config_.confirmation_depth = config.confirmations;
-  miner_config_.max_batch_size = config.txs_per_block;
+  miner_config_.difficulty = static_cast<std::uint64_t>(static_cast<double>(spec.nodes) *
+                                                        spec.pow.hashrate *
+                                                        spec.pow.block_interval.to_seconds());
+  miner_config_.confirmation_depth = spec.pow.confirmations;
+  miner_config_.max_batch_size = spec.engine.batch_size;
   genesis_ = pow::make_pow_genesis(miner_config_.difficulty);
 
-  for (std::size_t i = 0; i < config.miners; ++i) miner_ids_.push_back(NodeId{i + 1});
+  for (std::size_t i = 0; i < spec.nodes; ++i) miner_ids_.push_back(NodeId{i + 1});
   for (NodeId id : miner_ids_) {
     miners_.push_back(std::make_unique<pow::Miner>(id, miner_ids_, genesis_, miner_config_,
                                                    network_));
@@ -619,7 +649,7 @@ void PowCluster::wire_miner(pow::Miner& miner) {
       if (recorder_ != nullptr) recorder_->record(latency);
       telemetry_.observe("pow.confirm_seconds", latency.to_seconds());
       telemetry_.async_end(request_trace_id(digest), observer, "request", "client",
-                           {{"depth", std::to_string(config_.confirmations)}});
+                           {{"depth", std::to_string(spec_.pow.confirmations)}});
     }
   });
   const NodeId id = miner.id();
@@ -687,7 +717,7 @@ void PowCluster::schedule_workload(const WorkloadSpec& workload, LatencyRecorder
     // endpoint multiplexing does not apply; fall back to per-client streams.
     log_warn("workload.mode=plane is not supported for PoW; using per-client drivers");
   }
-  for (std::size_t i = 0; i < config_.clients; ++i) {
+  for (std::size_t i = 0; i < spec_.clients; ++i) {
     auto driver = std::make_shared<PowDriver>();
     driver->sim = &sim_;
     driver->network = &network_;
@@ -712,7 +742,7 @@ double PowCluster::hashes_computed() const {
 }
 
 bool PowCluster::workload_done(std::uint64_t per_client) const {
-  return confirmed_.size() >= per_client * config_.clients;
+  return confirmed_.size() >= per_client * spec_.clients;
 }
 
 void PowCluster::finish_invariants(InvariantMonitor& monitor) {
@@ -721,8 +751,8 @@ void PowCluster::finish_invariants(InvariantMonitor& monitor) {
   // confirmed. Validity/duplicate checks run over the same prefix.
   for (const auto& miner : miners_) {
     const Height tip = miner->chain().tip_height();
-    if (tip < config_.confirmations) continue;
-    const Height limit = tip - config_.confirmations;
+    if (tip < spec_.pow.confirmations) continue;
+    const Height limit = tip - spec_.pow.confirmations;
     for (const pow::PowBlock& block : miner->chain().best_chain()) {
       const Height height = block.header.height;
       if (height == 0 || height > limit) continue;  // genesis is shared by construction
@@ -736,94 +766,12 @@ void PowCluster::finish_invariants(InvariantMonitor& monitor) {
 
 // --- factory ---------------------------------------------------------------------
 
-pbft::PbftConfig to_pbft_config(const EngineSpec& engine) {
-  pbft::PbftConfig config;
-  config.max_batch_size = engine.batch_size;
-  config.pipeline_depth = engine.pipeline_depth;
-  config.checkpoint_interval = engine.checkpoint_interval;
-  config.compute_macs = engine.compute_macs;
-  config.request_timeout = engine.request_timeout;
-  config.view_change_timeout = engine.view_change_timeout;
-  return config;
-}
-
-pbft::PbftConfig to_pbft_config(const EngineSpec& engine, const BatchSpec& batch) {
-  pbft::PbftConfig config = to_pbft_config(engine);
-  config.batch_close_size = batch.size;
-  config.batch_close_timeout = batch.timeout;
-  return config;
-}
-
-std::unique_ptr<PbftCluster> make_pbft_deployment(const ScenarioSpec& spec) {
-  PbftClusterConfig config;
-  config.replicas = spec.nodes;
-  config.clients = spec.clients;
-  config.seed = spec.seed;
-  config.net = spec.net;
-  config.pbft = to_pbft_config(spec.engine, spec.batch);
-  config.placement = spec.placement;
-  return std::make_unique<PbftCluster>(config);
-}
-
-std::unique_ptr<GpbftCluster> make_gpbft_deployment(const ScenarioSpec& spec) {
-  GpbftClusterConfig config;
-  config.nodes = spec.nodes;
-  config.initial_committee = std::min(spec.committee.initial, spec.nodes);
-  config.clients = spec.clients;
-  config.seed = spec.seed;
-  config.net = spec.net;
-  config.placement = spec.placement;
-  config.protocol.pbft = to_pbft_config(spec.engine, spec.batch);
-  config.protocol.genesis.era_period = spec.committee.era_period;
-  config.protocol.genesis.policy.min_endorsers = spec.committee.min;
-  config.protocol.genesis.policy.max_endorsers = spec.committee.max;
-  config.protocol.genesis.geo_report_period = spec.geo.report_period;
-  config.protocol.genesis.geo_window = spec.geo.window;
-  config.protocol.genesis.min_geo_reports = spec.geo.min_reports;
-  config.protocol.genesis.promotion_threshold = spec.geo.promotion_threshold;
-  config.protocol.geo_reports_on_chain = spec.geo.reports_on_chain;
-  config.protocol.genesis.reputation.enabled = spec.reputation.enabled;
-  config.protocol.genesis.reputation.half_life = spec.reputation.half_life;
-  config.protocol.genesis.reputation.quarantine_enter = spec.reputation.quarantine_enter;
-  config.protocol.genesis.reputation.quarantine_exit = spec.reputation.quarantine_exit;
-  config.protocol.genesis.sybil_rate_factor = spec.reputation.sybil_rate_factor;
-  return std::make_unique<GpbftCluster>(config);
-}
-
-std::unique_ptr<DbftCluster> make_dbft_deployment(const ScenarioSpec& spec) {
-  DbftClusterConfig config;
-  config.nodes = spec.nodes;
-  config.clients = spec.clients;
-  config.seed = spec.seed;
-  config.net = spec.net;
-  config.pbft = to_pbft_config(spec.engine, spec.batch);
-  config.block_interval = spec.dbft.block_interval;
-  config.delegates = spec.dbft.delegates;
-  config.epoch_blocks = spec.dbft.epoch_blocks;
-  config.placement = spec.placement;
-  return std::make_unique<DbftCluster>(config);
-}
-
-std::unique_ptr<PowCluster> make_pow_deployment(const ScenarioSpec& spec) {
-  PowClusterConfig config;
-  config.miners = spec.nodes;
-  config.clients = spec.clients;
-  config.seed = spec.seed;
-  config.net = spec.net;
-  config.txs_per_block = spec.engine.batch_size;
-  config.block_interval = spec.pow.block_interval;
-  config.confirmations = spec.pow.confirmations;
-  config.hashrate = spec.pow.hashrate;
-  config.placement = spec.placement;
-  return std::make_unique<PowCluster>(config);
-}
-
 std::unique_ptr<Deployment> make_deployment(const ScenarioSpec& spec) {
   switch (spec.protocol) {
-    case ProtocolKind::Pbft: return make_pbft_deployment(spec);
-    case ProtocolKind::Gpbft: return make_gpbft_deployment(spec);
-    case ProtocolKind::Dbft: return make_dbft_deployment(spec);
-    case ProtocolKind::Pow: return make_pow_deployment(spec);
+    case ProtocolKind::Pbft: return std::make_unique<PbftCluster>(spec);
+    case ProtocolKind::Gpbft: return std::make_unique<GpbftCluster>(spec);
+    case ProtocolKind::Dbft: return std::make_unique<DbftCluster>(spec);
+    case ProtocolKind::Pow: return std::make_unique<PowCluster>(spec);
   }
   return nullptr;
 }

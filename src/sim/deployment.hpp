@@ -20,10 +20,11 @@
 //   PowCluster   — simulated Poisson miners with heaviest-chain fork
 //                  choice; transactions confirm at a configured depth.
 //
-// Deployments are built from a declarative ScenarioSpec via
-// make_deployment() — the only construction path benches, examples and the
-// CLI use. Tests that need full-fidelity knobs may still fill the concrete
-// config structs directly.
+// Every deployment is built from one declarative ScenarioSpec, which it keeps
+// (spec()). make_deployment() picks the cluster the spec's protocol names;
+// callers that need a concrete cluster's API construct it from the spec
+// directly (std::make_unique<GpbftCluster>(spec)), and a spec naming another
+// protocol aborts the construction.
 #pragma once
 
 #include <functional>
@@ -75,7 +76,9 @@ class Deployment {
   /// transactions) or the deadline passes; returns true when done.
   bool run_until_committed(std::uint64_t per_client, TimePoint deadline);
 
-  [[nodiscard]] virtual ProtocolKind kind() const = 0;
+  /// The description this deployment was built from.
+  [[nodiscard]] const ScenarioSpec& spec() const { return spec_; }
+
   /// The current consensus committee (all nodes for PBFT/PoW).
   [[nodiscard]] virtual std::vector<NodeId> committee() const = 0;
   [[nodiscard]] virtual std::size_t committee_size() const { return committee().size(); }
@@ -166,7 +169,9 @@ class Deployment {
   [[nodiscard]] std::size_t client_count() const { return clients_.size(); }
 
  protected:
-  Deployment(std::uint64_t seed, const net::NetConfig& net, const PlacementConfig& placement);
+  /// Builds the shared plumbing from `spec`; aborts unless spec.protocol is
+  /// `protocol`, the one the concrete cluster implements.
+  Deployment(const ScenarioSpec& spec, ProtocolKind protocol);
 
   virtual void start_nodes() = 0;
   virtual void stop_nodes() = 0;
@@ -182,6 +187,7 @@ class Deployment {
   /// Monitor bookkeeping shared by every restart_node override.
   void note_restarted(pbft::Replica& replica);
 
+  const ScenarioSpec spec_;
   obs::Telemetry telemetry_;  // before network_: the network holds a pointer
   net::Simulator sim_;
   net::Network network_;
@@ -198,20 +204,11 @@ class Deployment {
 
 // --- PBFT baseline ------------------------------------------------------------
 
-struct PbftClusterConfig {
-  std::size_t replicas{4};
-  std::size_t clients{0};
-  std::uint64_t seed{1};
-  net::NetConfig net;
-  pbft::PbftConfig pbft;
-  PlacementConfig placement;
-};
-
+/// spec.nodes replicas and spec.clients clients.
 class PbftCluster : public Deployment {
  public:
-  explicit PbftCluster(PbftClusterConfig config);
+  explicit PbftCluster(const ScenarioSpec& spec);
 
-  [[nodiscard]] ProtocolKind kind() const override { return ProtocolKind::Pbft; }
   [[nodiscard]] std::vector<NodeId> committee() const override;
   void set_fault_mode(NodeId id, pbft::FaultMode mode) override;
   bool restart_node(NodeId id) override;
@@ -228,7 +225,6 @@ class PbftCluster : public Deployment {
   void stop_nodes() override;
 
  private:
-  PbftClusterConfig config_;
   ledger::Block genesis_;            // reconstruction material for restarts
   std::vector<NodeId> member_ids_;
   std::vector<std::unique_ptr<pbft::Replica>> replicas_;
@@ -236,24 +232,13 @@ class PbftCluster : public Deployment {
 
 // --- G-PBFT deployment ----------------------------------------------------------
 
-struct GpbftClusterConfig {
-  /// Endorser-capable fixed devices (ids 1..nodes). The first
-  /// `initial_committee` form the genesis roster; the rest start as
-  /// candidates and may be promoted by era switches.
-  std::size_t nodes{4};
-  std::size_t initial_committee{4};
-  std::size_t clients{0};
-  std::uint64_t seed{1};
-  net::NetConfig net;
-  ::gpbft::gpbft::GpbftConfig protocol;  // genesis roster/area filled by the cluster
-  PlacementConfig placement;
-};
-
+/// Endorser-capable fixed devices (ids 1..spec.nodes). The first
+/// min(committee.initial, nodes) form the genesis roster; the rest start as
+/// candidates and may be promoted by era switches.
 class GpbftCluster : public Deployment {
  public:
-  explicit GpbftCluster(GpbftClusterConfig config);
+  explicit GpbftCluster(const ScenarioSpec& spec);
 
-  [[nodiscard]] ProtocolKind kind() const override { return ProtocolKind::Gpbft; }
   [[nodiscard]] std::vector<NodeId> committee() const override { return roster_; }
   [[nodiscard]] std::size_t committee_size() const override { return roster_.size(); }
   /// Fault victims are the genesis committee (see fault_targets docs).
@@ -287,7 +272,6 @@ class GpbftCluster : public Deployment {
  private:
   void on_roster(EraId era, const std::vector<NodeId>& roster);
 
-  GpbftClusterConfig config_;
   ::gpbft::gpbft::AreaRegistry area_;
   ::gpbft::gpbft::GpbftConfig protocol_;  // resolved config, for restarts
   ledger::Block genesis_;
@@ -300,32 +284,18 @@ class GpbftCluster : public Deployment {
 
 // --- dBFT deployment ------------------------------------------------------------
 
-struct DbftClusterConfig {
-  /// Delegate-capable members (ids 1..nodes); the first
-  /// min(nodes, delegates) form the genesis delegate roster.
-  std::size_t nodes{7};
-  std::size_t clients{0};
-  std::uint64_t seed{1};
-  net::NetConfig net;
-  pbft::PbftConfig pbft;
-  Duration block_interval = Duration::seconds(15);
-  std::size_t delegates{7};
-  std::size_t epoch_blocks{16};
-  PlacementConfig placement;
-};
-
+/// Delegate-capable members (ids 1..spec.nodes); the first
+/// min(nodes, dbft.delegates) form the genesis delegate roster.
 class DbftCluster : public Deployment {
  public:
-  explicit DbftCluster(DbftClusterConfig config);
+  explicit DbftCluster(const ScenarioSpec& spec);
 
-  [[nodiscard]] ProtocolKind kind() const override { return ProtocolKind::Dbft; }
   [[nodiscard]] std::vector<NodeId> committee() const override { return roster_; }
   void set_fault_mode(NodeId id, pbft::FaultMode mode) override;
   bool restart_node(NodeId id) override;
   void watch(InvariantMonitor& monitor) override;
 
   [[nodiscard]] dbft::Delegate& delegate(std::size_t i) { return *members_.at(i); }
-  [[nodiscard]] std::size_t delegate_count() const { return members_.size(); }
   [[nodiscard]] std::string tip_hex() const override {
     return members_.at(0)->chain().tip().hash().hex();
   }
@@ -335,7 +305,6 @@ class DbftCluster : public Deployment {
   void stop_nodes() override;
 
  private:
-  DbftClusterConfig config_;
   dbft::StakeRegistry stakes_;  // no voting unless a test registers stake
   dbft::DbftConfig dbft_config_;  // reconstruction material for restarts
   ledger::Block genesis_;
@@ -346,30 +315,16 @@ class DbftCluster : public Deployment {
 
 // --- PoW deployment -------------------------------------------------------------
 
-struct PowClusterConfig {
-  std::size_t miners{7};
-  /// Proposing devices; their submissions gossip to every miner. PoW has no
-  /// reply path, so proposers are simulated drivers, not pbft::Clients.
-  std::size_t clients{0};
-  std::uint64_t seed{1};
-  net::NetConfig net;
-  /// Transactions a miner packs into one block template. (Distinct from the
-  /// consensus-engine batch.* request-pipeline knobs — this caps block
-  /// contents, not how many requests share a three-phase instance.)
-  std::size_t txs_per_block{32};
-  /// Consensus difficulty = miners * hashrate * block_interval (network-
-  /// wide solve rate of one block per interval).
-  Duration block_interval = Duration::seconds(10);
-  Height confirmations{3};
-  double hashrate{1e6};
-  PlacementConfig placement;
-};
-
+/// spec.nodes miners. The spec.clients proposing devices gossip their
+/// submissions to every miner; PoW has no reply path, so proposers are
+/// simulated drivers, not pbft::Clients. A block template holds at most
+/// engine.batch_size transactions (block contents, not the batch.* request
+/// pipeline), and the difficulty is nodes * pow.hashrate *
+/// pow.block_interval: one block per interval network-wide.
 class PowCluster : public Deployment {
  public:
-  explicit PowCluster(PowClusterConfig config);
+  explicit PowCluster(const ScenarioSpec& spec);
 
-  [[nodiscard]] ProtocolKind kind() const override { return ProtocolKind::Pow; }
   [[nodiscard]] std::vector<NodeId> committee() const override;
   void schedule_workload(const WorkloadSpec& workload, LatencyRecorder* recorder,
                          SubmitHook on_submit = {}) override;
@@ -383,7 +338,6 @@ class PowCluster : public Deployment {
   void finish_invariants(InvariantMonitor& monitor) override;
 
   [[nodiscard]] pow::Miner& miner(std::size_t i) { return *miners_.at(i); }
-  [[nodiscard]] std::size_t miner_count() const { return miners_.size(); }
   [[nodiscard]] std::string tip_hex() const override {
     return miners_.at(0)->chain().tip_hash().hex();
   }
@@ -396,7 +350,6 @@ class PowCluster : public Deployment {
  private:
   void wire_miner(pow::Miner& miner);
 
-  PowClusterConfig config_;
   pow::MinerConfig miner_config_;  // reconstruction material for restarts
   pow::PowBlock genesis_;
   std::vector<NodeId> miner_ids_;
@@ -407,21 +360,7 @@ class PowCluster : public Deployment {
 
 // --- factory ---------------------------------------------------------------------
 
-/// Translates the engine piece of a spec into the PBFT replica config.
-[[nodiscard]] pbft::PbftConfig to_pbft_config(const EngineSpec& engine);
-/// As above, plus the consensus batching knobs (batch.size / batch.timeout
-/// map to PbftConfig::batch_close_size / batch_close_timeout).
-[[nodiscard]] pbft::PbftConfig to_pbft_config(const EngineSpec& engine, const BatchSpec& batch);
-
-/// Builds the deployment a spec describes. The only construction path for
-/// benches, examples and the CLI.
+/// Builds the cluster for the protocol the spec names.
 [[nodiscard]] std::unique_ptr<Deployment> make_deployment(const ScenarioSpec& spec);
-
-/// Typed factories for consumers that need the concrete API (G-PBFT area
-/// registry, endorser access, ...). The spec's protocol field must match.
-[[nodiscard]] std::unique_ptr<PbftCluster> make_pbft_deployment(const ScenarioSpec& spec);
-[[nodiscard]] std::unique_ptr<GpbftCluster> make_gpbft_deployment(const ScenarioSpec& spec);
-[[nodiscard]] std::unique_ptr<DbftCluster> make_dbft_deployment(const ScenarioSpec& spec);
-[[nodiscard]] std::unique_ptr<PowCluster> make_pow_deployment(const ScenarioSpec& spec);
 
 }  // namespace gpbft::sim

@@ -85,20 +85,20 @@ PhaseBreakdown phase_breakdown(Deployment& deployment) {
 
 }  // namespace
 
-std::uint64_t expected_commits(const Deployment& deployment, const ScenarioSpec& spec) {
+std::uint64_t expected_commits(const Deployment& deployment) {
+  const ScenarioSpec& spec = deployment.spec();
   return deployment.plane() != nullptr ? deployment.plane()->submitted()
                                        : spec.workload.txs_per_client * spec.clients;
 }
 
-ExperimentResult finish_result(Deployment& deployment, const ScenarioSpec& spec,
-                               const LatencyRecorder& recorder) {
+ExperimentResult finish_result(Deployment& deployment, const LatencyRecorder& recorder) {
   ExperimentResult result;
-  result.nodes = spec.nodes;
+  result.nodes = deployment.spec().nodes;
   result.committee = deployment.committee_size();
   result.latency_samples = recorder.samples();
   result.latency = recorder.boxplot();
   result.committed = deployment.committed_count();
-  result.expected = expected_commits(deployment, spec);
+  result.expected = expected_commits(deployment);
   result.consensus_kb = consensus_kilobytes(deployment.stats());
   result.total_kb = deployment.stats().total_kilobytes();
   result.sim_seconds = deployment.simulator().now().to_seconds();
@@ -127,7 +127,7 @@ ExperimentResult run_latency(ProtocolKind protocol, std::size_t nodes,
   deployment->run_until_committed(spec.workload.txs_per_client, TimePoint{spec.deadline.ns});
   deployment->stop();
   deployment->finalize_telemetry();
-  return finish_result(*deployment, spec, recorder);
+  return finish_result(*deployment, recorder);
 }
 
 ExperimentResult run_pbft_latency(std::size_t nodes, const ExperimentOptions& options) {
@@ -151,45 +151,40 @@ ExperimentResult run_pow_latency(std::size_t nodes, const ExperimentOptions& opt
 namespace {
 
 /// One client proposing exactly one transaction.
-ScenarioSpec single_tx_scenario(ProtocolKind protocol, std::size_t nodes,
-                                const ExperimentOptions& options) {
+ExperimentResult run_single_tx(ProtocolKind protocol, std::size_t nodes,
+                               const ExperimentOptions& options) {
   ScenarioSpec spec = scenario_for(protocol, nodes, 1, options);
   spec.workload.txs_per_client = 1;
-  return spec;
-}
-
-ExperimentResult run_single_tx(Deployment& cluster, const ScenarioSpec& spec) {
-  cluster.start();
-  cluster.run_for(Duration::millis(100));  // settle attachments
-  cluster.network().reset_stats();
+  const std::unique_ptr<Deployment> cluster = make_deployment(spec);
+  cluster->start();
+  cluster->run_for(Duration::millis(100));  // settle attachments
+  cluster->network().reset_stats();
 
   LatencyRecorder recorder;
-  cluster.client(0).set_retry_interval(Duration{0});
-  cluster.client(0).set_commit_callback(
+  cluster->client(0).set_retry_interval(Duration{0});
+  cluster->client(0).set_commit_callback(
       [&recorder](const crypto::Hash256&, Height, Duration latency) {
         recorder.record(latency);
       });
   const ledger::Transaction tx = make_workload_tx(
-      cluster.client(0).id(), 1, cluster.placement().position(0),
-      cluster.simulator().now(), 32, 10, spec.seed);
-  cluster.client(0).submit(tx);
+      cluster->client(0).id(), 1, cluster->placement().position(0),
+      cluster->simulator().now(), 32, 10, spec.seed);
+  cluster->client(0).submit(tx);
 
-  cluster.run_until_committed(1, TimePoint{spec.deadline.ns});
-  cluster.stop();
-  cluster.finalize_telemetry();
-  return finish_result(cluster, spec, recorder);
+  cluster->run_until_committed(1, TimePoint{spec.deadline.ns});
+  cluster->stop();
+  cluster->finalize_telemetry();
+  return finish_result(*cluster, recorder);
 }
 
 }  // namespace
 
 ExperimentResult run_pbft_single_tx(std::size_t nodes, const ExperimentOptions& options) {
-  const ScenarioSpec spec = single_tx_scenario(ProtocolKind::Pbft, nodes, options);
-  return run_single_tx(*make_pbft_deployment(spec), spec);
+  return run_single_tx(ProtocolKind::Pbft, nodes, options);
 }
 
 ExperimentResult run_gpbft_single_tx(std::size_t nodes, const ExperimentOptions& options) {
-  const ScenarioSpec spec = single_tx_scenario(ProtocolKind::Gpbft, nodes, options);
-  return run_single_tx(*make_gpbft_deployment(spec), spec);
+  return run_single_tx(ProtocolKind::Gpbft, nodes, options);
 }
 
 }  // namespace gpbft::sim

@@ -99,16 +99,16 @@ struct ExperimentResult {
 /// Consensus-traffic bytes from network stats (KB).
 [[nodiscard]] double consensus_kilobytes(const net::NetStats& stats);
 
-/// Commits a run of `spec` on `deployment` should reach: what the open-loop
-/// plane actually submitted in Plane mode, the per-client quota otherwise.
-[[nodiscard]] std::uint64_t expected_commits(const Deployment& deployment,
-                                             const ScenarioSpec& spec);
+/// Commits a run on `deployment` should reach: what the open-loop plane
+/// actually submitted in Plane mode, the per-client quota of its spec
+/// otherwise.
+[[nodiscard]] std::uint64_t expected_commits(const Deployment& deployment);
 
-/// Collects the measured quantities of a finished run of `spec`: committee,
-/// latency distribution, commits against expected_commits(), wire bytes,
-/// simulated time so far, era switches, hash work and the per-phase
-/// breakdown. The one collector behind every runner, bench and the CLI.
-[[nodiscard]] ExperimentResult finish_result(Deployment& deployment, const ScenarioSpec& spec,
+/// Collects the measured quantities of a finished run: committee, latency
+/// distribution, commits against expected_commits(), wire bytes, simulated
+/// time so far, era switches, hash work and the per-phase breakdown. The one
+/// collector behind every runner, bench and the CLI.
+[[nodiscard]] ExperimentResult finish_result(Deployment& deployment,
                                              const LatencyRecorder& recorder);
 
 /// The ScenarioSpec a latency experiment deploys: `nodes` protocol nodes,

@@ -61,8 +61,6 @@ Result<ArrivalProcess> arrival_from_name(const std::string& name) {
                     "\" (expected constant|poisson|burst|diurnal)");
 }
 
-namespace {
-
 // --- strict value parsers ------------------------------------------------------------
 //
 // Every parser consumes the whole value or fails: "3abc", "1e3garbage" and
@@ -81,17 +79,6 @@ Result<std::uint64_t> parse_u64(const std::string& value) {
   return static_cast<std::uint64_t>(parsed);
 }
 
-Result<std::int64_t> parse_i64(const std::string& value) {
-  if (value.empty()) return make_error("expected integer, got \"\"");
-  errno = 0;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(value.c_str(), &end, 10);
-  if (end != value.c_str() + value.size() || errno == ERANGE) {
-    return make_error("expected integer, got \"" + value + "\"");
-  }
-  return static_cast<std::int64_t>(parsed);
-}
-
 Result<double> parse_double(const std::string& value) {
   if (value.empty()) return make_error("expected number, got \"\"");
   errno = 0;
@@ -101,6 +88,35 @@ Result<double> parse_double(const std::string& value) {
     return make_error("expected number, got \"" + value + "\"");
   }
   return parsed;
+}
+
+Result<std::vector<std::uint64_t>> parse_id_list(const std::string& value) {
+  std::vector<std::uint64_t> ids;
+  if (value.empty()) return ids;
+  std::size_t start = 0;
+  while (true) {
+    const std::size_t comma = value.find(',', start);
+    auto parsed = parse_u64(value.substr(start, comma - start));  // npos: the rest
+    if (!parsed || parsed.value() == 0) {
+      return make_error("expected comma-separated positive integers, got \"" + value + "\"");
+    }
+    ids.push_back(parsed.value());
+    if (comma == std::string::npos) return ids;
+    start = comma + 1;
+  }
+}
+
+namespace {
+
+Result<std::int64_t> parse_i64(const std::string& value) {
+  if (value.empty()) return make_error("expected integer, got \"\"");
+  errno = 0;
+  char* end = nullptr;
+  const long long parsed = std::strtoll(value.c_str(), &end, 10);
+  if (end != value.c_str() + value.size() || errno == ERANGE) {
+    return make_error("expected integer, got \"" + value + "\"");
+  }
+  return static_cast<std::int64_t>(parsed);
 }
 
 Result<bool> parse_bool(const std::string& value) {
@@ -209,6 +225,26 @@ Field bool_field(const char* key, Sub ScenarioSpec::* sub, bool Sub::* member) {
           }};
 }
 
+Field id_list_field(const char* key, std::vector<NodeId> CommitteeSpec::* member) {
+  return {key,
+          [member](const ScenarioSpec& s) {
+            std::string out;
+            for (const NodeId id : s.committee.*member) {
+              if (!out.empty()) out += ',';
+              out += std::to_string(id.value);
+            }
+            return out;
+          },
+          [member](ScenarioSpec& s, const std::string& v) -> Result<void> {
+            auto parsed = parse_id_list(v);
+            if (!parsed) return make_error(parsed.error());
+            std::vector<NodeId>& ids = s.committee.*member;
+            ids.clear();
+            for (const std::uint64_t id : parsed.value()) ids.push_back(NodeId{id});
+            return {};
+          }};
+}
+
 const std::vector<Field>& field_table() {
   static const std::vector<Field> fields = [] {
     std::vector<Field> f;
@@ -307,6 +343,8 @@ const std::vector<Field>& field_table() {
     f.push_back(size_field("committee.max", &ScenarioSpec::committee, &CommitteeSpec::max));
     f.push_back(duration_field("committee.era_period_ns", &ScenarioSpec::committee,
                                &CommitteeSpec::era_period));
+    f.push_back(id_list_field("committee.blacklist", &CommitteeSpec::blacklist));
+    f.push_back(id_list_field("committee.whitelist", &CommitteeSpec::whitelist));
 
     f.push_back(duration_field("geo.report_period_ns", &ScenarioSpec::geo,
                                &GeoSpec::report_period));
@@ -318,8 +356,6 @@ const std::vector<Field>& field_table() {
                            &GeoSpec::reports_on_chain));
 
     f.push_back(size_field("engine.batch_size", &ScenarioSpec::engine, &EngineSpec::batch_size));
-    f.push_back(size_field("engine.pipeline_depth", &ScenarioSpec::engine,
-                           &EngineSpec::pipeline_depth));
     f.push_back(size_field("engine.checkpoint_interval", &ScenarioSpec::engine,
                            &EngineSpec::checkpoint_interval));
     f.push_back(bool_field("engine.compute_macs", &ScenarioSpec::engine,

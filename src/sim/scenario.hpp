@@ -4,9 +4,9 @@
 // protocol to run (PBFT / G-PBFT / dBFT / PoW), how many nodes and clients,
 // committee bounds, network and placement models, the workload, and an
 // optional chaos (fault-injection) plan reference. Every consumer of the
-// harness — the experiment runners, the chaos campaigns, the CLI, benches
-// and examples — builds deployments from a spec via make_deployment()
-// (deployment.hpp) instead of wiring protocol objects by hand.
+// harness — the experiment runners, the chaos campaigns, the CLI, benches,
+// examples and tests — builds its deployments from a spec (deployment.hpp)
+// instead of wiring protocol objects by hand.
 //
 // Specs serialise to a small deterministic key=value text format
 // (print_scenario / parse_scenario): one `key=value` per line, `#` comments,
@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/result.hpp"
 #include "net/network.hpp"
@@ -99,13 +100,19 @@ struct BatchSpec {
   friend bool operator==(const BatchSpec&, const BatchSpec&) = default;
 };
 
-/// Committee bounds and era cadence (G-PBFT: §V-A min 4 / max 40; dBFT
-/// reuses `initial` as its delegate count ceiling via DbftSpec).
+/// Committee bounds, era cadence and the genesis admittance lists (G-PBFT:
+/// §V-A min 4 / max 40, §III-C blacklist and whitelist; dBFT reuses
+/// `initial` as its delegate count ceiling via DbftSpec).
 struct CommitteeSpec {
   std::size_t initial{4};
   std::size_t min{4};
   std::size_t max{40};
   Duration era_period = Duration::seconds(60);
+  /// Devices no era switch seats (a seated one is dropped at the next).
+  std::vector<NodeId> blacklist;
+  /// Candidates seated at the next era switch without the stationarity
+  /// qualification, while the committee is below `max`.
+  std::vector<NodeId> whitelist;
 
   friend bool operator==(const CommitteeSpec&, const CommitteeSpec&) = default;
 };
@@ -126,7 +133,6 @@ struct GeoSpec {
 /// replica a default PbftConfig does.
 struct EngineSpec {
   std::size_t batch_size{8};
-  std::size_t pipeline_depth{1};
   std::size_t checkpoint_interval{16};
   bool compute_macs{true};
   Duration request_timeout = Duration::seconds(20);
@@ -249,6 +255,15 @@ struct ScenarioSpec {
 
   friend bool operator==(const ScenarioSpec&, const ScenarioSpec&) = default;
 };
+
+/// Strict value parsers behind parse_scenario, shared with the CLI's flags.
+/// Each consumes the whole string or fails: "3abc", "1e3garbage" and silent
+/// overflow are errors, not a quietly truncated number.
+[[nodiscard]] Result<std::uint64_t> parse_u64(const std::string& value);
+[[nodiscard]] Result<double> parse_double(const std::string& value);
+/// Comma-separated positive integers ("4,40,130"); "" is the empty list.
+/// Empty items ("1,,2"), zero and junk ("3x") are errors.
+[[nodiscard]] Result<std::vector<std::uint64_t>> parse_id_list(const std::string& value);
 
 /// Deterministic key=value rendering; parse_scenario(print_scenario(s)) == s.
 [[nodiscard]] std::string print_scenario(const ScenarioSpec& spec);

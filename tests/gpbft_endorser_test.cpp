@@ -15,23 +15,23 @@ using ::gpbft::gpbft::Role;
 
 /// A deployment tuned so the era machinery is observable within seconds:
 /// reports every 2 s, eras every 10 s, promotion after 15 s stationary.
-GpbftClusterConfig fast_config(std::size_t nodes, std::size_t committee,
-                               std::size_t max_endorsers = 40) {
-  GpbftClusterConfig config;
-  config.nodes = nodes;
-  config.initial_committee = committee;
-  config.clients = 1;
-  config.seed = 7;
-  config.protocol.genesis.era_period = Duration::seconds(10);
-  config.protocol.genesis.geo_report_period = Duration::seconds(2);
-  config.protocol.genesis.geo_window = Duration::seconds(10);
-  config.protocol.genesis.min_geo_reports = 2;
-  config.protocol.genesis.promotion_threshold = Duration::seconds(15);
-  config.protocol.genesis.policy.min_endorsers = 4;
-  config.protocol.genesis.policy.max_endorsers = max_endorsers;
-  config.protocol.pbft.request_timeout = Duration::seconds(6);
-  config.protocol.pbft.view_change_timeout = Duration::seconds(5);
-  return config;
+ScenarioSpec fast_spec(std::size_t nodes, std::size_t committee, std::size_t max_endorsers = 40) {
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Gpbft;
+  spec.nodes = nodes;
+  spec.committee.initial = committee;
+  spec.clients = 1;
+  spec.seed = 7;
+  spec.committee.era_period = Duration::seconds(10);
+  spec.geo.report_period = Duration::seconds(2);
+  spec.geo.window = Duration::seconds(10);
+  spec.geo.min_reports = 2;
+  spec.geo.promotion_threshold = Duration::seconds(15);
+  spec.committee.min = 4;
+  spec.committee.max = max_endorsers;
+  spec.engine.request_timeout = Duration::seconds(6);
+  spec.engine.view_change_timeout = Duration::seconds(5);
+  return spec;
 }
 
 ledger::Transaction tx_from(GpbftCluster& cluster, RequestId request) {
@@ -40,7 +40,7 @@ ledger::Transaction tx_from(GpbftCluster& cluster, RequestId request) {
 }
 
 TEST(Endorser, InitialRolesFromGenesis) {
-  GpbftCluster cluster(fast_config(6, 4));
+  GpbftCluster cluster(fast_spec(6, 4));
   cluster.start();
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(cluster.endorser(i).role(), Role::Active);
   for (std::size_t i = 4; i < 6; ++i) EXPECT_EQ(cluster.endorser(i).role(), Role::Candidate);
@@ -48,7 +48,7 @@ TEST(Endorser, InitialRolesFromGenesis) {
 }
 
 TEST(Endorser, StationaryCandidatesGetPromoted) {
-  GpbftCluster cluster(fast_config(6, 4));
+  GpbftCluster cluster(fast_spec(6, 4));
   cluster.start();
   cluster.run_for(Duration::seconds(35));  // a few era periods
 
@@ -59,7 +59,7 @@ TEST(Endorser, StationaryCandidatesGetPromoted) {
 }
 
 TEST(Endorser, PromotedNewcomerReceivesStateTransfer) {
-  GpbftCluster cluster(fast_config(6, 4));
+  GpbftCluster cluster(fast_spec(6, 4));
   cluster.start();
 
   // Commit some blocks before the candidates qualify.
@@ -80,7 +80,7 @@ TEST(Endorser, PromotedNewcomerReceivesStateTransfer) {
 }
 
 TEST(Endorser, MaxEndorsersEnforced) {
-  GpbftCluster cluster(fast_config(8, 4, /*max=*/5));
+  GpbftCluster cluster(fast_spec(8, 4, /*max=*/5));
   cluster.start();
   cluster.run_for(Duration::seconds(40));
   EXPECT_EQ(cluster.committee_size(), 5u);
@@ -93,7 +93,7 @@ TEST(Endorser, MaxEndorsersEnforced) {
 }
 
 TEST(Endorser, MovedEndorserDemotedNextEra) {
-  GpbftCluster cluster(fast_config(6, 4));
+  GpbftCluster cluster(fast_spec(6, 4));
   cluster.start();
   cluster.run_for(Duration::seconds(25));  // promotions happen
   ASSERT_EQ(cluster.committee_size(), 6u);
@@ -114,8 +114,8 @@ TEST(Endorser, MovedEndorserDemotedNextEra) {
 TEST(Endorser, MinimumAbortsShrinkingSwitch) {
   // 4 members at the minimum; one moves. Dropping it would violate the
   // minimum, so the switch is aborted and the roster stays intact (§III-C).
-  GpbftClusterConfig config = fast_config(4, 4);
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = fast_spec(4, 4);
+  GpbftCluster cluster(spec);
   cluster.start();
   cluster.run_for(Duration::seconds(5));
 
@@ -134,7 +134,7 @@ TEST(Endorser, MinimumAbortsShrinkingSwitch) {
 }
 
 TEST(Endorser, LyingCandidateNeverPromoted) {
-  GpbftCluster cluster(fast_config(6, 4));
+  GpbftCluster cluster(fast_spec(6, 4));
   // Device 6 claims the area center while the registry knows it is absent
   // from that spot (it is at its own grid position): untruthful claims.
   cluster.endorser(5).set_location(cluster.placement().position(50));
@@ -147,7 +147,7 @@ TEST(Endorser, LyingCandidateNeverPromoted) {
 }
 
 TEST(Endorser, OutOfAreaCandidateNeverPromoted) {
-  GpbftCluster cluster(fast_config(6, 4));
+  GpbftCluster cluster(fast_spec(6, 4));
   const geo::GeoPoint outside = cluster.placement().outside_position(0);
   cluster.endorser(5).set_location(outside);
   cluster.area().place(cluster.endorser(5).id(), outside);  // truthfully outside
@@ -159,7 +159,7 @@ TEST(Endorser, OutOfAreaCandidateNeverPromoted) {
 }
 
 TEST(Endorser, CrashedPrimaryPenalizedAndExpelled) {
-  GpbftCluster cluster(fast_config(6, 4));
+  GpbftCluster cluster(fast_spec(6, 4));
   cluster.start();
   cluster.run_for(Duration::seconds(1));
 
@@ -179,7 +179,7 @@ TEST(Endorser, CrashedPrimaryPenalizedAndExpelled) {
 }
 
 TEST(Endorser, ProducerOrderDrivesPrimarySchedule) {
-  GpbftCluster cluster(fast_config(6, 4));
+  GpbftCluster cluster(fast_spec(6, 4));
   cluster.start();
   cluster.run_for(Duration::seconds(35));
   ASSERT_EQ(cluster.committee_size(), 6u);
@@ -202,7 +202,7 @@ TEST(Endorser, ProducerOrderDrivesPrimarySchedule) {
 }
 
 TEST(Endorser, ProducerTimerResetsAfterBlock) {
-  GpbftCluster cluster(fast_config(4, 4));
+  GpbftCluster cluster(fast_spec(4, 4));
   cluster.start();
   cluster.run_for(Duration::seconds(5));
 
@@ -221,7 +221,7 @@ TEST(Endorser, ProducerTimerResetsAfterBlock) {
 }
 
 TEST(Endorser, ClientsFollowRosterAcrossEras) {
-  GpbftCluster cluster(fast_config(6, 4));
+  GpbftCluster cluster(fast_spec(6, 4));
   cluster.start();
   cluster.run_for(Duration::seconds(35));
   ASSERT_EQ(cluster.committee_size(), 6u);
@@ -235,7 +235,7 @@ TEST(Endorser, ClientsFollowRosterAcrossEras) {
 TEST(Endorser, CommitsDuringEraSwitchResume) {
   // Transactions arriving while the committee is halted are queued and
   // commit after the switch period (§III-E).
-  GpbftCluster cluster(fast_config(6, 4));
+  GpbftCluster cluster(fast_spec(6, 4));
   cluster.start();
   // Submit right before the first era boundary (t = 10 s).
   cluster.run_for(Duration::millis(9950));
@@ -245,7 +245,7 @@ TEST(Endorser, CommitsDuringEraSwitchResume) {
 }
 
 TEST(Endorser, ForkEvidencePenalizesProducer) {
-  GpbftCluster cluster(fast_config(4, 4));
+  GpbftCluster cluster(fast_spec(4, 4));
   cluster.start();
   cluster.client(0).submit(tx_from(cluster, 1));
   cluster.run_for(Duration::seconds(3));
@@ -265,9 +265,9 @@ TEST(Endorser, ForkEvidencePenalizesProducer) {
 }
 
 TEST(Endorser, FeesDistributedSeventyThirty) {
-  GpbftClusterConfig config = fast_config(4, 4);
-  config.protocol.genesis.era_period = Duration::seconds(1000);  // no switches
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = fast_spec(4, 4);
+  spec.committee.era_period = Duration::seconds(1000);  // no switches
+  GpbftCluster cluster(spec);
   cluster.start();
 
   cluster.client(0).submit(tx_from(cluster, 1));  // fee 10
@@ -286,7 +286,7 @@ TEST(Endorser, FeesDistributedSeventyThirty) {
 }
 
 TEST(Endorser, EraSwitchDurationIsShort) {
-  GpbftCluster cluster(fast_config(6, 4));
+  GpbftCluster cluster(fast_spec(6, 4));
   cluster.start();
   cluster.run_for(Duration::seconds(35));
   ASSERT_GE(cluster.era(), 1u);
@@ -299,9 +299,9 @@ TEST(Endorser, EraSwitchDurationIsShort) {
 }
 
 TEST(Endorser, BlacklistedDeviceNeverJoins) {
-  GpbftClusterConfig config = fast_config(6, 4);
-  config.protocol.genesis.policy.blacklist = {NodeId{6}};
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = fast_spec(6, 4);
+  spec.committee.blacklist = {NodeId{6}};
+  GpbftCluster cluster(spec);
   cluster.start();
   cluster.run_for(Duration::seconds(40));
 
@@ -315,10 +315,10 @@ TEST(Endorser, BlacklistedDeviceNeverJoins) {
 TEST(Endorser, WhitelistedDeviceSkipsQualification) {
   // A whitelisted device joins at the first era switch even though its
   // geographic timer is far below the promotion threshold (§III-C).
-  GpbftClusterConfig config = fast_config(6, 4);
-  config.protocol.genesis.promotion_threshold = Duration::seconds(3600);  // unreachable
-  config.protocol.genesis.policy.whitelist = {NodeId{5}};
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = fast_spec(6, 4);
+  spec.geo.promotion_threshold = Duration::seconds(3600);  // unreachable
+  spec.committee.whitelist = {NodeId{5}};
+  GpbftCluster cluster(spec);
   cluster.start();
   cluster.run_for(Duration::seconds(25));
 
@@ -330,9 +330,9 @@ TEST(Endorser, WhitelistedDeviceSkipsQualification) {
 TEST(Endorser, OnChainGeoReportsPromoteCandidates) {
   // Full-fidelity mode: location reports are zero-fee transactions, so the
   // election table is derived from committed blocks (chain-based G(v, t)).
-  GpbftClusterConfig config = fast_config(6, 4);
-  config.protocol.geo_reports_on_chain = true;
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = fast_spec(6, 4);
+  spec.geo.reports_on_chain = true;
+  GpbftCluster cluster(spec);
   cluster.start();
   cluster.run_for(Duration::seconds(40));
 
@@ -351,9 +351,9 @@ TEST(Endorser, OnChainGeoReportsPromoteCandidates) {
 }
 
 TEST(Endorser, OnChainModeNewcomerRebuildsTableFromChain) {
-  GpbftClusterConfig config = fast_config(6, 4);
-  config.protocol.geo_reports_on_chain = true;
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = fast_spec(6, 4);
+  spec.geo.reports_on_chain = true;
+  GpbftCluster cluster(spec);
   cluster.start();
   cluster.run_for(Duration::seconds(40));
   ASSERT_EQ(cluster.endorser(5).role(), Role::Active);
@@ -368,8 +368,8 @@ TEST(Endorser, OnChainModeNewcomerRebuildsTableFromChain) {
 TEST(Endorser, LyingTransactionTrailersNotRecorded) {
   // A client whose transactions claim a location the registry contradicts
   // never enters any endorser's election table.
-  GpbftClusterConfig config = fast_config(4, 4);
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = fast_spec(4, 4);
+  GpbftCluster cluster(spec);
   cluster.start();
 
   // The client is physically at position 0 (the cluster placed it there),
@@ -386,7 +386,7 @@ TEST(Endorser, LyingTransactionTrailersNotRecorded) {
 }
 
 TEST(Endorser, ChainsConsistentAcrossCommittee) {
-  GpbftCluster cluster(fast_config(8, 4));
+  GpbftCluster cluster(fast_spec(8, 4));
   cluster.start();
   LatencyRecorder recorder;
   WorkloadConfig workload;

@@ -13,20 +13,21 @@ namespace {
 
 using ::gpbft::gpbft::Role;
 
-GpbftClusterConfig edge_config(std::size_t nodes, std::size_t committee) {
-  GpbftClusterConfig config;
-  config.nodes = nodes;
-  config.initial_committee = committee;
-  config.clients = 1;
-  config.seed = 41;
-  config.protocol.genesis.era_period = Duration::seconds(10);
-  config.protocol.genesis.geo_report_period = Duration::seconds(2);
-  config.protocol.genesis.geo_window = Duration::seconds(10);
-  config.protocol.genesis.min_geo_reports = 2;
-  config.protocol.genesis.promotion_threshold = Duration::seconds(15);
-  config.protocol.pbft.request_timeout = Duration::seconds(6);
-  config.protocol.pbft.view_change_timeout = Duration::seconds(5);
-  return config;
+ScenarioSpec edge_spec(std::size_t nodes, std::size_t committee) {
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Gpbft;
+  spec.nodes = nodes;
+  spec.committee.initial = committee;
+  spec.clients = 1;
+  spec.seed = 41;
+  spec.committee.era_period = Duration::seconds(10);
+  spec.geo.report_period = Duration::seconds(2);
+  spec.geo.window = Duration::seconds(10);
+  spec.geo.min_reports = 2;
+  spec.geo.promotion_threshold = Duration::seconds(15);
+  spec.engine.request_timeout = Duration::seconds(6);
+  spec.engine.view_change_timeout = Duration::seconds(5);
+  return spec;
 }
 
 ledger::Transaction tx_from(GpbftCluster& cluster, RequestId request) {
@@ -37,9 +38,9 @@ ledger::Transaction tx_from(GpbftCluster& cluster, RequestId request) {
 TEST(EraEdge, ForgedHaltFromNonLeadIgnored) {
   // Only the current lead may halt the committee (§III-E). A halt signed by
   // a backup endorser is discarded: ordering continues uninterrupted.
-  GpbftClusterConfig config = edge_config(4, 4);
-  config.protocol.genesis.era_period = Duration::seconds(1000);  // no real switches
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = edge_spec(4, 4);
+  spec.committee.era_period = Duration::seconds(1000);  // no real switches
+  GpbftCluster cluster(spec);
   cluster.start();
   cluster.run_for(Duration::seconds(1));
 
@@ -72,8 +73,8 @@ TEST(EraEdge, ForgedHaltFromNonLeadIgnored) {
 TEST(EraEdge, LeadCrashMidSwitchResumesViaFailsafe) {
   // The lead halts the committee and dies before proposing the config
   // block; the halt failsafe (and the view change) restore ordering.
-  GpbftClusterConfig config = edge_config(6, 4);
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = edge_spec(6, 4);
+  GpbftCluster cluster(spec);
   cluster.start();
 
   // Run to just before the first era boundary, then kill the lead so the
@@ -95,9 +96,9 @@ TEST(EraEdge, LeadCrashMidSwitchUnderLossKeepsRosterConsistent) {
   // transaction commits under a new primary) and every surviving active
   // endorser must agree on the era and the production order — checked both
   // explicitly and by the online invariant monitor (agreement + roster).
-  GpbftClusterConfig config = edge_config(6, 4);
-  config.net.drop_rate = 0.05;
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = edge_spec(6, 4);
+  spec.net.drop_rate = 0.05;
+  GpbftCluster cluster(spec);
 
   InvariantMonitor monitor(cluster.simulator());
   cluster.watch(monitor);
@@ -136,8 +137,8 @@ TEST(EraEdge, LeadCrashMidSwitchUnderLossKeepsRosterConsistent) {
 TEST(EraEdge, UnchangedMembershipCancelsSwitch) {
   // With no candidates and a stable committee, every era boundary cancels:
   // the era number never advances, and ordering pauses only briefly.
-  GpbftClusterConfig config = edge_config(4, 4);
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = edge_spec(4, 4);
+  GpbftCluster cluster(spec);
   cluster.start();
   cluster.run_for(Duration::seconds(35));  // three boundaries
 
@@ -151,8 +152,8 @@ TEST(EraEdge, UnchangedMembershipCancelsSwitch) {
 TEST(EraEdge, TransactionsQueuedDuringSwitchCommitAfterConfigBlock) {
   // Submissions landing inside the switch window are deferred; the chain
   // must contain the era-1 configuration block before those transactions.
-  GpbftClusterConfig config = edge_config(6, 4);
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = edge_spec(6, 4);
+  GpbftCluster cluster(spec);
   cluster.start();
 
   // Land the submissions inside the switch window: the halt goes out at the
@@ -182,8 +183,8 @@ TEST(EraEdge, TransactionsQueuedDuringSwitchCommitAfterConfigBlock) {
 }
 
 TEST(EraEdge, PromotedRosterOrderSharedByAllMembers) {
-  GpbftClusterConfig config = edge_config(7, 4);
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = edge_spec(7, 4);
+  GpbftCluster cluster(spec);
   cluster.start();
   cluster.run_for(Duration::seconds(35));
   ASSERT_EQ(cluster.committee_size(), 7u);
@@ -198,8 +199,8 @@ TEST(EraEdge, PromotedRosterOrderSharedByAllMembers) {
 TEST(EraEdge, EnrolledCellsTravelOnChain) {
   // After a promotion, the chain's latest configuration transaction carries
   // a cell for every member — the enrolled-location record (DESIGN.md §3).
-  GpbftClusterConfig config = edge_config(6, 4);
-  GpbftCluster cluster(config);
+  ScenarioSpec spec = edge_spec(6, 4);
+  GpbftCluster cluster(spec);
   cluster.start();
   cluster.run_for(Duration::seconds(35));
   ASSERT_GE(cluster.era(), 1u);

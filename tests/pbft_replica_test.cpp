@@ -8,14 +8,15 @@
 namespace gpbft::sim {
 namespace {
 
-PbftClusterConfig small_cluster(std::size_t replicas, std::size_t clients = 1) {
-  PbftClusterConfig config;
-  config.replicas = replicas;
-  config.clients = clients;
-  config.seed = 42;
-  config.pbft.request_timeout = Duration::seconds(8);
-  config.pbft.view_change_timeout = Duration::seconds(6);
-  return config;
+ScenarioSpec small_cluster(std::size_t replicas, std::size_t clients = 1) {
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Pbft;
+  spec.nodes = replicas;
+  spec.clients = clients;
+  spec.seed = 42;
+  spec.engine.request_timeout = Duration::seconds(8);
+  spec.engine.view_change_timeout = Duration::seconds(6);
+  return spec;
 }
 
 ledger::Transaction tx_from(PbftCluster& cluster, std::size_t client_index, RequestId request) {
@@ -75,9 +76,9 @@ TEST(PbftReplica, CommitsAcrossAllReplicas) {
 }
 
 TEST(PbftReplica, BatchesMultipleTransactions) {
-  PbftClusterConfig config = small_cluster(4);
-  config.pbft.max_batch_size = 8;
-  PbftCluster cluster(config);
+  ScenarioSpec spec = small_cluster(4);
+  spec.engine.batch_size = 8;
+  PbftCluster cluster(spec);
   cluster.start();
 
   // Submit five transactions in one burst: the primary should pack them
@@ -203,10 +204,10 @@ TEST(PbftReplica, CommitsResumeAfterViewChange) {
 }
 
 TEST(PbftReplica, CheckpointAdvancesAndGarbageCollects) {
-  PbftClusterConfig config = small_cluster(4);
-  config.pbft.checkpoint_interval = 4;
-  config.pbft.max_batch_size = 1;  // one block per transaction
-  PbftCluster cluster(config);
+  ScenarioSpec spec = small_cluster(4);
+  spec.engine.checkpoint_interval = 4;
+  spec.engine.batch_size = 1;  // one block per transaction
+  PbftCluster cluster(spec);
   cluster.start();
 
   for (RequestId r = 1; r <= 9; ++r) {
@@ -335,10 +336,10 @@ TEST(PbftReplica, LaggingReplicaSyncsMissedBlocks) {
 TEST(PbftReplica, SyncResponderCapsBatch) {
   // The sync responder sends at most 64 blocks per response; a deeply
   // lagging replica converges over several rounds.
-  PbftClusterConfig config = small_cluster(4);
-  config.pbft.max_batch_size = 1;
-  config.pbft.checkpoint_interval = 1000;  // keep the whole log
-  PbftCluster cluster(config);
+  ScenarioSpec spec = small_cluster(4);
+  spec.engine.batch_size = 1;
+  spec.engine.checkpoint_interval = 1000;  // keep the whole log
+  PbftCluster cluster(spec);
   cluster.start();
 
   cluster.network().crash(cluster.replica(3).id());
@@ -380,8 +381,8 @@ TEST(PbftReplica, ReplyCacheAnswersRetransmissions) {
 }
 
 TEST(PbftReplica, ClientRetransmitsAutomatically) {
-  PbftClusterConfig config = small_cluster(4);
-  PbftCluster cluster(config);
+  ScenarioSpec spec = small_cluster(4);
+  PbftCluster cluster(spec);
   cluster.start();
   cluster.client(0).set_retry_interval(Duration::seconds(5));
 
@@ -402,9 +403,9 @@ TEST(PbftReplica, ClientRetransmitsAutomatically) {
 TEST(PbftReplica, StragglerSyncsFromViewChangeEvidence) {
   // A replica that slept through commits learns it is behind from the
   // last_executed field of view-change traffic and catches up.
-  PbftClusterConfig config = small_cluster(4);
-  config.pbft.request_timeout = Duration::seconds(8);
-  PbftCluster cluster(config);
+  ScenarioSpec spec = small_cluster(4);
+  spec.engine.request_timeout = Duration::seconds(8);
+  PbftCluster cluster(spec);
   cluster.start();
 
   cluster.network().crash(cluster.replica(3).id());
@@ -426,10 +427,10 @@ TEST(PbftReplica, StragglerSyncsFromViewChangeEvidence) {
 }
 
 TEST(PbftReplica, CorruptProposalsRejectedAndPrimaryReplaced) {
-  PbftClusterConfig config = small_cluster(4);
-  config.pbft.request_timeout = Duration::seconds(6);
-  config.pbft.view_change_timeout = Duration::seconds(5);
-  PbftCluster cluster(config);
+  ScenarioSpec spec = small_cluster(4);
+  spec.engine.request_timeout = Duration::seconds(6);
+  spec.engine.view_change_timeout = Duration::seconds(5);
+  PbftCluster cluster(spec);
   cluster.start();
   // View-0 primary proposes blocks whose Merkle root lies about the body.
   cluster.replica(0).set_fault_mode(pbft::FaultMode::CorruptProposals);

@@ -20,8 +20,8 @@
 #include <string>
 
 #include "crypto/sha256.hpp"
+#include "golden_runs.hpp"
 #include "sim/deployment.hpp"
-#include "sim/scenario.hpp"
 
 namespace gpbft::sim {
 namespace {
@@ -60,48 +60,10 @@ RunDigests run_and_digest(const ScenarioSpec& spec, Duration horizon) {
   return digests;
 }
 
-ScenarioSpec pbft_golden_spec() {
-  // Same run as scenario_test's PbftGoldenRunIsBitIdentical, so the tip
-  // constant below cross-checks that suite.
-  ScenarioSpec spec;
-  spec.protocol = ProtocolKind::Pbft;
-  spec.nodes = 5;
-  spec.clients = 2;
-  spec.seed = 42;
-  spec.workload.period = Duration::seconds(2);
-  spec.workload.txs_per_client = 4;
-  // Explicit, not left to the EngineSpec default: these goldens are the
-  // byte-level pin on the MACs-on seal/open path.
-  spec.engine.compute_macs = true;
-  return spec;
-}
-
-ScenarioSpec gpbft_golden_spec() {
-  // Same run as scenario_test's GpbftGoldenRunIsBitIdentical: covers an era
-  // switch, candidate promotion and the roster fan-out path.
-  ScenarioSpec spec;
-  spec.protocol = ProtocolKind::Gpbft;
-  spec.nodes = 6;
-  spec.clients = 2;
-  spec.seed = 7;
-  spec.committee.initial = 4;
-  spec.committee.min = 4;
-  spec.committee.max = 6;
-  spec.committee.era_period = Duration::seconds(15);
-  spec.geo.report_period = Duration::seconds(3);
-  spec.geo.window = Duration::seconds(12);
-  spec.geo.min_reports = 2;
-  spec.geo.promotion_threshold = Duration::seconds(20);
-  spec.workload.period = Duration::seconds(2);
-  spec.workload.txs_per_client = 4;
-  spec.engine.compute_macs = true;  // see pbft_golden_spec()
-  return spec;
-}
-
 TEST(PerfParity, PbftMetricsAndTraceAreBitIdentical) {
   const RunDigests digests = run_and_digest(pbft_golden_spec(), Duration{});
   EXPECT_EQ(digests.committed, 8u);
-  EXPECT_EQ(digests.tip, "68086af0d716cdecdc16dd24bd2c5c5a353ce8958358e0e12e321500564f84ed");
+  EXPECT_EQ(digests.tip, kPbftGoldenTip);
   EXPECT_EQ(digests.metrics_sha256, "d85842224baa8ba17e65af84ace0b1b13ede387aeefa8cd4e519667708296461");
   EXPECT_EQ(digests.trace_sha256, "0a11a21a6b70ca40bbb65f74c877dec92dfc75b5ce4ba8dd2581e11bedd3a587");
 }
@@ -109,7 +71,7 @@ TEST(PerfParity, PbftMetricsAndTraceAreBitIdentical) {
 TEST(PerfParity, GpbftMetricsAndTraceAreBitIdentical) {
   const RunDigests digests = run_and_digest(gpbft_golden_spec(), Duration::seconds(60));
   EXPECT_EQ(digests.committed, 8u);
-  EXPECT_EQ(digests.tip, "540d7bde3eab76203c96355ea7b35f686f91d6889e98e6071db233bc81b98894");
+  EXPECT_EQ(digests.tip, kGpbftGoldenTip);
   EXPECT_EQ(digests.metrics_sha256, "3046f93e32de54a9418969ed0c1bf27dee92c0342eba4047e6e37ed1081b6b4a");
   EXPECT_EQ(digests.trace_sha256, "6f0db6012934c165913fd44a14aa9dc8b7f7fd654522280de7ec1d15eed38d79");
 }

@@ -233,7 +233,7 @@ TEST(Restart, GpbftEndorserRestartsAcrossEraSwitch) {
   spec.workload.period = Duration::seconds(2);
   spec.workload.txs_per_client = 4;
 
-  const std::unique_ptr<GpbftCluster> cluster = make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<GpbftCluster>(spec);
   InvariantMonitor monitor(cluster->simulator());
   cluster->watch(monitor);
   cluster->start();
@@ -356,7 +356,7 @@ TEST(ClientBackoff, JitterStreamIsDeterministicWithAndWithoutCap) {
 
 TEST(Restart, RunsWithRestartsAreSeedDeterministic) {
   auto tip_of = [](const ScenarioSpec& spec) {
-    const std::unique_ptr<PbftCluster> cluster = make_pbft_deployment(spec);
+    const auto cluster = std::make_unique<PbftCluster>(spec);
     cluster->start();
     cluster->schedule_workload(spec.workload, nullptr);
     PbftCluster* raw = cluster.get();

@@ -138,11 +138,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, StoreImageFuzz, ::testing::Values(11, 22, 33));
 // --- garbage on the wire ------------------------------------------------------------
 
 TEST(Robustness, ReplicaIgnoresGarbagePayloads) {
-  PbftClusterConfig config;
-  config.replicas = 4;
-  config.clients = 1;
-  config.seed = 9;
-  PbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Pbft;
+  spec.nodes = 4;
+  spec.clients = 1;
+  spec.seed = 9;
+  PbftCluster cluster(spec);
   cluster.start();
 
   Rng rng(77);
@@ -167,11 +168,12 @@ TEST(Robustness, ReplicaIgnoresGarbagePayloads) {
 TEST(Robustness, SpoofedSenderEnvelopesRejected) {
   // A message sealed by node X but delivered in an envelope claiming node Y
   // fails the seal check on arrival.
-  PbftClusterConfig config;
-  config.replicas = 4;
-  config.clients = 1;
-  config.seed = 9;
-  PbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Pbft;
+  spec.nodes = 4;
+  spec.clients = 1;
+  spec.seed = 9;
+  PbftCluster cluster(spec);
   cluster.start();
 
   // Craft a valid-looking PREPARE sealed with the attacker's own key but
@@ -204,11 +206,12 @@ TEST(Robustness, SpoofedSenderEnvelopesRejected) {
 }
 
 TEST(Robustness, ConflictingSyncResponseRejected) {
-  PbftClusterConfig config;
-  config.replicas = 4;
-  config.clients = 1;
-  config.seed = 9;
-  PbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Pbft;
+  spec.nodes = 4;
+  spec.clients = 1;
+  spec.seed = 9;
+  PbftCluster cluster(spec);
   cluster.start();
 
   // Commit one real block everywhere.
@@ -253,13 +256,13 @@ TEST(Robustness, ConflictingSyncResponseRejected) {
 TEST(Robustness, CandidateIgnoresConsensusTraffic) {
   // A candidate endorser receives stray consensus messages (e.g. replayed
   // by an attacker); it must not build chain state from them.
-  GpbftClusterConfig config;
-  config.nodes = 6;
-  config.initial_committee = 4;
-  config.clients = 0;
-  config.seed = 3;
-  config.protocol.genesis.era_period = Duration::seconds(1000);  // no switches
-  GpbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.nodes = 6;
+  spec.committee.initial = 4;
+  spec.clients = 0;
+  spec.seed = 3;
+  spec.committee.era_period = Duration::seconds(1000);  // no switches
+  GpbftCluster cluster(spec);
   cluster.start();
   ASSERT_EQ(cluster.endorser(5).role(), ::gpbft::gpbft::Role::Candidate);
 
@@ -307,7 +310,7 @@ void faulty_primary_era_switch(pbft::FaultMode mode) {
   spec.workload.period = Duration::seconds(2);
   spec.workload.txs_per_client = 4;
 
-  const std::unique_ptr<GpbftCluster> cluster = make_gpbft_deployment(spec);
+  const auto cluster = std::make_unique<GpbftCluster>(spec);
   InvariantMonitor monitor(cluster->simulator());
   cluster->watch(monitor);
   cluster->start();
@@ -346,13 +349,14 @@ TEST(Robustness, CorruptProposalsPrimaryStillReachesEraSwitch) {
 TEST(Robustness, HighLossNetworkEventuallyCommits) {
   // 20% message loss: retransmission-free PBFT relies on quorums being
   // redundant; with the sync protocol the cluster still converges.
-  PbftClusterConfig config;
-  config.replicas = 7;
-  config.clients = 1;
-  config.seed = 21;
-  config.net.drop_rate = 0.2;
-  config.pbft.request_timeout = Duration::seconds(15);
-  PbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Pbft;
+  spec.nodes = 7;
+  spec.clients = 1;
+  spec.seed = 21;
+  spec.net.drop_rate = 0.2;
+  spec.engine.request_timeout = Duration::seconds(15);
+  PbftCluster cluster(spec);
   cluster.start();
 
   const ledger::Transaction tx = make_workload_tx(cluster.client(0).id(), 1,

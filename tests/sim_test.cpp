@@ -116,11 +116,12 @@ TEST(Workload, MakesDeterministicTransactions) {
 }
 
 TEST(Workload, SubmitsExactlyCountTransactions) {
-  PbftClusterConfig config;
-  config.replicas = 4;
-  config.clients = 1;
-  config.seed = 3;
-  PbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Pbft;
+  spec.nodes = 4;
+  spec.clients = 1;
+  spec.seed = 3;
+  PbftCluster cluster(spec);
   cluster.start();
 
   LatencyRecorder recorder;
@@ -150,26 +151,27 @@ TEST(Workload, StaggerSeparatesClients) {
 // --- cluster plumbing ----------------------------------------------------------------
 
 TEST(Cluster, PbftCommitteeIsAllReplicas) {
-  PbftClusterConfig config;
-  config.replicas = 7;
-  PbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Pbft;
+  spec.nodes = 7;
+  PbftCluster cluster(spec);
   EXPECT_EQ(cluster.committee().size(), 7u);
   EXPECT_EQ(cluster.replica_count(), 7u);
 }
 
 TEST(Cluster, GpbftInitialCommitteeClamped) {
-  GpbftClusterConfig config;
-  config.nodes = 3;
-  config.initial_committee = 10;  // more than nodes: clamp
-  GpbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.nodes = 3;
+  spec.committee.initial = 10;  // more than nodes: clamp
+  GpbftCluster cluster(spec);
   EXPECT_EQ(cluster.committee_size(), 3u);
 }
 
 TEST(Cluster, ClientIdsDisjointFromNodeIds) {
-  GpbftClusterConfig config;
-  config.nodes = 5;
-  config.clients = 3;
-  GpbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.nodes = 5;
+  spec.clients = 3;
+  GpbftCluster cluster(spec);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_GT(cluster.client(i).id().value, kClientIdBase);
   }
@@ -177,22 +179,22 @@ TEST(Cluster, ClientIdsDisjointFromNodeIds) {
 }
 
 TEST(Cluster, AreaRegistryPopulated) {
-  GpbftClusterConfig config;
-  config.nodes = 5;
-  config.clients = 2;
-  GpbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.nodes = 5;
+  spec.clients = 2;
+  GpbftCluster cluster(spec);
   EXPECT_EQ(cluster.area().size(), 7u);  // nodes + clients
 }
 
 // --- mobility -----------------------------------------------------------------------
 
 TEST(Mobility, RandomHopKeepsDeviceMobileAndHonest) {
-  GpbftClusterConfig config;
-  config.nodes = 5;
-  config.initial_committee = 4;
-  config.seed = 4;
-  config.protocol.genesis.era_period = Duration::seconds(1000);  // isolate mobility
-  GpbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.nodes = 5;
+  spec.committee.initial = 4;
+  spec.seed = 4;
+  spec.committee.era_period = Duration::seconds(1000);  // isolate mobility
+  GpbftCluster cluster(spec);
   Mobility mobility(cluster.simulator(), cluster.area(), cluster.placement());
   mobility.random_hop(cluster.endorser(4), Duration::seconds(3), 200, 10);
   cluster.start();
@@ -206,16 +208,16 @@ TEST(Mobility, RandomHopKeepsDeviceMobileAndHonest) {
 }
 
 TEST(Mobility, MobileDeviceNeverPromoted) {
-  GpbftClusterConfig config;
-  config.nodes = 6;
-  config.initial_committee = 4;
-  config.seed = 4;
-  config.protocol.genesis.era_period = Duration::seconds(8);
-  config.protocol.genesis.geo_report_period = Duration::seconds(2);
-  config.protocol.genesis.geo_window = Duration::seconds(8);
-  config.protocol.genesis.min_geo_reports = 2;
-  config.protocol.genesis.promotion_threshold = Duration::seconds(10);
-  GpbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.nodes = 6;
+  spec.committee.initial = 4;
+  spec.seed = 4;
+  spec.committee.era_period = Duration::seconds(8);
+  spec.geo.report_period = Duration::seconds(2);
+  spec.geo.window = Duration::seconds(8);
+  spec.geo.min_reports = 2;
+  spec.geo.promotion_threshold = Duration::seconds(10);
+  GpbftCluster cluster(spec);
   Mobility mobility(cluster.simulator(), cluster.area(), cluster.placement());
   // Device 6 hops faster than the promotion threshold; device 5 is fixed.
   mobility.random_hop(cluster.endorser(5), Duration::seconds(4), 300, 12);
@@ -227,10 +229,10 @@ TEST(Mobility, MobileDeviceNeverPromoted) {
 }
 
 TEST(Mobility, RelocateAtMovesOnce) {
-  GpbftClusterConfig config;
-  config.nodes = 4;
-  config.initial_committee = 4;
-  GpbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.nodes = 4;
+  spec.committee.initial = 4;
+  GpbftCluster cluster(spec);
   Mobility mobility(cluster.simulator(), cluster.area(), cluster.placement());
   const geo::GeoPoint target = cluster.placement().position(77);
   mobility.relocate_at(cluster.endorser(0), Duration::seconds(5), target);
@@ -243,10 +245,10 @@ TEST(Mobility, RelocateAtMovesOnce) {
 }
 
 TEST(Mobility, StopHaltsDrivers) {
-  GpbftClusterConfig config;
-  config.nodes = 4;
-  config.initial_committee = 4;
-  GpbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.nodes = 4;
+  spec.committee.initial = 4;
+  GpbftCluster cluster(spec);
   Mobility mobility(cluster.simulator(), cluster.area(), cluster.placement());
   mobility.random_hop(cluster.endorser(0), Duration::seconds(1), 100, 5);
   cluster.start();

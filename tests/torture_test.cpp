@@ -51,14 +51,15 @@ class PbftTorture : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(PbftTorture, RandomCrashRecoverScheduleNeverDiverges) {
   const std::uint64_t seed = GetParam();
 
-  PbftClusterConfig config;
-  config.replicas = 7;  // f = 2
-  config.clients = 3;
-  config.seed = seed;
-  config.pbft.request_timeout = Duration::seconds(6);
-  config.pbft.view_change_timeout = Duration::seconds(5);
-  config.net.drop_rate = 0.02;  // constant background loss
-  PbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Pbft;
+  spec.nodes = 7;  // f = 2
+  spec.clients = 3;
+  spec.seed = seed;
+  spec.engine.request_timeout = Duration::seconds(6);
+  spec.engine.view_change_timeout = Duration::seconds(5);
+  spec.net.drop_rate = 0.02;  // constant background loss
+  PbftCluster cluster(spec);
 
   InvariantMonitor monitor(cluster.simulator());
   cluster.watch(monitor);
@@ -122,13 +123,14 @@ TEST_P(ByzantineTorture, FByzantineReplicasCannotBreakSafety) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed ^ 0xbeef);
 
-  PbftClusterConfig config;
-  config.replicas = 7;  // f = 2
-  config.clients = 2;
-  config.seed = seed;
-  config.pbft.request_timeout = Duration::seconds(6);
-  config.pbft.view_change_timeout = Duration::seconds(5);
-  PbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Pbft;
+  spec.nodes = 7;  // f = 2
+  spec.clients = 2;
+  spec.seed = seed;
+  spec.engine.request_timeout = Duration::seconds(6);
+  spec.engine.view_change_timeout = Duration::seconds(5);
+  PbftCluster cluster(spec);
 
   InvariantMonitor monitor(cluster.simulator());
   cluster.watch(monitor);
@@ -201,21 +203,21 @@ TEST_P(GpbftTorture, ChurnPlusFaultsKeepCommitteeChainsConsistent) {
   const std::uint64_t seed = GetParam();
   Rng rng(seed ^ 0xfeed);
 
-  GpbftClusterConfig config;
-  config.nodes = 10;
-  config.initial_committee = 6;
-  config.clients = 3;
-  config.seed = seed;
-  config.protocol.genesis.era_period = Duration::seconds(8);
-  config.protocol.genesis.geo_report_period = Duration::seconds(2);
-  config.protocol.genesis.geo_window = Duration::seconds(8);
-  config.protocol.genesis.min_geo_reports = 2;
-  config.protocol.genesis.promotion_threshold = Duration::seconds(12);
-  config.protocol.genesis.policy.min_endorsers = 4;
-  config.protocol.genesis.policy.max_endorsers = 8;
-  config.protocol.pbft.request_timeout = Duration::seconds(6);
-  config.protocol.pbft.view_change_timeout = Duration::seconds(5);
-  GpbftCluster cluster(config);
+  ScenarioSpec spec;
+  spec.nodes = 10;
+  spec.committee.initial = 6;
+  spec.clients = 3;
+  spec.seed = seed;
+  spec.committee.era_period = Duration::seconds(8);
+  spec.geo.report_period = Duration::seconds(2);
+  spec.geo.window = Duration::seconds(8);
+  spec.geo.min_reports = 2;
+  spec.geo.promotion_threshold = Duration::seconds(12);
+  spec.committee.min = 4;
+  spec.committee.max = 8;
+  spec.engine.request_timeout = Duration::seconds(6);
+  spec.engine.view_change_timeout = Duration::seconds(5);
+  GpbftCluster cluster(spec);
 
   InvariantMonitor monitor(cluster.simulator());
   cluster.watch(monitor);

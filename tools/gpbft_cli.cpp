@@ -136,19 +136,33 @@ void print_usage() {
                "  --top N                          hotspot/slowest-request table rows (15)\n");
 }
 
-std::vector<std::size_t> parse_node_list(const std::string& arg) {
-  std::vector<std::size_t> nodes;
-  std::size_t start = 0;
-  while (start < arg.size()) {
-    const std::size_t comma = arg.find(',', start);
-    const std::string token =
-        arg.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    const long value = std::strtol(token.c_str(), nullptr, 10);
-    if (value > 0) nodes.push_back(static_cast<std::size_t>(value));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
-  }
-  return nodes;
+// Strict numeric flag values (the scenario format's parsers): junk such as
+// "12abc" fails the whole command line instead of running a truncated value.
+template <typename T>
+bool read_uint(const std::string& value, T& out) {
+  const auto parsed = sim::parse_u64(value);
+  if (!parsed) return false;
+  out = static_cast<T>(parsed.value());
+  return true;
+}
+
+bool read_double(const std::string& value, double& out) {
+  const auto parsed = sim::parse_double(value);
+  if (!parsed) return false;
+  out = parsed.value();
+  return true;
+}
+
+bool read_seconds(const std::string& value, Duration& out) {
+  double seconds = 0.0;
+  if (!read_double(value, seconds)) return false;
+  out = Duration::from_seconds(seconds);
+  return true;
+}
+
+/// A chance per step: a number in [0, 1].
+bool read_chance(const std::string& value, double& out) {
+  return read_double(value, out) && out >= 0.0 && out <= 1.0;
 }
 
 bool parse_args(int argc, char** argv, CliOptions& options) {
@@ -188,48 +202,46 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
       options.protocol = value;
       options.protocol_set = true;
     } else if (flag == "--nodes") {
-      options.nodes = parse_node_list(value);
-      if (options.nodes.empty()) return false;
+      const auto parsed = sim::parse_id_list(value);
+      if (!parsed || parsed.value().empty()) return false;
+      options.nodes.assign(parsed.value().begin(), parsed.value().end());
     } else if (flag == "--seed") {
-      options.experiment.seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_uint(value, options.experiment.seed)) return false;
       options.seed_set = true;
     } else if (flag == "--txs") {
-      options.experiment.workload.txs_per_client = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_uint(value, options.experiment.workload.txs_per_client)) return false;
       options.txs_set = true;
     } else if (flag == "--period") {
-      options.experiment.workload.period = Duration::from_seconds(std::atof(value.c_str()));
+      if (!read_seconds(value, options.experiment.workload.period)) return false;
     } else if (flag == "--rate") {
-      options.experiment.net.processing_rate_msgs_per_sec = std::atof(value.c_str());
+      if (!read_double(value, options.experiment.net.processing_rate_msgs_per_sec)) return false;
     } else if (flag == "--batch") {
-      options.experiment.engine.batch_size = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_uint(value, options.experiment.engine.batch_size)) return false;
     } else if (flag == "--batch-close") {
-      options.experiment.batch.size = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_uint(value, options.experiment.batch.size)) return false;
     } else if (flag == "--batch-timeout") {
-      options.experiment.batch.timeout = Duration::from_seconds(std::strtod(value.c_str(), nullptr));
+      if (!read_seconds(value, options.experiment.batch.timeout)) return false;
     } else if (flag == "--max-committee") {
-      options.experiment.committee.max = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_uint(value, options.experiment.committee.max)) return false;
     } else if (flag == "--era-period") {
       // The promotion window follows the era cadence (Algorithm 1 evaluates
       // one era's worth of reports).
-      options.experiment.committee.era_period = Duration::from_seconds(std::atof(value.c_str()));
+      if (!read_seconds(value, options.experiment.committee.era_period)) return false;
       options.experiment.geo.window = options.experiment.committee.era_period;
     } else if (flag == "--runs") {
-      options.runs = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_uint(value, options.runs)) return false;
       if (options.runs == 0) options.runs = 1;
     } else if (flag == "--seeds") {
-      options.seeds = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_uint(value, options.seeds)) return false;
       if (options.seeds == 0) options.seeds = 1;
     } else if (flag == "--intensity") {
       options.intensity = value;
     } else if (flag == "--restarts") {
-      options.restart_chance = std::atof(value.c_str());
-      if (options.restart_chance < 0.0 || options.restart_chance > 1.0) return false;
+      if (!read_chance(value, options.restart_chance)) return false;
     } else if (flag == "--disk-faults") {
-      options.disk_fault_chance = std::atof(value.c_str());
-      if (options.disk_fault_chance < 0.0 || options.disk_fault_chance > 1.0) return false;
+      if (!read_chance(value, options.disk_fault_chance)) return false;
     } else if (flag == "--tamper-chance") {
-      options.tamper_chance = std::atof(value.c_str());
-      if (options.tamper_chance < 0.0 || options.tamper_chance > 1.0) return false;
+      if (!read_chance(value, options.tamper_chance)) return false;
     } else if (flag == "--scenario") {
       options.scenario_path = value;
     } else if (flag == "--trace-out") {
@@ -241,7 +253,7 @@ bool parse_args(int argc, char** argv, CliOptions& options) {
     } else if (flag == "--collapsed-out") {
       options.collapsed_out = value;
     } else if (flag == "--top") {
-      options.top = std::strtoull(value.c_str(), nullptr, 10);
+      if (!read_uint(value, options.top)) return false;
       if (options.top == 0) options.top = 15;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
@@ -380,7 +392,7 @@ int run_scenario(const CliOptions& options) {
   const bool chaos = spec.chaos.enabled();
   if (chaos) {
     // The spec seed draws the fault plan, so a scenario file replays exactly.
-    sim::run_chaos_scenario(*deployment, monitor, spec, spec.seed, &recorder);
+    sim::run_chaos_scenario(*deployment, monitor, spec.seed, &recorder);
   } else {
     deployment->start();
     deployment->schedule_workload(spec.workload, &recorder);
@@ -388,7 +400,7 @@ int run_scenario(const CliOptions& options) {
     deployment->stop();
   }
   deployment->finalize_telemetry();
-  const sim::ExperimentResult result = sim::finish_result(*deployment, spec, recorder);
+  const sim::ExperimentResult result = sim::finish_result(*deployment, recorder);
 
   if (options.csv) print_csv_header();
   print_result(sim::protocol_name(spec.protocol), options.csv, result);
