@@ -58,17 +58,11 @@ Delegate::Delegate(NodeId id, ledger::Block genesis, DbftConfig config,
       delegates_(genesis_roster(genesis)),
       observers_(std::move(observers)) {}
 
-void Delegate::start_protocol() {
-  if (protocol_started_) return;
-  protocol_started_ = true;
-  start();
+void Delegate::start() {
+  if (started()) return;
+  Replica::start();
   last_block_time_ = now();
   arm_pacing_timer();
-}
-
-void Delegate::stop_protocol() {
-  protocol_started_ = false;
-  stop();
 }
 
 bool Delegate::is_delegate() const {
@@ -85,7 +79,7 @@ NodeId Delegate::primary_of(ViewId view) const {
 
 void Delegate::arm_pacing_timer() {
   schedule_protected(config_.block_interval / 8, [this]() {
-    if (!protocol_started_) return;
+    if (!started()) return;
     on_pacing_tick();
     arm_pacing_timer();
   });

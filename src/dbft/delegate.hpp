@@ -66,9 +66,9 @@ class Delegate : public pbft::Replica {
            std::vector<NodeId> observers, net::Network& network,
            const crypto::KeyRegistry& keys);
 
-  /// Attaches and arms the block-interval pacing timer.
-  void start_protocol();
-  void stop_protocol();
+  /// Attaches and arms the replica tick, then the block-interval pacing
+  /// timer; a second call is a no-op.
+  void start() override;
 
   [[nodiscard]] bool is_delegate() const;
   [[nodiscard]] const std::vector<NodeId>& delegates() const { return delegates_; }
@@ -100,7 +100,6 @@ class Delegate : public pbft::Replica {
   std::vector<NodeId> delegates_;
   std::vector<NodeId> observers_;  // all dBFT nodes (for block publishing)
   TimePoint last_block_time_{};
-  bool protocol_started_{false};
   std::uint64_t epochs_completed_{0};
   RosterCallback roster_cb_;
 };

@@ -23,7 +23,6 @@ class StakeRegistry {
 
   /// Casts (or replaces) `voter`'s vote for `candidate`.
   void vote(NodeId voter, NodeId candidate) { votes_[voter] = candidate; }
-  void clear_vote(NodeId voter) { votes_.erase(voter); }
 
   /// Voted weight of a candidate: sum of its voters' stakes.
   [[nodiscard]] Amount weight_of(NodeId candidate) const;
@@ -32,9 +31,6 @@ class StakeRegistry {
   /// candidates with zero weight are not elected. Fewer than `count`
   /// results mean not enough candidates have votes.
   [[nodiscard]] std::vector<NodeId> elect(std::size_t count) const;
-
-  [[nodiscard]] std::size_t holder_count() const { return stakes_.size(); }
-  [[nodiscard]] std::size_t vote_count() const { return votes_.size(); }
 
  private:
   std::unordered_map<NodeId, Amount> stakes_;

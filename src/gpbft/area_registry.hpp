@@ -69,7 +69,6 @@ class SybilFilter {
                                     TimePoint reported_at);
 
   [[nodiscard]] bool is_flagged(NodeId device) const { return flagged_.contains(device); }
-  [[nodiscard]] std::size_t flagged_count() const { return flagged_.size(); }
   void unflag(NodeId device) { flagged_.erase(device); }
 
  private:

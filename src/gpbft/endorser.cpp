@@ -49,24 +49,18 @@ Endorser::Endorser(NodeId id, geo::GeoPoint location, GpbftConfig config, ledger
               : Role::Candidate;
 }
 
-void Endorser::start_protocol() {
-  if (protocol_started_) return;
-  protocol_started_ = true;
-  start();
+void Endorser::start() {
+  if (started()) return;
+  Replica::start();
   // Stagger the first geo report per node id to avoid an artificial
   // thundering herd at t=0 (real devices report on independent clocks).
   schedule_protected(
       Duration{static_cast<std::int64_t>(id().value % 1000) * 1'000'000}, [this]() {
-        if (!protocol_started_) return;
+        if (!started()) return;
         send_geo_report();
         arm_geo_timer();
       });
   arm_era_timer();
-}
-
-void Endorser::stop_protocol() {
-  protocol_started_ = false;
-  stop();
 }
 
 void Endorser::set_known_committee(std::vector<NodeId> committee) {
@@ -82,7 +76,7 @@ NodeId Endorser::primary_of(ViewId view) const {
 
 void Endorser::arm_geo_timer() {
   schedule_protected(config_.genesis.geo_report_period, [this]() {
-    if (!protocol_started_) return;
+    if (!started()) return;
     send_geo_report();
     arm_geo_timer();
   });
@@ -167,7 +161,7 @@ void Endorser::record_geo(NodeId device, const geo::GeoPoint& point, TimePoint a
 
 void Endorser::arm_era_timer() {
   schedule_protected(config_.genesis.era_period, [this]() {
-    if (!protocol_started_) return;
+    if (!started()) return;
     on_era_timer();
     arm_era_timer();
   });
@@ -198,7 +192,7 @@ void Endorser::initiate_era_switch() {
 
   // Let in-flight instances land, then elect and propose the new roster.
   schedule_protected(config_.halt_settle, [this, closing = era_]() {
-    if (!protocol_started_ || era_ != closing || !switch_in_progress_) return;
+    if (!started() || era_ != closing || !switch_in_progress_) return;
 
     ElectionParams params;
     params.window = config_.genesis.geo_window;
@@ -303,7 +297,7 @@ void Endorser::initiate_era_switch() {
 }
 
 void Endorser::propose_config(const ledger::Transaction& tx, int attempt) {
-  if (!switch_in_progress_ || !protocol_started_) return;
+  if (!switch_in_progress_ || !started()) return;
   if (propose_batch({tx})) return;
   // An in-flight instance (proposed just before the halt) is still landing;
   // retry until it clears. Give up after ~20 attempts — the halt failsafe

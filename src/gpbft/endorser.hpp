@@ -53,10 +53,9 @@ class Endorser : public pbft::Replica {
   Endorser(NodeId id, geo::GeoPoint location, GpbftConfig config, ledger::Block genesis,
            net::Network& network, const crypto::KeyRegistry& keys, const AreaRegistry* area);
 
-  /// Attaches, arms geo-report and era timers. Call once.
-  void start_protocol();
-  /// Stops rescheduling timers so a simulation can drain.
-  void stop_protocol();
+  /// Attaches and arms the replica tick, then the geo-report and era
+  /// timers; a second call is a no-op.
+  void start() override;
 
   // --- introspection ----------------------------------------------------------
   [[nodiscard]] Role role() const { return role_; }
@@ -65,7 +64,6 @@ class Endorser : public pbft::Replica {
   [[nodiscard]] const SybilFilter& sybil_filter() const { return filter_; }
   [[nodiscard]] const std::vector<NodeId>& producer_order() const { return producer_order_; }
   [[nodiscard]] const std::set<NodeId>& penalized() const { return penalized_; }
-  [[nodiscard]] const EnrolledCells& enrolled_cells() const { return enrolled_cells_; }
   [[nodiscard]] std::uint64_t era_switches() const { return era_switches_; }
   [[nodiscard]] Duration last_switch_duration() const { return last_switch_duration_; }
   [[nodiscard]] geo::GeoPoint location() const { return location_; }
@@ -136,7 +134,6 @@ class Endorser : public pbft::Replica {
   TimePoint switch_started_{};
   std::uint64_t era_switches_{0};
   Duration last_switch_duration_{};
-  bool protocol_started_{false};
   RequestId next_request_id_{1};
 
   RosterCallback roster_cb_;

@@ -1,5 +1,6 @@
 #include "ledger/store.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "crypto/sha256.hpp"
@@ -9,17 +10,22 @@
 namespace gpbft::ledger {
 
 namespace {
-constexpr char kMagic[] = "GPBFTCHN";
-constexpr std::size_t kMagicLen = 8;
+constexpr ImageFormat kChainImage{"GPBFTCHN", kChainFileVersion, "chain file"};
+
+std::string image_error(const ImageFormat& format, const std::string& what) {
+  return std::string(format.label) + ": " + what;
+}
 }  // namespace
 
-Bytes serialize_chain(const Chain& chain) {
+Bytes write_image(const ImageFormat& format, std::size_t count,
+                  const std::function<Bytes(std::size_t)>& encode_block) {
   serde::Writer w;
-  w.raw(BytesView(reinterpret_cast<const std::uint8_t*>(kMagic), kMagicLen));
-  w.u32(kChainFileVersion);
-  w.varint(chain.size());
-  for (Height h = 0; h <= chain.height(); ++h) {
-    const Bytes block = chain.at(h).encode();
+  w.raw(BytesView(reinterpret_cast<const std::uint8_t*>(format.magic.data()),
+                  format.magic.size()));
+  w.u32(format.version);
+  w.varint(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const Bytes block = encode_block(i);
     w.bytes(BytesView(block.data(), block.size()));
   }
   const crypto::Hash256 digest =
@@ -28,53 +34,75 @@ Bytes serialize_chain(const Chain& chain) {
   return w.take();
 }
 
-Result<Chain> deserialize_chain(BytesView image) {
-  if (image.size() < kMagicLen + 4 + 32) return make_error("chain file: truncated");
+Result<std::vector<BytesView>> read_image(const ImageFormat& format, BytesView image) {
+  if (image.size() < format.magic.size() + 4 + 32) {
+    return make_error(image_error(format, "truncated"));
+  }
 
   // Integrity tail first: sha256 over everything before the final 32 bytes.
   const BytesView body(image.data(), image.size() - 32);
   const crypto::Hash256 expected = crypto::sha256(body);
   crypto::Hash256 stored;
   std::copy(image.end() - 32, image.end(), stored.bytes.begin());
-  if (expected != stored) return make_error("chain file: integrity check failed");
+  if (expected != stored) return make_error(image_error(format, "integrity check failed"));
 
   serde::Reader r(body);
-  auto magic = r.raw(kMagicLen);
+  auto magic = r.raw(format.magic.size());
   if (!magic) return make_error(magic.error());
-  if (std::string(magic.value().begin(), magic.value().end()) != kMagic) {
-    return make_error("chain file: bad magic");
+  if (std::string_view(reinterpret_cast<const char*>(magic.value().data()),
+                       magic.value().size()) != format.magic) {
+    return make_error(image_error(format, "bad magic"));
   }
   auto version = r.u32();
   if (!version) return make_error(version.error());
-  if (version.value() != kChainFileVersion) {
-    return make_error("chain file: unsupported version " + std::to_string(version.value()));
+  if (version.value() != format.version) {
+    return make_error(
+        image_error(format, "unsupported version " + std::to_string(version.value())));
   }
 
   auto count = r.varint();
   if (!count) return make_error(count.error());
-  if (count.value() == 0) return make_error("chain file: no blocks");
-  if (count.value() > 10'000'000) return make_error("chain file: implausible block count");
+  if (count.value() == 0) return make_error(image_error(format, "no blocks"));
+  if (count.value() > 10'000'000) {
+    return make_error(image_error(format, "implausible block count"));
+  }
 
-  auto genesis_bytes = r.bytes();
-  if (!genesis_bytes) return make_error(genesis_bytes.error());
-  auto genesis =
-      Block::decode(BytesView(genesis_bytes.value().data(), genesis_bytes.value().size()));
+  std::vector<BytesView> blocks;
+  blocks.reserve(count.value());
+  for (std::uint64_t i = 0; i < count.value(); ++i) {
+    auto block = r.bytes_view();
+    if (!block) return make_error(block.error());
+    blocks.push_back(block.value());
+  }
+  if (!r.exhausted()) return make_error(image_error(format, "trailing bytes"));
+  return blocks;
+}
+
+Bytes serialize_chain(const Chain& chain) {
+  return write_image(kChainImage, chain.size(),
+                     [&chain](std::size_t height) { return chain.at(height).encode(); });
+}
+
+Result<Chain> deserialize_chain(BytesView image) {
+  auto encoded = read_image(kChainImage, image);
+  if (!encoded) return make_error(encoded.error());
+  const std::vector<BytesView>& blocks = encoded.value();
+
+  auto genesis = Block::decode(blocks.front());
   if (!genesis) return make_error(genesis.error());
-  if (genesis.value().header.height != 0) return make_error("chain file: genesis height != 0");
+  if (genesis.value().header.height != 0) {
+    return make_error(image_error(kChainImage, "genesis height != 0"));
+  }
 
   Chain chain(std::move(genesis.value()));
-  for (std::uint64_t i = 1; i < count.value(); ++i) {
-    auto block_bytes = r.bytes();
-    if (!block_bytes) return make_error(block_bytes.error());
-    auto block =
-        Block::decode(BytesView(block_bytes.value().data(), block_bytes.value().size()));
+  for (std::size_t i = 1; i < blocks.size(); ++i) {
+    auto block = Block::decode(blocks[i]);
     if (!block) return make_error(block.error());
     if (auto appended = chain.append(std::move(block.value())); !appended) {
-      return make_error("chain file: block " + std::to_string(i) +
-                        " failed validation: " + appended.error());
+      return make_error(image_error(kChainImage, "block " + std::to_string(i) +
+                                                     " failed validation: " + appended.error()));
     }
   }
-  if (!r.exhausted()) return make_error("chain file: trailing bytes");
   return chain;
 }
 

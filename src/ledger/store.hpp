@@ -5,13 +5,19 @@
 // resume without replaying consensus — the operational feature an
 // IoT-blockchain deployment needs for devices that reboot.
 //
-// File format (little-endian, serde framing):
-//   magic "GPBFTCHN" | format version u32 | block count varint |
+// Every durable chain image — this ledger's and PoW's (pow/pow_store) —
+// shares one framing, written by write_image and parsed by read_image
+// (little-endian, serde framing):
+//   8-byte magic | format version u32 | block count varint |
 //   length-prefixed encoded blocks, genesis first |
 //   sha256 over everything before it (integrity tail)
+// The ledger's magic is "GPBFTCHN"; the blocks are ledger::Block encodings.
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/result.hpp"
 #include "ledger/chain.hpp"
@@ -19,6 +25,24 @@
 namespace gpbft::ledger {
 
 inline constexpr std::uint32_t kChainFileVersion = 1;
+
+/// What tells one image kind from another under the shared framing.
+struct ImageFormat {
+  std::string_view magic;    ///< exactly 8 bytes
+  std::uint32_t version;
+  std::string_view label;    ///< error-message prefix, e.g. "chain file"
+};
+
+/// Frames `count` blocks, block i encoded by `encode_block(i)`, into an
+/// image: one encode and one copy per block, one SHA-256 per image.
+[[nodiscard]] Bytes write_image(const ImageFormat& format, std::size_t count,
+                                const std::function<Bytes(std::size_t)>& encode_block);
+
+/// Checks an image's integrity tail, magic, version and framing and returns
+/// views of its encoded blocks (genesis first; at least one). Decoding and
+/// validating them is the caller's job.
+[[nodiscard]] Result<std::vector<BytesView>> read_image(const ImageFormat& format,
+                                                        BytesView image);
 
 /// Serializes `chain` (genesis..tip) into an in-memory image.
 [[nodiscard]] Bytes serialize_chain(const Chain& chain);

@@ -531,8 +531,6 @@ void Network::clear_link_fault(NodeId from, NodeId to) {
   link_faults_.erase({from.value, to.value});
 }
 
-void Network::clear_link_faults() { link_faults_.clear(); }
-
 const LinkFault* Network::link_fault(NodeId from, NodeId to) const {
   const auto it = link_faults_.find({from.value, to.value});
   return it == link_faults_.end() ? nullptr : &it->second;

@@ -210,7 +210,6 @@ class Network {
   /// Installs (replaces) a one-way per-link fault rule.
   void set_link_fault(NodeId from, NodeId to, const LinkFault& fault);
   void clear_link_fault(NodeId from, NodeId to);
-  void clear_link_faults();
   /// Rule on a link, or nullptr when the link is clean.
   [[nodiscard]] const LinkFault* link_fault(NodeId from, NodeId to) const;
 
@@ -250,7 +249,6 @@ class Network {
 
   [[nodiscard]] Simulator& simulator() { return sim_; }
   [[nodiscard]] const NetConfig& config() const { return config_; }
-  void set_config(const NetConfig& config) { config_ = config; }
 
  private:
   [[nodiscard]] bool partitioned_apart(NodeId a, NodeId b) const;

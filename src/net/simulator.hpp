@@ -49,11 +49,9 @@ class Simulator {
 
   [[nodiscard]] std::uint64_t events_processed() const { return events_processed_; }
 
-  /// Pending events right now, and the deepest the queue has ever been —
-  /// the high-water mark telemetry exports as `sim.max_queue_depth` (a
-  /// backlog signal: overloaded receivers show up here before latency
-  /// percentiles move).
-  [[nodiscard]] std::size_t queue_depth() const { return queue_.size(); }
+  /// The deepest the event queue has ever been — the high-water mark
+  /// telemetry exports as `sim.max_queue_depth` (a backlog signal:
+  /// overloaded receivers show up here before latency percentiles move).
   [[nodiscard]] std::size_t max_queue_depth() const { return max_queue_depth_; }
 
   static constexpr std::uint64_t kNoEventLimit = ~0ull;

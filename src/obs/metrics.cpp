@@ -116,11 +116,6 @@ const Counter* Registry::find_counter(std::string_view name, NodeId node) const 
   return it == counters_.end() ? nullptr : &it->second;
 }
 
-const Histogram* Registry::find_histogram(std::string_view name, NodeId node) const {
-  const auto it = histograms_.find(Key{std::string(name), node.value});
-  return it == histograms_.end() ? nullptr : &it->second;
-}
-
 std::string Registry::to_jsonl() const {
   std::string out;
   for (const auto& [key, c] : counters_) {

@@ -31,9 +31,6 @@ struct Counter {
 struct Gauge {
   double value{0.0};
   void set(double v) { value = v; }
-  void set_max(double v) {
-    if (v > value) value = v;
-  }
 };
 
 /// Fixed upper-bound buckets (ascending) plus an implicit +inf bucket.
@@ -76,8 +73,6 @@ class Registry {
   [[nodiscard]] Histogram histogram_total(std::string_view name) const;
   /// Read-only lookup; nullptr when the series does not exist.
   [[nodiscard]] const Counter* find_counter(std::string_view name, NodeId node = NodeId{0}) const;
-  [[nodiscard]] const Histogram* find_histogram(std::string_view name,
-                                               NodeId node = NodeId{0}) const;
 
   [[nodiscard]] bool empty() const {
     return counters_.empty() && gauges_.empty() && histograms_.empty();

@@ -42,8 +42,9 @@ struct PbftConfig {
 
   /// Two-phase mode (dBFT 1.0 style): an instance commits directly on a
   /// 2f+1 PREPARE quorum (the speaker's PRE-PREPARE counts as its vote);
-  /// no COMMIT round is sent. One-block finality with one fewer phase —
-  /// the delegated-BFT baseline of the paper's Table IV uses this.
+  /// no COMMIT round is sent. One-block finality with one fewer phase.
+  /// dBFT sets it only under DbftConfig::legacy_two_phase, an ablation:
+  /// the paper's Table IV dBFT baseline runs all three phases (dBFT 2.0).
   bool two_phase{false};
 };
 

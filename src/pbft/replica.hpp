@@ -50,10 +50,12 @@ class Replica : public net::INetNode {
   Replica(const Replica&) = delete;
   Replica& operator=(const Replica&) = delete;
 
-  /// Attaches to the network and arms the timeout tick. Call once.
-  void start();
+  /// Attaches to the network and arms the timeout tick; a second call is a
+  /// no-op. Subclasses extend it to arm their own timers, which read
+  /// started() so that stop() silences them too.
+  virtual void start();
 
-  /// Stops rescheduling the timeout tick so a simulation can drain to idle.
+  /// Stops rescheduling protocol timers so a simulation can drain to idle.
   void stop() { started_ = false; }
 
   // --- INetNode --------------------------------------------------------------
@@ -165,6 +167,8 @@ class Replica : public net::INetNode {
   [[nodiscard]] const PbftConfig& config() const { return config_; }
   [[nodiscard]] ledger::Mempool& mempool() { return mempool_; }
   [[nodiscard]] bool in_view_change() const { return in_view_change_; }
+  /// Between start() and stop(): protocol timers re-arm only while set.
+  [[nodiscard]] bool started() const { return started_; }
   /// Injected Byzantine behaviour, visible to subclasses so the G-PBFT
   /// layer can drive geo-plane attacks (SybilGeoReports) from its timers.
   [[nodiscard]] FaultMode fault_mode() const { return fault_mode_; }

@@ -1,71 +1,30 @@
 #include "pow/pow_store.hpp"
 
-#include <algorithm>
-
-#include "crypto/sha256.hpp"
-#include "serde/reader.hpp"
-#include "serde/writer.hpp"
+#include "ledger/store.hpp"
 
 namespace gpbft::pow {
 
 namespace {
-constexpr char kMagic[] = "GPBFTPOW";
-constexpr std::size_t kMagicLen = 8;
+constexpr ledger::ImageFormat kPowImage{"GPBFTPOW", kPowChainFileVersion, "pow chain file"};
 }  // namespace
 
 Bytes serialize_pow_chain(const PowChain& chain) {
   const std::vector<PowBlock> best = chain.best_chain();
-  serde::Writer w;
-  w.raw(BytesView(reinterpret_cast<const std::uint8_t*>(kMagic), kMagicLen));
-  w.u32(kPowChainFileVersion);
-  w.varint(best.size());
-  for (const PowBlock& block : best) {
-    const Bytes encoded = block.encode();
-    w.bytes(BytesView(encoded.data(), encoded.size()));
-  }
-  const crypto::Hash256 digest =
-      crypto::sha256(BytesView(w.buffer().data(), w.buffer().size()));
-  w.raw(digest.view());
-  return w.take();
+  return ledger::write_image(kPowImage, best.size(),
+                             [&best](std::size_t i) { return best[i].encode(); });
 }
 
 Result<std::vector<PowBlock>> deserialize_pow_chain(BytesView image) {
-  if (image.size() < kMagicLen + 4 + 32) return make_error("pow chain file: truncated");
-
-  const BytesView body(image.data(), image.size() - 32);
-  const crypto::Hash256 expected = crypto::sha256(body);
-  crypto::Hash256 stored;
-  std::copy(image.end() - 32, image.end(), stored.bytes.begin());
-  if (expected != stored) return make_error("pow chain file: integrity check failed");
-
-  serde::Reader r(body);
-  auto magic = r.raw(kMagicLen);
-  if (!magic) return make_error(magic.error());
-  if (std::string(magic.value().begin(), magic.value().end()) != kMagic) {
-    return make_error("pow chain file: bad magic");
-  }
-  auto version = r.u32();
-  if (!version) return make_error(version.error());
-  if (version.value() != kPowChainFileVersion) {
-    return make_error("pow chain file: unsupported version " + std::to_string(version.value()));
-  }
-
-  auto count = r.varint();
-  if (!count) return make_error(count.error());
-  if (count.value() == 0) return make_error("pow chain file: no blocks");
-  if (count.value() > 10'000'000) return make_error("pow chain file: implausible block count");
+  auto encoded = ledger::read_image(kPowImage, image);
+  if (!encoded) return make_error(encoded.error());
 
   std::vector<PowBlock> blocks;
-  blocks.reserve(count.value());
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto block_bytes = r.bytes();
-    if (!block_bytes) return make_error(block_bytes.error());
-    auto block =
-        PowBlock::decode(BytesView(block_bytes.value().data(), block_bytes.value().size()));
+  blocks.reserve(encoded.value().size());
+  for (const BytesView bytes : encoded.value()) {
+    auto block = PowBlock::decode(bytes);
     if (!block) return make_error(block.error());
     blocks.push_back(std::move(block.value()));
   }
-  if (!r.exhausted()) return make_error("pow chain file: trailing bytes");
   if (blocks.front().header.height != 0) return make_error("pow chain file: genesis height != 0");
   return blocks;
 }

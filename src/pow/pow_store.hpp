@@ -1,4 +1,5 @@
-// Durable image format for a PoW best chain, mirroring ledger/store:
+// Durable image of a PoW best chain, in the framing every chain image
+// shares (ledger/store: write_image / read_image) under its own magic:
 //
 //   "GPBFTPOW" | u32 version | varint count | count x length-prefixed
 //   encoded PowBlocks (genesis first) | sha256 integrity tail

@@ -7,6 +7,7 @@
 
 #include "common/logging.hpp"
 #include "ledger/store.hpp"
+#include "obs/profiler.hpp"
 #include "pbft/messages.hpp"
 #include "pow/pow_store.hpp"
 #include "sim/invariants.hpp"
@@ -119,6 +120,14 @@ void Deployment::finalize_telemetry() {
   }
 }
 
+void Deployment::start_nodes() {
+  for (auto& node : nodes_) node->start();
+}
+
+void Deployment::stop_nodes() {
+  for (auto& node : nodes_) node->stop();
+}
+
 void Deployment::start() {
   start_nodes();
   for (auto& client : clients_) client->start();
@@ -197,28 +206,69 @@ std::uint64_t Deployment::committed_count() const {
   return committed;
 }
 
+std::string Deployment::tip_hex() const { return nodes_.at(0)->chain().tip().hash().hex(); }
+
 void Deployment::set_fault_mode(NodeId id, pbft::FaultMode mode) {
-  (void)id;
-  (void)mode;
+  for (auto& node : nodes_) {
+    if (node->id() == id) node->set_fault_mode(mode);
+  }
+}
+
+void Deployment::build_nodes(std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    nodes_.push_back(make_node(NodeId{i + 1}));
+    attach_persistence(*nodes_.back());
+  }
 }
 
 bool Deployment::restart_node(NodeId id) {
-  (void)id;
+  for (auto& slot : nodes_) {
+    if (slot->id() != id) continue;
+    reboot(id);
+    slot.reset();  // scheduled timers die with the lifetime token
+
+    std::unique_ptr<pbft::Replica> node = make_node(id);
+    restore_from_disk(*node);  // replay happens before persistence and the monitor attach
+    on_restored(*node);
+    attach_persistence(*node);
+    if (monitor_ != nullptr) monitor_->watch(*node);
+    note_restarted(id, node->chain().height());
+    node->start();
+    node->begin_resync();
+    slot = std::move(node);
+    return true;
+  }
   return false;
+}
+
+void Deployment::reboot(NodeId id) {
+  network_.recover(id);  // a reboot clears the crash flag and the backlog
+  network_.detach(id);
+}
+
+BytesView Deployment::disk_image(NodeId id) {
+  if (!storage_.has(id)) return {};
+  const Bytes& image = storage_.disk(id).image();
+  return BytesView(image.data(), image.size());
+}
+
+void Deployment::persist(NodeId id, const std::function<Bytes()>& serialize) {
+  GPBFT_PROFILE_SCOPE("storage.persist");
+  storage_.disk(id).save(serialize());
 }
 
 void Deployment::attach_persistence(pbft::Replica& replica) {
   const NodeId id = replica.id();
   replica.set_persist_callback([this, id](const ledger::Chain& chain) {
-    storage_.disk(id).save(ledger::serialize_chain(chain));
+    persist(id, [&chain]() { return ledger::serialize_chain(chain); });
   });
 }
 
 void Deployment::restore_from_disk(pbft::Replica& replica) {
   const NodeId id = replica.id();
-  if (!storage_.has(id) || storage_.disk(id).empty()) return;
-  const Bytes& image = storage_.disk(id).image();
-  auto restored = ledger::deserialize_chain(BytesView(image.data(), image.size()));
+  const BytesView image = disk_image(id);
+  if (image.empty()) return;
+  auto restored = ledger::deserialize_chain(image);
   if (!restored) {
     log_warn(id.str() + ": disk image rejected (" + restored.error() +
              "); restarting from genesis");
@@ -229,13 +279,10 @@ void Deployment::restore_from_disk(pbft::Replica& replica) {
   }
 }
 
-void Deployment::note_restarted(pbft::Replica& replica) {
-  telemetry_.count("node.restarts", replica.id());
-  telemetry_.instant("restart", "chaos", replica.id(),
-                     {{"height", std::to_string(replica.chain().height())}});
-  if (monitor_ == nullptr) return;
-  monitor_->watch(replica);
-  monitor_->note_restart(replica.id(), replica.chain().height());
+void Deployment::note_restarted(NodeId id, Height height) {
+  telemetry_.count("node.restarts", id);
+  telemetry_.instant("restart", "chaos", id, {{"height", std::to_string(height)}});
+  if (monitor_ != nullptr) monitor_->note_restart(id, height);
 }
 
 void Deployment::watch(InvariantMonitor& monitor) {
@@ -243,6 +290,7 @@ void Deployment::watch(InvariantMonitor& monitor) {
   // The monitor's tallies and violation events join this deployment's
   // registry/trace, so exports carry the invariant verdicts too.
   monitor.set_telemetry(telemetry_);
+  for (auto& node : nodes_) monitor.watch(*node);
 }
 
 void Deployment::finish_invariants(InvariantMonitor& monitor) { (void)monitor; }
@@ -263,12 +311,7 @@ PbftCluster::PbftCluster(const ScenarioSpec& spec) : Deployment(spec, ProtocolKi
 
   for (std::size_t i = 0; i < spec.nodes; ++i) member_ids_.push_back(NodeId{i + 1});
 
-  const pbft::PbftConfig config = replica_config(spec);
-  for (std::size_t i = 0; i < spec.nodes; ++i) {
-    replicas_.push_back(std::make_unique<pbft::Replica>(NodeId{i + 1}, member_ids_, genesis_,
-                                                        config, network_, keys_));
-    attach_persistence(*replicas_.back());
-  }
+  build_nodes(spec.nodes);
   for (std::size_t i = 0; i < spec.clients; ++i) {
     clients_.push_back(std::make_unique<pbft::Client>(NodeId{kClientIdBase + i + 1}, member_ids_,
                                                       network_, keys_,
@@ -276,50 +319,16 @@ PbftCluster::PbftCluster(const ScenarioSpec& spec) : Deployment(spec, ProtocolKi
   }
 }
 
-void PbftCluster::start_nodes() {
-  for (auto& replica : replicas_) replica->start();
-}
-
-void PbftCluster::stop_nodes() {
-  for (auto& replica : replicas_) replica->stop();
+std::unique_ptr<pbft::Replica> PbftCluster::make_node(NodeId id) {
+  return std::make_unique<pbft::Replica>(id, member_ids_, genesis_, replica_config(spec_),
+                                         network_, keys_);
 }
 
 std::vector<NodeId> PbftCluster::committee() const {
   std::vector<NodeId> out;
-  out.reserve(replicas_.size());
-  for (const auto& replica : replicas_) out.push_back(replica->id());
+  out.reserve(nodes_.size());
+  for (const auto& replica : nodes_) out.push_back(replica->id());
   return out;
-}
-
-void PbftCluster::set_fault_mode(NodeId id, pbft::FaultMode mode) {
-  for (auto& replica : replicas_) {
-    if (replica->id() == id) replica->set_fault_mode(mode);
-  }
-}
-
-void PbftCluster::watch(InvariantMonitor& monitor) {
-  Deployment::watch(monitor);
-  for (auto& replica : replicas_) monitor.watch(*replica);
-}
-
-bool PbftCluster::restart_node(NodeId id) {
-  for (auto& slot : replicas_) {
-    if (slot->id() != id) continue;
-    network_.recover(id);  // a reboot clears the crash flag and the backlog
-    network_.detach(id);
-    slot.reset();  // scheduled timers die with the lifetime token
-
-    auto replica = std::make_unique<pbft::Replica>(id, member_ids_, genesis_,
-                                                   replica_config(spec_), network_, keys_);
-    restore_from_disk(*replica);  // replay happens before the monitor re-watches
-    attach_persistence(*replica);
-    note_restarted(*replica);
-    replica->start();
-    replica->begin_resync();
-    slot = std::move(replica);
-    return true;
-  }
-  return false;
 }
 
 // --- GpbftCluster ------------------------------------------------------------------
@@ -352,17 +361,7 @@ GpbftCluster::GpbftCluster(const ScenarioSpec& spec) : Deployment(spec, Protocol
   }
   genesis_ = ledger::make_genesis_block(genesis);
 
-  for (std::size_t i = 0; i < spec.nodes; ++i) {
-    const NodeId id{i + 1};
-    const geo::GeoPoint position = placement_.position(i);
-    area_.place(id, position);
-    auto endorser = std::make_unique<::gpbft::gpbft::Endorser>(id, position, protocol_, genesis_,
-                                                               network_, keys_, &area_);
-    endorser->set_roster_callback(
-        [this](EraId era, const std::vector<NodeId>& roster) { on_roster(era, roster); });
-    attach_persistence(*endorser);
-    endorsers_.push_back(std::move(endorser));
-  }
+  build_nodes(spec.nodes);
 
   for (std::size_t i = 0; i < spec.clients; ++i) {
     const NodeId id{kClientIdBase + i + 1};
@@ -373,12 +372,28 @@ GpbftCluster::GpbftCluster(const ScenarioSpec& spec) : Deployment(spec, Protocol
   }
 }
 
-void GpbftCluster::start_nodes() {
-  for (auto& endorser : endorsers_) endorser->start_protocol();
+std::unique_ptr<pbft::Replica> GpbftCluster::make_node(NodeId id) {
+  // A (re)boot seats the device at its home spot; drop any outstanding
+  // mobility displacement so the oracle matches what it will report.
+  const geo::GeoPoint home = placement_.position(static_cast<std::size_t>(id.value - 1));
+  displaced_origin_.erase(id);
+  area_.place(id, home);
+  auto endorser = std::make_unique<::gpbft::gpbft::Endorser>(id, home, protocol_, genesis_,
+                                                             network_, keys_, &area_);
+  // Replaying a disk image re-derives era, roster, production order and
+  // enrolled cells from the persisted config blocks (on_executed path) —
+  // on_roster's era guard drops the stale callbacks this fires.
+  endorser->set_roster_callback(
+      [this](EraId era, const std::vector<NodeId>& roster) { on_roster(era, roster); });
+  return endorser;
 }
 
-void GpbftCluster::stop_nodes() {
-  for (auto& endorser : endorsers_) endorser->stop_protocol();
+void GpbftCluster::on_restored(pbft::Replica& node) {
+  // A node whose image predates its own promotion (or that lost its disk)
+  // comes back as a candidate; aim its reports at the live committee so
+  // the next era can re-admit it.
+  auto& endorser = static_cast<::gpbft::gpbft::Endorser&>(node);
+  if (endorser.role() == ::gpbft::gpbft::Role::Candidate) endorser.set_known_committee(roster_);
 }
 
 void GpbftCluster::on_roster(EraId era, const std::vector<NodeId>& roster) {
@@ -393,9 +408,9 @@ void GpbftCluster::on_roster(EraId era, const std::vector<NodeId>& roster) {
   }
   roster_ = roster;
   for (auto& client : clients_) client->set_committee(roster);
-  for (auto& endorser : endorsers_) {
-    if (endorser->role() == ::gpbft::gpbft::Role::Candidate) {
-      endorser->set_known_committee(roster);
+  for (std::size_t i = 0; i < endorser_count(); ++i) {
+    if (endorser(i).role() == ::gpbft::gpbft::Role::Candidate) {
+      endorser(i).set_known_committee(roster);
     }
   }
 }
@@ -413,11 +428,12 @@ NodeId GpbftCluster::latest_elected() const {
 }
 
 void GpbftCluster::displace_node(NodeId id, bool displaced) {
-  for (auto& endorser : endorsers_) {
-    if (endorser->id() != id) continue;
+  for (std::size_t i = 0; i < endorser_count(); ++i) {
+    ::gpbft::gpbft::Endorser& endorser = this->endorser(i);
+    if (endorser.id() != id) continue;
     if (displaced) {
       if (displaced_origin_.contains(id)) return;  // already away from home
-      const geo::GeoPoint origin = endorser->location();
+      const geo::GeoPoint origin = endorser.location();
       displaced_origin_[id] = origin;
       geo::GeoPoint moved = origin;
       // ~33 m north: far beyond the 5 m truthfulness tolerance (a different
@@ -426,12 +442,12 @@ void GpbftCluster::displace_node(NodeId id, bool displaced) {
       // together — the attack is *mobility*, not lying about position.
       moved.latitude += 0.0003;
       area_.place(id, moved);
-      endorser->set_location(moved);
+      endorser.set_location(moved);
     } else {
       const auto it = displaced_origin_.find(id);
       if (it == displaced_origin_.end()) return;
       area_.place(id, it->second);
-      endorser->set_location(it->second);
+      endorser.set_location(it->second);
       displaced_origin_.erase(it);
     }
     telemetry_.instant("mobility.oscillate", "chaos", id,
@@ -442,56 +458,10 @@ void GpbftCluster::displace_node(NodeId id, bool displaced) {
 
 std::uint64_t GpbftCluster::total_era_switches() const {
   std::uint64_t max_switches = 0;
-  for (const auto& endorser : endorsers_) {
-    max_switches = std::max(max_switches, endorser->era_switches());
+  for (std::size_t i = 0; i < endorser_count(); ++i) {
+    max_switches = std::max(max_switches, endorser(i).era_switches());
   }
   return max_switches;
-}
-
-void GpbftCluster::set_fault_mode(NodeId id, pbft::FaultMode mode) {
-  for (auto& endorser : endorsers_) {
-    if (endorser->id() == id) endorser->set_fault_mode(mode);
-  }
-}
-
-void GpbftCluster::watch(InvariantMonitor& monitor) {
-  Deployment::watch(monitor);
-  for (auto& endorser : endorsers_) monitor.watch(*endorser);
-}
-
-bool GpbftCluster::restart_node(NodeId id) {
-  for (auto& slot : endorsers_) {
-    if (slot->id() != id) continue;
-    network_.recover(id);
-    network_.detach(id);
-    slot.reset();
-
-    const std::size_t index = static_cast<std::size_t>(id.value - 1);
-    // A reboot re-seats the device at its home spot; drop any outstanding
-    // mobility displacement so the oracle matches what it will report.
-    if (displaced_origin_.erase(id) > 0) area_.place(id, placement_.position(index));
-    auto endorser = std::make_unique<::gpbft::gpbft::Endorser>(
-        id, placement_.position(index), protocol_, genesis_, network_, keys_, &area_);
-    endorser->set_roster_callback(
-        [this](EraId era, const std::vector<NodeId>& roster) { on_roster(era, roster); });
-    // Replaying the disk image re-derives era, roster, production order and
-    // enrolled cells from the persisted config blocks (on_executed path) —
-    // the cluster's on_roster guard drops the stale callbacks this fires.
-    restore_from_disk(*endorser);
-    // A node whose image predates its own promotion (or that lost its disk)
-    // comes back as a candidate; aim its reports at the live committee so
-    // the next era can re-admit it.
-    if (endorser->role() == ::gpbft::gpbft::Role::Candidate) {
-      endorser->set_known_committee(roster_);
-    }
-    attach_persistence(*endorser);
-    note_restarted(*endorser);
-    endorser->start_protocol();
-    endorser->begin_resync();
-    slot = std::move(endorser);
-    return true;
-  }
-  return false;
 }
 
 // --- DbftCluster -------------------------------------------------------------------
@@ -514,56 +484,16 @@ DbftCluster::DbftCluster(const ScenarioSpec& spec) : Deployment(spec, ProtocolKi
   for (std::size_t i = 0; i < spec.nodes; ++i) all_members_.push_back(NodeId{i + 1});
   roster_.assign(all_members_.begin(), all_members_.begin() + static_cast<long>(delegate_count));
 
-  for (std::size_t i = 0; i < spec.nodes; ++i) {
-    members_.push_back(std::make_unique<dbft::Delegate>(NodeId{i + 1}, genesis_, dbft_config_,
-                                                        stakes_, all_members_, network_, keys_));
-    attach_persistence(*members_.back());
-  }
+  build_nodes(spec.nodes);
   for (std::size_t i = 0; i < spec.clients; ++i) {
     clients_.push_back(std::make_unique<pbft::Client>(NodeId{kClientIdBase + i + 1}, roster_,
                                                       network_, keys_, spec.engine.compute_macs));
   }
 }
 
-void DbftCluster::start_nodes() {
-  for (auto& member : members_) member->start_protocol();
-}
-
-void DbftCluster::stop_nodes() {
-  for (auto& member : members_) member->stop_protocol();
-}
-
-void DbftCluster::set_fault_mode(NodeId id, pbft::FaultMode mode) {
-  for (auto& member : members_) {
-    if (member->id() == id) member->set_fault_mode(mode);
-  }
-}
-
-void DbftCluster::watch(InvariantMonitor& monitor) {
-  Deployment::watch(monitor);
-  for (auto& member : members_) monitor.watch(*member);
-}
-
-bool DbftCluster::restart_node(NodeId id) {
-  for (auto& slot : members_) {
-    if (slot->id() != id) continue;
-    network_.recover(id);
-    network_.detach(id);
-    slot.reset();
-
-    auto member = std::make_unique<dbft::Delegate>(id, genesis_, dbft_config_, stakes_,
-                                                   all_members_, network_, keys_);
-    // dBFT persists on every executed block (2f+1 PREPARE finality), so a
-    // clean image resumes at the exact height it stopped at.
-    restore_from_disk(*member);
-    attach_persistence(*member);
-    note_restarted(*member);
-    member->start_protocol();
-    member->begin_resync();
-    slot = std::move(member);
-    return true;
-  }
-  return false;
+std::unique_ptr<pbft::Replica> DbftCluster::make_node(NodeId id) {
+  return std::make_unique<dbft::Delegate>(id, genesis_, dbft_config_, stakes_, all_members_,
+                                          network_, keys_);
 }
 
 // --- PowCluster --------------------------------------------------------------------
@@ -654,21 +584,19 @@ void PowCluster::wire_miner(pow::Miner& miner) {
   });
   const NodeId id = miner.id();
   miner.set_persist_callback([this, id](const pow::PowChain& chain) {
-    storage_.disk(id).save(pow::serialize_pow_chain(chain));
+    persist(id, [&chain]() { return pow::serialize_pow_chain(chain); });
   });
 }
 
 bool PowCluster::restart_node(NodeId id) {
   for (auto& slot : miners_) {
     if (slot->id() != id) continue;
-    network_.recover(id);
-    network_.detach(id);
+    reboot(id);
     slot.reset();
 
     auto miner = std::make_unique<pow::Miner>(id, miner_ids_, genesis_, miner_config_, network_);
-    if (storage_.has(id) && !storage_.disk(id).empty()) {
-      const Bytes& image = storage_.disk(id).image();
-      if (auto blocks = pow::deserialize_pow_chain(BytesView(image.data(), image.size()))) {
+    if (const BytesView image = disk_image(id); !image.empty()) {
+      if (auto blocks = pow::deserialize_pow_chain(image)) {
         miner->restore_chain(blocks.value());
       } else {
         log_warn(id.str() + ": pow disk image rejected (" + blocks.error() +
@@ -676,14 +604,9 @@ bool PowCluster::restart_node(NodeId id) {
       }
     }
     wire_miner(*miner);
-    telemetry_.count("node.restarts", id);
-    telemetry_.instant("restart", "chaos", id,
-                       {{"height", std::to_string(miner->chain().tip_height())}});
-    if (monitor_ != nullptr) {
-      // No online execution hook for PoW; the restart is still recorded so
-      // restart bookkeeping (and finish_invariants' replay) sees it.
-      monitor_->note_restart(id, miner->chain().tip_height());
-    }
+    // No online execution hook for PoW; the restart is still recorded so
+    // restart bookkeeping (and finish_invariants' replay) sees it.
+    note_restarted(id, miner->chain().tip_height());
     // Gossip closes the gap: the next announced block triggers the orphan
     // parent-fetch walk back to whatever the restored image ends at.
     miner->start();

@@ -7,6 +7,17 @@
 // toggles and invariant-monitor attachment. The common run/stop plumbing
 // lives here exactly once; subclasses contribute only protocol wiring.
 //
+// The three BFT stacks share one node lifecycle. The base owns their nodes
+// as pbft::Replica objects and starts, stops, faults, watches and restarts
+// them; each BFT cluster supplies only make_node, the one place it builds
+// its node type. A restart reboots the node's network slot, builds a fresh
+// node, restores it from its simulated disk, attaches persistence, records
+// the restart, starts it and kicks off resync — restore before attach, so a
+// replay never writes back. PoW miners are not replicas: PowCluster keeps
+// them itself but reuses the same reboot, disk-image, persist and
+// restart-bookkeeping helpers, and every stack's save runs through the one
+// persist path (profiled as `storage.persist`).
+//
 // Four deployments exist, one per protocol the paper evaluates (§V):
 //
 //   PbftCluster  — the baseline: every node is a PBFT replica, the
@@ -105,7 +116,7 @@ class Deployment {
   /// Hex hash of node 0's chain tip (PoW: miner 0's best tip) — the
   /// byte-level fingerprint the REJECT-SAFE tamper campaign compares
   /// across a clean/tampered pair at the same seed.
-  [[nodiscard]] virtual std::string tip_hex() const = 0;
+  [[nodiscard]] virtual std::string tip_hex() const;
 
   /// Transactions committed (PoW: confirmed at depth) across all clients.
   [[nodiscard]] virtual std::uint64_t committed_count() const;
@@ -114,7 +125,7 @@ class Deployment {
 
   /// Toggles a node's Byzantine behaviour (no-op for PoW: miners model no
   /// equivocation faults; chaos profiles keep byzantine_chance at zero).
-  virtual void set_fault_mode(NodeId id, pbft::FaultMode mode);
+  void set_fault_mode(NodeId id, pbft::FaultMode mode);
 
   /// The most recently seated committee member — the victim a TargetedCrash
   /// chaos event resolves at fire time. G-PBFT tracks promotions across era
@@ -137,7 +148,8 @@ class Deployment {
   /// scheduled timers die with its lifetime token), rebuilds it from
   /// whatever its simulated disk yields — genesis when the image is absent
   /// or corrupt — re-attaches it and kicks off active resync. Returns false
-  /// when `id` is not a protocol node of this deployment.
+  /// when `id` is not a protocol node of this deployment. Leaves the disk
+  /// itself untouched.
   virtual bool restart_node(NodeId id);
   /// Injects a disk fault into `id`'s simulated disk (see DiskFaultKind).
   void inject_disk_fault(NodeId id, DiskFaultKind kind);
@@ -151,11 +163,11 @@ class Deployment {
   /// processed, committee size) into the registry and labels trace rows.
   void finalize_telemetry();
 
-  /// Attaches the invariant monitor to every node's execution path.
-  /// PoW has no online execution hook; it is checked at finish_invariants.
-  /// Subclass overrides must call the base so restarts re-watch rebuilt
-  /// nodes and report to InvariantMonitor::note_restart.
-  virtual void watch(InvariantMonitor& monitor);
+  /// Attaches the invariant monitor to every node's execution path;
+  /// restarts re-watch rebuilt nodes and report to
+  /// InvariantMonitor::note_restart. PoW has no online execution hook; it
+  /// is checked at finish_invariants.
+  void watch(InvariantMonitor& monitor);
   /// End-of-run checks: PoW replays every miner's confirmed prefix through
   /// the monitor (agreement/validity/duplicates over confirmed blocks).
   virtual void finish_invariants(InvariantMonitor& monitor);
@@ -173,19 +185,42 @@ class Deployment {
   /// `protocol`, the one the concrete cluster implements.
   Deployment(const ScenarioSpec& spec, ProtocolKind protocol);
 
-  virtual void start_nodes() = 0;
-  virtual void stop_nodes() = 0;
+  virtual void start_nodes();
+  virtual void stop_nodes();
   /// Whether the workload finished; default: every client committed.
   [[nodiscard]] virtual bool workload_done(std::uint64_t per_client) const;
 
+  /// Builds BFT node `id` without persistence — the one place a BFT
+  /// cluster constructs its node type, shared by build_nodes and
+  /// restart_node. PoW keeps its miners apart and never calls it.
+  [[nodiscard]] virtual std::unique_ptr<pbft::Replica> make_node(NodeId id) {
+    (void)id;
+    return nullptr;
+  }
+  /// restart_node's step between the disk restore and attach_persistence;
+  /// it sees the restored protocol state. Default: nothing.
+  virtual void on_restored(pbft::Replica& node) { (void)node; }
+  /// Constructor step: builds nodes 1..count with make_node and attaches
+  /// their persistence.
+  void build_nodes(std::size_t count);
+
+  /// A reboot: clears `id`'s crash flag and backlog and detaches the dead
+  /// node from the network (the caller destroys it).
+  void reboot(NodeId id);
+  /// `id`'s current disk image; empty when the node never saved or a torn
+  /// write left nothing.
+  [[nodiscard]] BytesView disk_image(NodeId id);
+  /// The one persist path of every stack: serializes and saves to `id`'s
+  /// disk under the `storage.persist` profiler site.
+  void persist(NodeId id, const std::function<Bytes()>& serialize);
   /// Wires a replica's persist callback to its node's simulated disk.
   void attach_persistence(pbft::Replica& replica);
   /// Replays `replica`'s disk image through restore_chain. An absent or
   /// corrupt image (torn write, bit rot) leaves the replica at genesis —
   /// the fallback path chain sync then closes.
   void restore_from_disk(pbft::Replica& replica);
-  /// Monitor bookkeeping shared by every restart_node override.
-  void note_restarted(pbft::Replica& replica);
+  /// Restart telemetry and monitor bookkeeping shared by every stack.
+  void note_restarted(NodeId id, Height height);
 
   const ScenarioSpec spec_;
   obs::Telemetry telemetry_;  // before network_: the network holds a pointer
@@ -196,6 +231,8 @@ class Deployment {
   StorageFabric storage_;
   InvariantMonitor* monitor_{nullptr};
   std::vector<std::unique_ptr<pbft::Client>> clients_;
+  /// The BFT stacks' protocol nodes, ids 1..N in order (empty for PoW).
+  std::vector<std::unique_ptr<pbft::Replica>> nodes_;
   /// Liveness token handed to workload streams; stop() resets it first so
   /// already-queued submission events become no-ops.
   std::shared_ptr<const bool> workload_alive_;
@@ -210,24 +247,16 @@ class PbftCluster : public Deployment {
   explicit PbftCluster(const ScenarioSpec& spec);
 
   [[nodiscard]] std::vector<NodeId> committee() const override;
-  void set_fault_mode(NodeId id, pbft::FaultMode mode) override;
-  bool restart_node(NodeId id) override;
-  void watch(InvariantMonitor& monitor) override;
 
-  [[nodiscard]] pbft::Replica& replica(std::size_t i) { return *replicas_.at(i); }
-  [[nodiscard]] std::size_t replica_count() const { return replicas_.size(); }
-  [[nodiscard]] std::string tip_hex() const override {
-    return replicas_.at(0)->chain().tip().hash().hex();
-  }
+  [[nodiscard]] pbft::Replica& replica(std::size_t i) { return *nodes_.at(i); }
+  [[nodiscard]] std::size_t replica_count() const { return nodes_.size(); }
 
  protected:
-  void start_nodes() override;
-  void stop_nodes() override;
+  [[nodiscard]] std::unique_ptr<pbft::Replica> make_node(NodeId id) override;
 
  private:
   ledger::Block genesis_;            // reconstruction material for restarts
   std::vector<NodeId> member_ids_;
-  std::vector<std::unique_ptr<pbft::Replica>> replicas_;
 };
 
 // --- G-PBFT deployment ----------------------------------------------------------
@@ -244,7 +273,6 @@ class GpbftCluster : public Deployment {
   /// Fault victims are the genesis committee (see fault_targets docs).
   [[nodiscard]] std::vector<NodeId> fault_targets() const override;
   [[nodiscard]] std::uint64_t era_switches() const override { return total_era_switches(); }
-  void set_fault_mode(NodeId id, pbft::FaultMode mode) override;
   /// The member most recently promoted into the roster (the genesis lead
   /// until the first era switch seats someone new).
   [[nodiscard]] NodeId latest_elected() const override;
@@ -252,22 +280,25 @@ class GpbftCluster : public Deployment {
   /// deployment area — keeping reported location and the area oracle in
   /// sync, so reports stay truthful but the stationarity timer resets.
   void displace_node(NodeId id, bool displaced) override;
-  bool restart_node(NodeId id) override;
-  void watch(InvariantMonitor& monitor) override;
 
-  [[nodiscard]] ::gpbft::gpbft::Endorser& endorser(std::size_t i) { return *endorsers_.at(i); }
-  [[nodiscard]] std::size_t endorser_count() const { return endorsers_.size(); }
-  [[nodiscard]] std::string tip_hex() const override {
-    return endorsers_.at(0)->chain().tip().hash().hex();
+  [[nodiscard]] ::gpbft::gpbft::Endorser& endorser(std::size_t i) {
+    return static_cast<::gpbft::gpbft::Endorser&>(*nodes_.at(i));
   }
+  [[nodiscard]] const ::gpbft::gpbft::Endorser& endorser(std::size_t i) const {
+    return static_cast<const ::gpbft::gpbft::Endorser&>(*nodes_.at(i));
+  }
+  [[nodiscard]] std::size_t endorser_count() const { return nodes_.size(); }
   [[nodiscard]] ::gpbft::gpbft::AreaRegistry& area() { return area_; }
   [[nodiscard]] const std::vector<NodeId>& roster() const { return roster_; }
   [[nodiscard]] EraId era() const { return era_; }
   [[nodiscard]] std::uint64_t total_era_switches() const;
 
  protected:
-  void start_nodes() override;
-  void stop_nodes() override;
+  /// Seats the device at its home spot (dropping any mobility
+  /// displacement) and wires the roster callback.
+  [[nodiscard]] std::unique_ptr<pbft::Replica> make_node(NodeId id) override;
+  /// Aims a restored candidate's reports at the live committee.
+  void on_restored(pbft::Replica& node) override;
 
  private:
   void on_roster(EraId era, const std::vector<NodeId>& roster);
@@ -275,7 +306,6 @@ class GpbftCluster : public Deployment {
   ::gpbft::gpbft::AreaRegistry area_;
   ::gpbft::gpbft::GpbftConfig protocol_;  // resolved config, for restarts
   ledger::Block genesis_;
-  std::vector<std::unique_ptr<::gpbft::gpbft::Endorser>> endorsers_;
   std::vector<NodeId> roster_;
   EraId era_{0};
   NodeId latest_elected_{};  // last id newly seated by an era switch
@@ -291,25 +321,19 @@ class DbftCluster : public Deployment {
   explicit DbftCluster(const ScenarioSpec& spec);
 
   [[nodiscard]] std::vector<NodeId> committee() const override { return roster_; }
-  void set_fault_mode(NodeId id, pbft::FaultMode mode) override;
-  bool restart_node(NodeId id) override;
-  void watch(InvariantMonitor& monitor) override;
 
-  [[nodiscard]] dbft::Delegate& delegate(std::size_t i) { return *members_.at(i); }
-  [[nodiscard]] std::string tip_hex() const override {
-    return members_.at(0)->chain().tip().hash().hex();
+  [[nodiscard]] dbft::Delegate& delegate(std::size_t i) {
+    return static_cast<dbft::Delegate&>(*nodes_.at(i));
   }
 
  protected:
-  void start_nodes() override;
-  void stop_nodes() override;
+  [[nodiscard]] std::unique_ptr<pbft::Replica> make_node(NodeId id) override;
 
  private:
   dbft::StakeRegistry stakes_;  // no voting unless a test registers stake
   dbft::DbftConfig dbft_config_;  // reconstruction material for restarts
   ledger::Block genesis_;
   std::vector<NodeId> all_members_;
-  std::vector<std::unique_ptr<dbft::Delegate>> members_;
   std::vector<NodeId> roster_;
 };
 

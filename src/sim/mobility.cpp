@@ -9,7 +9,6 @@ void Mobility::move(::gpbft::gpbft::Endorser& device, const geo::GeoPoint& to) {
 
 void Mobility::random_hop(::gpbft::gpbft::Endorser& device, Duration period,
                           std::size_t slot_base, std::size_t slot_count, Duration start) {
-  ++drivers_;
   struct Hopper {
     Mobility* mobility;
     ::gpbft::gpbft::Endorser* device;
@@ -38,7 +37,6 @@ void Mobility::random_hop(::gpbft::gpbft::Endorser& device, Duration period,
 
 void Mobility::relocate_at(::gpbft::gpbft::Endorser& device, Duration when,
                            const geo::GeoPoint& to) {
-  ++drivers_;
   auto alive = alive_;
   auto* device_ptr = &device;
   sim_.schedule(when, [this, alive, device_ptr, to]() {

@@ -43,8 +43,6 @@ class Mobility {
   /// Stops all drivers (safe to call mid-simulation).
   void stop() { *alive_ = false; }
 
-  [[nodiscard]] std::size_t active_drivers() const { return drivers_; }
-
  private:
   void move(::gpbft::gpbft::Endorser& device, const geo::GeoPoint& to);
 
@@ -52,7 +50,6 @@ class Mobility {
   ::gpbft::gpbft::AreaRegistry& area_;
   const Placement& placement_;
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
-  std::size_t drivers_{0};
 };
 
 }  // namespace gpbft::sim

@@ -1,9 +1,11 @@
 // Deterministic simulated storage: one in-memory "disk" per node.
 //
-// The ledger's `save_chain`/`load_chain` image format (magic + version +
-// blocks + SHA-256 integrity tail) was designed so a node can stop and
-// resume without replaying consensus — but a real IoT flash part fails in
-// characteristic ways that the restart machinery must survive:
+// Every disk holds a chain image in the one framing ledger/store owns
+// (write_image / read_image: magic + version + blocks + SHA-256 integrity
+// tail; BFT and PoW images differ only in magic and block encoding). The
+// format lets a node stop and resume without replaying consensus — but a
+// real IoT flash part fails in characteristic ways that the restart
+// machinery must survive:
 //
 //   TornWrite      power loss mid-write: the *next* save lands truncated at
 //                  an arbitrary offset. The integrity tail catches it at

@@ -138,7 +138,7 @@ struct DbftNet {
   }
 
   void start() {
-    for (auto& node : nodes) node->start_protocol();
+    for (auto& node : nodes) node->start();
     for (auto& client : clients) client->start();
   }
   void run_for(Duration d) { sim.run_until(sim.now() + d); }

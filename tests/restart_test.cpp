@@ -8,7 +8,9 @@
 #include <memory>
 
 #include "common/rng.hpp"
+#include "ledger/store.hpp"
 #include "pbft/client.hpp"
+#include "pow/pow_store.hpp"
 #include "sim/deployment.hpp"
 #include "sim/invariants.hpp"
 #include "sim/storage.hpp"
@@ -203,13 +205,90 @@ TEST(Restart, PowMinerRejoinsFromItsPersistedTip) {
   EXPECT_TRUE(run.clean) << run.report;
 }
 
+// --- the restart contract on every stack ----------------------------------------------
+
+constexpr ProtocolKind kStacks[] = {ProtocolKind::Pbft, ProtocolKind::Gpbft, ProtocolKind::Dbft,
+                                    ProtocolKind::Pow};
+
+/// pbft_spec() run on `protocol`, with dBFT and PoW blocks paced to land
+/// within the first seconds.
+ScenarioSpec stack_spec(ProtocolKind protocol) {
+  ScenarioSpec spec = pbft_spec();
+  spec.protocol = protocol;
+  spec.dbft.block_interval = Duration::seconds(2);
+  spec.pow.block_interval = Duration::seconds(3);
+  spec.pow.confirmations = 2;
+  return spec;
+}
+
+/// The height of node `id`'s chain (PoW: its best tip), whatever its stack.
+Height node_height(Deployment& deployment, NodeId id) {
+  const auto i = static_cast<std::size_t>(id.value - 1);
+  if (auto* pbft = dynamic_cast<PbftCluster*>(&deployment)) {
+    return pbft->replica(i).chain().height();
+  }
+  if (auto* gpbft = dynamic_cast<GpbftCluster*>(&deployment)) {
+    return gpbft->endorser(i).chain().height();
+  }
+  if (auto* dbft = dynamic_cast<DbftCluster*>(&deployment)) {
+    return dbft->delegate(i).chain().height();
+  }
+  return dynamic_cast<PowCluster&>(deployment).miner(i).chain().tip_height();
+}
+
+/// The height of the chain a disk image holds; 0 when it does not parse.
+Height image_height(ProtocolKind protocol, const Bytes& image) {
+  const BytesView view(image.data(), image.size());
+  if (protocol == ProtocolKind::Pow) {
+    const auto blocks = pow::deserialize_pow_chain(view);
+    return blocks ? blocks.value().back().header.height : 0;
+  }
+  const auto chain = ledger::deserialize_chain(view);
+  return chain ? chain.value().height() : 0;
+}
+
 TEST(Restart, UnknownNodeIsRejected) {
-  const std::unique_ptr<Deployment> deployment = make_deployment(pbft_spec());
+  for (const ProtocolKind protocol : kStacks) {
+    SCOPED_TRACE(protocol_name(protocol));
+    const std::unique_ptr<Deployment> deployment = make_deployment(stack_spec(protocol));
+    deployment->start();
+    EXPECT_FALSE(deployment->restart_node(NodeId{999}));
+    EXPECT_FALSE(deployment->restart_node(NodeId{kClientIdBase + 1}));
+    deployment->stop();
+  }
+}
+
+class RestartContract : public ::testing::TestWithParam<ProtocolKind> {};
+
+// restart_node reads the victim's disk but never writes it: the image is
+// replayed before persistence is attached, so the replay cannot save it
+// back. The rebuilt node resumes at the height the image holds.
+TEST_P(RestartContract, LeavesTheDiskAloneAndResumesAtItsImage) {
+  const ScenarioSpec spec = stack_spec(GetParam());
+  const std::unique_ptr<Deployment> deployment = make_deployment(spec);
   deployment->start();
-  EXPECT_FALSE(deployment->restart_node(NodeId{999}));
-  EXPECT_FALSE(deployment->restart_node(NodeId{kClientIdBase + 1}));
+  deployment->schedule_workload(spec.workload, nullptr);
+  deployment->run_for(Duration::seconds(20));
+
+  const NodeId victim{3};
+  ASSERT_TRUE(deployment->storage().has(victim));
+  const SimDisk& disk = deployment->storage().disk(victim);
+  const std::uint64_t saves = disk.saves();
+  const Bytes image = disk.image();
+  const Height height = image_height(GetParam(), image);
+  ASSERT_GT(height, 0u);
+
+  ASSERT_TRUE(deployment->restart_node(victim));
+  EXPECT_EQ(disk.saves(), saves);
+  EXPECT_EQ(disk.image(), image);
+  EXPECT_EQ(node_height(*deployment, victim), height);
   deployment->stop();
 }
+
+INSTANTIATE_TEST_SUITE_P(AllStacks, RestartContract, ::testing::ValuesIn(kStacks),
+                         [](const ::testing::TestParamInfo<ProtocolKind>& info) {
+                           return std::string(protocol_name(info.param));
+                         });
 
 // --- G-PBFT restart across an era switch ----------------------------------------------
 

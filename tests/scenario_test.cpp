@@ -333,6 +333,7 @@ TEST_P(ChaosScenarioFile, RunsCleanAndCommitsEveryTransaction) {
 INSTANTIATE_TEST_SUITE_P(CheckedIn, ChaosScenarioFile,
                          ::testing::Values("election_boundary_oscillation", "election_churn_long",
                                            "election_sybil_burst", "election_targeted_crash",
+                                           "restart_dbft", "restart_pbft", "restart_pow",
                                            "tamper_storm"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
