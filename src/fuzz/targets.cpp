@@ -6,7 +6,9 @@
 #include <string>
 
 #include "crypto/authenticator.hpp"
+#include "crypto/sha256.hpp"
 #include "ledger/block.hpp"
+#include "ledger/store.hpp"
 #include "ledger/transaction.hpp"
 #include "pbft/messages.hpp"
 #include "pow/pow_chain.hpp"
@@ -175,6 +177,38 @@ Bytes seed_seal() {
   return out;
 }
 
+/// Fuzzes the chain-image decoder fed from files and faulted disks
+/// (ledger::deserialize_chain). The input is an image without its SHA-256
+/// integrity tail; the target appends a fresh one, so mutations reach the
+/// framing and block decode instead of stopping at the integrity check. On
+/// accept, serialize ∘ deserialize must be a fixed point.
+bool run_chain_image(BytesView data) {
+  Bytes image(data.begin(), data.end());
+  const crypto::Hash256 tail = crypto::sha256(data);
+  image.insert(image.end(), tail.bytes.begin(), tail.bytes.end());
+  auto first = ledger::deserialize_chain(BytesView(image.data(), image.size()));
+  if (!first.ok()) return false;
+  const Bytes once = ledger::serialize_chain(first.value());
+  auto second = ledger::deserialize_chain(BytesView(once.data(), once.size()));
+  if (!second.ok()) oracle_failure("chain_image", "re-decode of an accepted image failed");
+  if (ledger::serialize_chain(second.value()) != once) {
+    oracle_failure("chain_image", "serialize is not a fixed point after deserialize");
+  }
+  return true;
+}
+
+Bytes seed_chain_image() {
+  ledger::Block genesis;  // height 0 over an empty body
+  genesis.header.merkle_root = genesis.compute_merkle_root();
+  ledger::Chain chain(genesis);
+  (void)chain.append(ledger::build_block(genesis.header, {seed_tx()}, /*era=*/0, /*view=*/0,
+                                         /*seq=*/1, TimePoint{2'000'000'000},
+                                         /*producer=*/NodeId{1}));
+  Bytes image = ledger::serialize_chain(chain);
+  image.resize(image.size() - 32);  // the target appends the integrity tail
+  return image;
+}
+
 /// Fuzzes the strict scenario parser. On accept, print ∘ parse must be a
 /// fixed point (the format guarantees parse(print(spec)) == spec).
 bool run_scenario(BytesView data) {
@@ -321,6 +355,7 @@ std::vector<FuzzTarget> build_targets() {
          msg.blocks = {seed_block()};
          return msg.encode();
        }},
+      {"chain_image", run_chain_image, seed_chain_image},
       {"seal", run_seal, seed_seal},
       {"scenario", run_scenario, seed_scenario},
   };

@@ -42,8 +42,9 @@ struct FuzzTarget {
 
 /// All registered targets: one per wire codec (transactions, blocks, PoW
 /// blocks, the thirteen PBFT/G-PBFT message bodies) plus the cross-cutting
-/// drivers serde_walk (raw Reader primitives), seal (MAC framing) and
-/// scenario (the key=value scenario parser).
+/// drivers serde_walk (raw Reader primitives), chain_image (the durable
+/// chain-image decoder), seal (MAC framing) and scenario (the key=value
+/// scenario parser).
 [[nodiscard]] const std::vector<FuzzTarget>& targets();
 
 /// Looks a target up by name; nullptr when absent.

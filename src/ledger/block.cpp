@@ -1,5 +1,7 @@
 #include "ledger/block.hpp"
 
+#include <algorithm>
+
 #include "serde/reader.hpp"
 #include "serde/writer.hpp"
 
@@ -111,6 +113,21 @@ crypto::Hash256 Block::compute_merkle_root() const {
   leaves.reserve(transactions.size());
   for (const Transaction& tx : transactions) leaves.push_back(tx.digest());
   return crypto::MerkleTree::compute_root(leaves);
+}
+
+Result<void> check_body(const std::vector<Transaction>& transactions,
+                        const crypto::Hash256& merkle_root) {
+  std::vector<crypto::Hash256> leaves;
+  leaves.reserve(transactions.size());
+  for (const Transaction& tx : transactions) leaves.push_back(tx.digest());
+  if (crypto::MerkleTree::compute_root(leaves) != merkle_root) {
+    return make_error("merkle root does not commit to the body");
+  }
+  std::sort(leaves.begin(), leaves.end());
+  if (std::adjacent_find(leaves.begin(), leaves.end()) != leaves.end()) {
+    return make_error("a transaction repeats in the body");
+  }
+  return {};
 }
 
 Amount Block::total_fees() const {

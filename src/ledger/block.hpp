@@ -49,6 +49,13 @@ struct Block {
   friend bool operator==(const Block&, const Block&) = default;
 };
 
+/// Checks that `merkle_root` commits to `transactions` and that no two of
+/// them share a digest. The tree pairs an odd node with itself, so bodies
+/// [a, b, c] and [a, b, c, c] have one root; refusing repeats leaves every
+/// root a single body. Each digest is computed once, for both checks.
+[[nodiscard]] Result<void> check_body(const std::vector<Transaction>& transactions,
+                                      const crypto::Hash256& merkle_root);
+
 /// Builds a block over `transactions` on top of `prev`, filling the Merkle
 /// root and consensus coordinates.
 [[nodiscard]] Block build_block(const BlockHeader& prev, std::vector<Transaction> transactions,

@@ -20,8 +20,8 @@ Result<void> Chain::validate_next(const Block& block) const {
     return make_error("chain: previous-hash link broken at height " +
                       std::to_string(block.header.height));
   }
-  if (block.header.merkle_root != block.compute_merkle_root()) {
-    return make_error("chain: merkle root does not commit to the body");
+  if (auto body = check_body(block.transactions, block.header.merkle_root); !body) {
+    return make_error("chain: " + body.error());
   }
   return {};
 }

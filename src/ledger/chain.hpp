@@ -29,7 +29,8 @@ class Chain {
   explicit Chain(Block genesis);
 
   /// Validates and appends. Errors on wrong height, broken prev-hash link,
-  /// or a Merkle root that does not match the body.
+  /// a Merkle root that does not match the body, or a body that repeats a
+  /// transaction (see check_body).
   [[nodiscard]] Result<void> append(Block block);
 
   /// Validation without mutation (what append checks).

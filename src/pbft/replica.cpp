@@ -553,7 +553,7 @@ void Replica::on_preprepare(NodeId from, const PrePrepare& msg) {
   if (from != primary_of(msg.view)) return;  // only the primary may propose
   if (!seq_in_window(msg.seq)) return;
   if (msg.digest != msg.block.hash()) return;
-  if (msg.block.header.merkle_root != msg.block.compute_merkle_root()) return;
+  if (!ledger::check_body(msg.block.transactions, msg.block.header.merkle_root)) return;
   // Backup-side twin of the select_batch filter: refuse proposals carrying
   // a configuration transaction for anything but the next era, so a stale
   // (or Byzantine) primary cannot commit a contradictory roster for an era

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "crypto/merkle.hpp"
+#include "ledger/block.hpp"
 #include "serde/reader.hpp"
 #include "serde/writer.hpp"
 
@@ -153,8 +154,8 @@ Result<bool> PowChain::add_block(PowBlock block) {
   if (!hash_meets_difficulty(hash, proof_difficulty_)) {
     return make_error("pow: header does not meet the proof target");
   }
-  if (block.header.merkle_root != block.compute_merkle_root()) {
-    return make_error("pow: merkle root does not commit to the body");
+  if (auto body = ledger::check_body(block.transactions, block.header.merkle_root); !body) {
+    return make_error("pow: " + body.error());
   }
 
   if (!blocks_.contains(block.header.prev_hash)) {

@@ -252,15 +252,29 @@ BytesView Deployment::disk_image(NodeId id) {
   return BytesView(image.data(), image.size());
 }
 
-void Deployment::persist(NodeId id, const std::function<Bytes()>& serialize) {
+void Deployment::persist(NodeId id, const crypto::Hash256& tip, std::size_t blocks,
+                         const std::function<Bytes()>& serialize) {
   GPBFT_PROFILE_SCOPE("storage.persist");
-  storage_.disk(id).save(serialize());
+  // Replicas reach each stable checkpoint one after another, so most saves
+  // repeat the image another disk just saved. (tip hash, block count)
+  // identifies that image: blocks are hash-linked back to genesis, each
+  // header's Merkle root commits to its transaction digests, and every
+  // chain here was validated, which rejects repeated digests — the one way
+  // two bodies share a root. The disks then share the last image built;
+  // any other tip serializes afresh and replaces it.
+  if (blocks != image_blocks_ || tip != image_tip_) {
+    image_ = serialize();
+    image_tip_ = tip;
+    image_blocks_ = blocks;
+  }
+  storage_.disk(id).save(image_);
 }
 
 void Deployment::attach_persistence(pbft::Replica& replica) {
   const NodeId id = replica.id();
   replica.set_persist_callback([this, id](const ledger::Chain& chain) {
-    persist(id, [&chain]() { return ledger::serialize_chain(chain); });
+    persist(id, chain.tip().hash(), chain.size(),
+            [&chain]() { return ledger::serialize_chain(chain); });
   });
 }
 
@@ -584,7 +598,8 @@ void PowCluster::wire_miner(pow::Miner& miner) {
   });
   const NodeId id = miner.id();
   miner.set_persist_callback([this, id](const pow::PowChain& chain) {
-    persist(id, [&chain]() { return pow::serialize_pow_chain(chain); });
+    persist(id, chain.tip_hash(), chain.tip_height() + 1,
+            [&chain]() { return pow::serialize_pow_chain(chain); });
   });
 }
 

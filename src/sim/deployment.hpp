@@ -210,9 +210,12 @@ class Deployment {
   /// `id`'s current disk image; empty when the node never saved or a torn
   /// write left nothing.
   [[nodiscard]] BytesView disk_image(NodeId id);
-  /// The one persist path of every stack: serializes and saves to `id`'s
-  /// disk under the `storage.persist` profiler site.
-  void persist(NodeId id, const std::function<Bytes()>& serialize);
+  /// The one persist path of every stack, under the `storage.persist`
+  /// profiler site: saves to `id`'s disk the image of a chain of `blocks`
+  /// blocks ending at `tip`. When that matches the last image built, the
+  /// disk shares its buffer; otherwise `serialize` builds a new one.
+  void persist(NodeId id, const crypto::Hash256& tip, std::size_t blocks,
+               const std::function<Bytes()>& serialize);
   /// Wires a replica's persist callback to its node's simulated disk.
   void attach_persistence(pbft::Replica& replica);
   /// Replays `replica`'s disk image through restore_chain. An absent or
@@ -229,6 +232,11 @@ class Deployment {
   crypto::KeyRegistry keys_;
   Placement placement_;
   StorageFabric storage_;
+  // persist's one-entry cache: the last image built and the chain it holds
+  // (no chain has zero blocks, so the first save always builds).
+  net::Payload image_;
+  crypto::Hash256 image_tip_;
+  std::size_t image_blocks_{0};
   InvariantMonitor* monitor_{nullptr};
   std::vector<std::unique_ptr<pbft::Client>> clients_;
   /// The BFT stacks' protocol nodes, ids 1..N in order (empty for PoW).

@@ -13,7 +13,7 @@ const char* disk_fault_name(DiskFaultKind kind) {
   return "unknown";
 }
 
-void SimDisk::save(Bytes image) {
+void SimDisk::save(net::Payload image) {
   ++saves_;
   previous_ = std::move(image_);
   image_ = std::move(image);
@@ -23,7 +23,8 @@ void SimDisk::save(Bytes image) {
     if (!image_.empty()) {
       // Power loss mid-write: keep a strict prefix (possibly empty). The
       // integrity tail makes any truncation detectable at load time.
-      image_.resize(rng_.uniform(0, image_.size() - 1));
+      const auto kept = static_cast<std::ptrdiff_t>(rng_.uniform(0, image_.size() - 1));
+      image_ = Bytes(image_.begin(), image_.begin() + kept);
     }
   }
 }
@@ -36,7 +37,9 @@ void SimDisk::inject(DiskFaultKind kind) {
     case DiskFaultKind::BitRot:
       if (!image_.empty()) {
         const std::uint64_t bit = rng_.uniform(0, image_.size() * 8 - 1);
-        image_[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        Bytes rotten = image_.bytes();
+        rotten[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+        image_ = std::move(rotten);
         ++faults_applied_;
       }
       break;

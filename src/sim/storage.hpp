@@ -10,12 +10,19 @@
 //   TornWrite      power loss mid-write: the *next* save lands truncated at
 //                  an arbitrary offset. The integrity tail catches it at
 //                  load time, so the node falls back to genesis and resyncs.
-//   BitRot        a single bit of the stored image flips in place (flash
-//                  wear, cosmic ray). Also caught by the integrity tail.
+//   BitRot        a single bit of the stored image flips (flash wear,
+//                  cosmic ray). Also caught by the integrity tail.
 //   StaleSnapshot the most recent save is lost (write-back cache never
 //                  flushed); the disk reverts to the previous image. The
 //                  image is *valid* but old — the node restarts behind and
 //                  must close the gap via chain sync.
+//
+// Images are immutable net::Payload buffers, so disks that save the same
+// chain share one buffer: the deployment builds each checkpoint image once
+// and hands it to every replica that reaches that tip. A fault never
+// writes into a shared buffer. TornWrite and BitRot put their damaged copy
+// in a fresh buffer of the faulted disk's own, and StaleSnapshot only
+// swaps references.
 //
 // All fault decisions (torn-write offsets, bit positions) draw from a
 // dedicated RNG stream forked off the deployment seed, never from the
@@ -31,6 +38,7 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "net/message.hpp"
 
 namespace gpbft::sim {
 
@@ -49,11 +57,12 @@ class SimDisk {
  public:
   explicit SimDisk(Rng rng) : rng_(rng) {}
 
-  /// Persists a new image (a serialized chain). If a torn write is armed,
-  /// the stored copy is truncated at a random offset instead.
-  void save(Bytes image);
+  /// Persists a new image (a serialized chain), keeping a reference to the
+  /// caller's buffer. If a torn write is armed, the disk stores a copy
+  /// truncated at a random offset instead.
+  void save(net::Payload image);
 
-  [[nodiscard]] const Bytes& image() const { return image_; }
+  [[nodiscard]] const Bytes& image() const { return image_.bytes(); }
   [[nodiscard]] bool empty() const { return image_.empty(); }
 
   /// Injects a fault. TornWrite arms the *next* save; BitRot and
@@ -65,8 +74,8 @@ class SimDisk {
 
  private:
   Rng rng_;
-  Bytes image_;
-  Bytes previous_;  // what the last save overwrote, for StaleSnapshot
+  net::Payload image_;
+  net::Payload previous_;  // what the last save overwrote, for StaleSnapshot
   bool torn_next_{false};
   std::uint64_t saves_{0};
   std::uint64_t faults_applied_{0};

@@ -202,6 +202,29 @@ TEST(Chain, RejectsBadMerkleRoot) {
   EXPECT_FALSE(chain.append(bad).ok());
 }
 
+TEST(Chain, RejectsABodyThatRepeatsATransaction) {
+  // The Merkle tree pairs an odd node with itself, so [a, b, c] and
+  // [a, b, c, c] share a root and hence a block hash, though their bodies
+  // differ. Only the body without the repeat may be appended.
+  const Block genesis = make_genesis_block(small_genesis());
+  const Transaction a = sample_tx(1, 1);
+  const Transaction b = sample_tx(2, 2);
+  const Transaction c = sample_tx(3, 3);
+  const Block honest =
+      build_block(genesis.header, {a, b, c}, 0, 0, 1, TimePoint{1}, NodeId{1});
+  const Block padded =
+      build_block(genesis.header, {a, b, c, c}, 0, 0, 1, TimePoint{1}, NodeId{1});
+  EXPECT_EQ(honest.hash(), padded.hash());
+  EXPECT_NE(honest.encode(), padded.encode());
+
+  Chain chain(genesis);
+  const auto refused = chain.append(padded);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.error().find("repeats"), std::string::npos) << refused.error();
+  EXPECT_EQ(chain.height(), 0u);
+  EXPECT_TRUE(chain.append(honest).ok());
+}
+
 TEST(Chain, FindsTransactionsByDigest) {
   Chain chain(make_genesis_block(small_genesis()));
   const Transaction tx = sample_tx();

@@ -108,6 +108,20 @@ TEST(PowChain, RejectsBadMerkleRoot) {
   EXPECT_FALSE(chain.add_block(bad).ok());
 }
 
+TEST(PowChain, RejectsABodyThatRepeatsATransaction) {
+  // [a, b, c, c] shares its Merkle root with [a, b, c] (the odd node pairs
+  // with itself); the padded body must not connect.
+  const PowBlock genesis = make_pow_genesis(100, kProof);
+  PowChain chain(genesis, kProof);
+  const ledger::Transaction c = sample_tx(3, 3);
+  const PowBlock padded =
+      child_of(genesis, 100, NodeId{1}, {sample_tx(1, 1), sample_tx(2, 2), c, c});
+  const auto refused = chain.add_block(padded);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_NE(refused.error().find("repeats"), std::string::npos) << refused.error();
+  EXPECT_EQ(chain.tip_height(), 0u);
+}
+
 TEST(PowChain, EqualLengthSiblingsFirstSeenStays) {
   // With consensus-fixed difficulty, equal-length branches carry equal
   // work: the first-seen tip is kept (no gratuitous reorgs).

@@ -104,6 +104,13 @@ TEST(ChainStore, LoadMissingFileErrors) {
   EXPECT_FALSE(load_chain(temp_path("does_not_exist.bin")).ok());
 }
 
+TEST(ChainStore, LoadDirectoryErrors) {
+  // fopen succeeds on a directory; loading it must still be a clean error.
+  const auto loaded = load_chain(::testing::TempDir());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.error().find("cannot read"), std::string::npos) << loaded.error();
+}
+
 TEST(ChainStore, TornWriteLeavesThePreviousFileIntact) {
   const Chain original = build_chain(4);
   const std::string path = temp_path("chain_torn.bin");
