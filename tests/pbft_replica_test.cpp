@@ -2,6 +2,7 @@
 // view changes, checkpoints, partitions, and safety invariants.
 #include <gtest/gtest.h>
 
+#include "pbft/messages.hpp"
 #include "sim/deployment.hpp"
 #include "sim/workload.hpp"
 
@@ -447,6 +448,54 @@ TEST(PbftReplica, CorruptProposalsRejectedAndPrimaryReplaced) {
     const auto& block = cluster.replica(1).chain().at(h);
     EXPECT_EQ(block.header.merkle_root, block.compute_merkle_root());
   }
+}
+
+/// Delivers `msg` to every backup as if the view-0 primary (replica 0)
+/// had sent it.
+void propose_as_primary(PbftCluster& cluster, const pbft::PrePrepare& msg) {
+  const Bytes body = msg.encode();
+  for (std::size_t i = 1; i < cluster.replica_count(); ++i) {
+    net::Envelope envelope;
+    envelope.from = cluster.replica(0).id();
+    envelope.to = cluster.replica(i).id();
+    envelope.type = pbft::msg_type::kPrePrepare;
+    envelope.payload = pbft::seal(cluster.keys(), envelope.from, envelope.to, envelope.type,
+                                  BytesView(body.data(), body.size()),
+                                  cluster.spec().engine.compute_macs);
+    cluster.network().send(std::move(envelope));
+  }
+}
+
+TEST(PbftReplica, BackupsRefuseAProposalThatRepeatsATransaction) {
+  // [a, b, c, c] has the same Merkle root, and so the same block hash, as
+  // [a, b, c]. Were the padded body accepted, one agreed digest would name
+  // two bodies. Backups refuse it and accept the honest one.
+  PbftCluster cluster(small_cluster(4, 3));
+  cluster.start();
+  const ledger::Transaction a = tx_from(cluster, 0, 1);
+  const ledger::Transaction b = tx_from(cluster, 1, 1);
+  const ledger::Transaction c = tx_from(cluster, 2, 1);
+  const ledger::BlockHeader& genesis = cluster.replica(1).chain().tip().header;
+  pbft::PrePrepare padded;
+  padded.view = 0;
+  padded.seq = 1;
+  padded.block = ledger::build_block(genesis, {a, b, c, c}, 0, 0, 1, cluster.simulator().now(),
+                                     cluster.replica(0).id());
+  padded.digest = padded.block.hash();
+  pbft::PrePrepare honest = padded;
+  honest.block.transactions.pop_back();
+  ASSERT_EQ(honest.block.hash(), padded.digest);
+
+  const obs::Registry& metrics = cluster.telemetry().metrics();
+  propose_as_primary(cluster, padded);
+  cluster.run_for(Duration::seconds(1));
+  EXPECT_EQ(metrics.counter_total("pbft.preprepares_accepted"), 0u);
+
+  propose_as_primary(cluster, honest);
+  cluster.run_for(Duration::seconds(2));
+  EXPECT_EQ(metrics.counter_total("pbft.preprepares_accepted"), 3u);
+  EXPECT_EQ(cluster.replica(1).chain().height(), 1u);
+  EXPECT_EQ(cluster.replica(1).chain().at(1), honest.block);
 }
 
 TEST(PbftReplica, LargerCommitteeStillCommits) {
