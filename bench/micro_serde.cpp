@@ -1,6 +1,7 @@
 // Micro-benchmarks: the serde codec and whole-message encode/decode.
 #include <benchmark/benchmark.h>
 
+#include "ledger/chain.hpp"
 #include "ledger/genesis.hpp"
 #include "pbft/messages.hpp"
 #include "serde/reader.hpp"
@@ -65,6 +66,56 @@ void BM_BlockEncode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BlockEncode)->Arg(1)->Arg(32);
+
+// A 112-byte workload transaction: encode plus SHA-256.
+void BM_TransactionDigest(benchmark::State& state) {
+  const ledger::Transaction tx = sample_block(1).transactions.front();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(tx.digest());
+  }
+}
+BENCHMARK(BM_TransactionDigest);
+
+// One block appended to a fresh chain whose genesis carries no transactions,
+// so the chain's construction hashes nothing. The plain path copies and
+// checks the block; the checked path shares a block whose body was checked
+// before the loop, as a replica's execute does.
+ledger::Block empty_genesis() {
+  ledger::Block genesis;
+  genesis.header.merkle_root = genesis.compute_merkle_root();
+  return genesis;
+}
+
+ledger::Block block_on(const ledger::Block& genesis, std::size_t txs) {
+  ledger::Block block = sample_block(txs);
+  return ledger::build_block(genesis.header, std::move(block.transactions), 0, 0, 1,
+                             TimePoint{1}, NodeId{1});
+}
+
+void BM_ChainAppend(benchmark::State& state) {
+  const ledger::Block genesis = empty_genesis();
+  const ledger::Block block = block_on(genesis, static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    ledger::Chain chain(genesis);
+    benchmark::DoNotOptimize(chain.append(block).ok());
+  }
+}
+BENCHMARK(BM_ChainAppend)->Arg(1)->Arg(32);
+
+void BM_ChainAppendChecked(benchmark::State& state) {
+  const ledger::Block genesis = empty_genesis();
+  const auto checked =
+      ledger::CheckedBlock::check(block_on(genesis, static_cast<std::size_t>(state.range(0))));
+  if (!checked) {
+    state.SkipWithError(checked.error().c_str());
+    return;
+  }
+  for (auto _ : state) {
+    ledger::Chain chain(genesis);
+    benchmark::DoNotOptimize(chain.append(checked.value()).ok());
+  }
+}
+BENCHMARK(BM_ChainAppendChecked)->Arg(1)->Arg(32);
 
 void BM_BlockDecode(benchmark::State& state) {
   const Bytes encoded = sample_block(static_cast<std::size_t>(state.range(0))).encode();

@@ -142,6 +142,13 @@ fi
 # and the wall budget (GPBFT_PLANE_BUDGET_SECS, default 120 s per run).
 "${BUILD_DIR}/bench/bench_scale" --plane
 
+# Micro-benchmark smoke: each harness runs every case once, briefly, so a
+# case that crashes fails the gate. Timings are not checked here
+# (scripts/reproduce.sh records them).
+for micro in micro_crypto micro_geo micro_serde micro_sim; do
+  "${BUILD_DIR}/bench/${micro}" --benchmark_min_time=0.001 >/dev/null
+done
+
 # Opt-in sanitizer leg: a full ASan/UBSan build + test sweep in its own
 # build directory. Kept off the default path so the fast gate stays fast.
 if [[ "${GPBFT_CI_SANITIZE:-0}" == "1" ]]; then

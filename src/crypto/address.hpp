@@ -9,6 +9,7 @@
 #include <array>
 #include <compare>
 #include <string>
+#include <unordered_map>
 
 #include "common/bytes.hpp"
 #include "common/types.hpp"
@@ -29,6 +30,16 @@ struct Address {
 
 /// Deterministic per-node address used throughout the simulation.
 [[nodiscard]] Address address_for_node(NodeId id);
+
+/// address_for_node, kept for each node its owner has asked about, so a hot
+/// path pays the double SHA-256 once per node.
+class AddressCache {
+ public:
+  [[nodiscard]] const Address& of(NodeId id);
+
+ private:
+  std::unordered_map<NodeId, Address> addresses_;
+};
 
 }  // namespace gpbft::crypto
 

@@ -153,7 +153,7 @@ void Endorser::process_geo_report(NodeId from, const pbft::GeoReportMsg& msg) {
 }
 
 void Endorser::record_geo(NodeId device, const geo::GeoPoint& point, TimePoint at) {
-  const geo::Csc csc(point, crypto::address_for_node(device));
+  const geo::Csc csc(point, addresses_.of(device));
   table_.record(device, csc, at);
 }
 

@@ -121,6 +121,7 @@ class Endorser : public pbft::Replica {
   geo::GeoPoint location_;
 
   geo::ElectionTable table_;
+  crypto::AddressCache addresses_;  // devices whose reports record_geo took
   SybilFilter filter_;
   geo::ReputationLedger reputation_;
   std::set<NodeId> penalized_;

@@ -115,19 +115,27 @@ crypto::Hash256 Block::compute_merkle_root() const {
   return crypto::MerkleTree::compute_root(leaves);
 }
 
-Result<void> check_body(const std::vector<Transaction>& transactions,
-                        const crypto::Hash256& merkle_root) {
+Result<std::vector<crypto::Hash256>> check_body(const std::vector<Transaction>& transactions,
+                                                const crypto::Hash256& merkle_root) {
   std::vector<crypto::Hash256> leaves;
   leaves.reserve(transactions.size());
   for (const Transaction& tx : transactions) leaves.push_back(tx.digest());
   if (crypto::MerkleTree::compute_root(leaves) != merkle_root) {
     return make_error("merkle root does not commit to the body");
   }
-  std::sort(leaves.begin(), leaves.end());
-  if (std::adjacent_find(leaves.begin(), leaves.end()) != leaves.end()) {
+  std::vector<crypto::Hash256> sorted = leaves;
+  std::sort(sorted.begin(), sorted.end());
+  if (std::adjacent_find(sorted.begin(), sorted.end()) != sorted.end()) {
     return make_error("a transaction repeats in the body");
   }
-  return {};
+  return leaves;
+}
+
+Result<CheckedBlock> CheckedBlock::check(Block block) {
+  auto digests = check_body(block.transactions, block.header.merkle_root);
+  if (!digests) return make_error(digests.error());
+  return CheckedBlock(std::make_shared<const Block>(std::move(block)),
+                      std::move(digests.value()));
 }
 
 Amount Block::total_fees() const {

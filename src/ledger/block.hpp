@@ -6,6 +6,7 @@
 // incentive mechanism pays 70% of the block's fees.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "common/result.hpp"
@@ -52,9 +53,37 @@ struct Block {
 /// Checks that `merkle_root` commits to `transactions` and that no two of
 /// them share a digest. The tree pairs an odd node with itself, so bodies
 /// [a, b, c] and [a, b, c, c] have one root; refusing repeats leaves every
-/// root a single body. Each digest is computed once, for both checks.
-[[nodiscard]] Result<void> check_body(const std::vector<Transaction>& transactions,
-                                      const crypto::Hash256& merkle_root);
+/// root a single body. Each digest is computed once, for both checks, and
+/// returned: the leaf digests, in body order.
+[[nodiscard]] Result<std::vector<crypto::Hash256>> check_body(
+    const std::vector<Transaction>& transactions, const crypto::Hash256& merkle_root);
+
+/// A block whose body passed check_body, carrying the leaf digests that
+/// check computed so that later stages (chain index, mempool, client
+/// table, replies) read them instead of re-hashing. It is immutable and
+/// check() is the only way to make one, so digests()[i] is always
+/// transactions()[i].digest(). Copies share one Block.
+class CheckedBlock {
+ public:
+  [[nodiscard]] static Result<CheckedBlock> check(Block block);
+
+  [[nodiscard]] const Block& block() const { return *block_; }
+  [[nodiscard]] const BlockHeader& header() const { return block_->header; }
+  [[nodiscard]] const std::vector<Transaction>& transactions() const {
+    return block_->transactions;
+  }
+  [[nodiscard]] const std::vector<crypto::Hash256>& digests() const { return digests_; }
+  /// The block itself, for an owner that keeps it past this object (the
+  /// chain stores it without copying).
+  [[nodiscard]] const std::shared_ptr<const Block>& shared_block() const { return block_; }
+
+ private:
+  CheckedBlock(std::shared_ptr<const Block> block, std::vector<crypto::Hash256> digests)
+      : block_(std::move(block)), digests_(std::move(digests)) {}
+
+  std::shared_ptr<const Block> block_;
+  std::vector<crypto::Hash256> digests_;
+};
 
 /// Builds a block over `transactions` on top of `prev`, filling the Merkle
 /// root and consensus coordinates.

@@ -7,33 +7,43 @@ Chain::Chain(Block genesis) {
     tx_index_[tx.digest()] = 0;
     if (tx.kind == TxKind::Config) latest_era_ = tx.era_config;
   }
-  blocks_.push_back(std::move(genesis));
+  blocks_.push_back(std::make_shared<const Block>(std::move(genesis)));
 }
 
-Result<void> Chain::validate_next(const Block& block) const {
-  const Block& tip_block = blocks_.back();
-  if (block.header.height != tip_block.header.height + 1) {
-    return make_error("chain: height " + std::to_string(block.header.height) +
+Result<void> Chain::check_link(const BlockHeader& header) const {
+  const Block& tip_block = tip();
+  if (header.height != tip_block.header.height + 1) {
+    return make_error("chain: height " + std::to_string(header.height) +
                       " does not extend tip " + std::to_string(tip_block.header.height));
   }
-  if (block.header.prev_hash != tip_block.hash()) {
+  if (header.prev_hash != tip_block.hash()) {
     return make_error("chain: previous-hash link broken at height " +
-                      std::to_string(block.header.height));
-  }
-  if (auto body = check_body(block.transactions, block.header.merkle_root); !body) {
-    return make_error("chain: " + body.error());
+                      std::to_string(header.height));
   }
   return {};
 }
 
-Result<void> Chain::append(Block block) {
-  if (auto valid = validate_next(block); !valid) return make_error(valid.error());
-  const Height h = block.header.height;
-  for (const Transaction& tx : block.transactions) {
-    tx_index_[tx.digest()] = h;
-    if (tx.kind == TxKind::Config) latest_era_ = tx.era_config;
+void Chain::push(const CheckedBlock& block) {
+  const Height h = block.header().height;
+  const std::vector<Transaction>& transactions = block.transactions();
+  for (std::size_t i = 0; i < transactions.size(); ++i) {
+    tx_index_[block.digests()[i]] = h;
+    if (transactions[i].kind == TxKind::Config) latest_era_ = transactions[i].era_config;
   }
-  blocks_.push_back(std::move(block));
+  blocks_.push_back(block.shared_block());
+}
+
+Result<void> Chain::append(const CheckedBlock& block) {
+  if (auto link = check_link(block.header()); !link) return link;
+  push(block);
+  return {};
+}
+
+Result<void> Chain::append(Block block) {
+  if (auto link = check_link(block.header); !link) return link;
+  auto checked = CheckedBlock::check(std::move(block));
+  if (!checked) return make_error("chain: " + checked.error());
+  push(checked.value());
   return {};
 }
 
@@ -42,7 +52,7 @@ std::optional<ForkEvidence> Chain::observe_header(const BlockHeader& header) con
   Block observed;
   observed.header = header;
   const crypto::Hash256 observed_hash = observed.hash();
-  const crypto::Hash256 committed_hash = blocks_[header.height].hash();
+  const crypto::Hash256 committed_hash = blocks_[header.height]->hash();
   if (observed_hash == committed_hash) return std::nullopt;
   return ForkEvidence{header.height, committed_hash, observed_hash, header.producer};
 }

@@ -6,12 +6,10 @@ namespace gpbft::ledger {
 
 Mempool::Mempool(std::size_t capacity) : capacity_(capacity) {}
 
-bool Mempool::add(Transaction tx) {
+bool Mempool::add(Transaction tx, const crypto::Hash256& digest) {
   if (queue_.size() >= capacity_) return false;
-  const crypto::Hash256 digest = tx.digest();
-  if (digests_.contains(digest)) return false;
-  digests_.insert(digest);
-  queue_.push_back(std::move(tx));
+  if (!digests_.insert(digest).second) return false;
+  queue_.push_back(Entry{digest, std::move(tx)});
   return true;
 }
 
@@ -21,22 +19,19 @@ std::vector<Transaction> Mempool::pop_batch(
     std::size_t max_count, const std::function<bool(const crypto::Hash256&)>& already_committed) {
   std::vector<Transaction> batch;
   while (batch.size() < max_count && !queue_.empty()) {
-    Transaction tx = std::move(queue_.front());
+    Entry entry = std::move(queue_.front());
     queue_.pop_front();
-    const crypto::Hash256 digest = tx.digest();
-    digests_.erase(digest);
-    if (already_committed && already_committed(digest)) continue;
-    batch.push_back(std::move(tx));
+    digests_.erase(entry.digest);
+    if (already_committed && already_committed(entry.digest)) continue;
+    batch.push_back(std::move(entry.tx));
   }
   return batch;
 }
 
 void Mempool::remove(const crypto::Hash256& digest) {
-  if (!digests_.contains(digest)) return;
-  digests_.erase(digest);
-  const auto it = std::find_if(queue_.begin(), queue_.end(), [&digest](const Transaction& tx) {
-    return tx.digest() == digest;
-  });
+  if (digests_.erase(digest) == 0) return;
+  const auto it = std::find_if(queue_.begin(), queue_.end(),
+                               [&digest](const Entry& entry) { return entry.digest == digest; });
   if (it != queue_.end()) queue_.erase(it);
 }
 

@@ -19,8 +19,11 @@ class Mempool {
  public:
   explicit Mempool(std::size_t capacity = 100'000);
 
-  /// Adds a transaction; returns false for duplicates or when full.
-  bool add(Transaction tx);
+  /// Adds a transaction under `digest`, which must be tx.digest(): callers
+  /// already hold it, and the pool keeps it beside the entry so that
+  /// pop_batch and remove never re-hash. Returns false for duplicates or
+  /// when full.
+  bool add(Transaction tx, const crypto::Hash256& digest);
 
   [[nodiscard]] bool contains(const crypto::Hash256& digest) const;
   [[nodiscard]] std::size_t size() const { return queue_.size(); }
@@ -39,8 +42,13 @@ class Mempool {
   void clear();
 
  private:
+  struct Entry {
+    crypto::Hash256 digest;
+    Transaction tx;
+  };
+
   std::size_t capacity_;
-  std::deque<Transaction> queue_;
+  std::deque<Entry> queue_;
   std::unordered_set<crypto::Hash256> digests_;
 };
 

@@ -32,12 +32,12 @@ void State::apply_block(const Block& block, const std::vector<NodeId>& endorsers
     std::int64_t producer_total = producer_share;
     if (!peers.empty()) {
       const std::int64_t each = endorser_pool / static_cast<std::int64_t>(peers.size());
-      for (NodeId id : peers) credit(crypto::address_for_node(id), each);
+      for (NodeId id : peers) credit(addresses_.of(id), each);
       producer_total += endorser_pool - each * static_cast<std::int64_t>(peers.size());
     } else {
       producer_total += endorser_pool;
     }
-    credit(crypto::address_for_node(block.header.producer), producer_total);
+    credit(addresses_.of(block.header.producer), producer_total);
   }
 
   ++applied_blocks_;

@@ -44,6 +44,7 @@ class State {
  private:
   void credit(const crypto::Address& address, std::int64_t amount);
 
+  crypto::AddressCache addresses_;  // producers and endorsers paid so far
   std::unordered_map<crypto::Address, std::int64_t> balances_;
   std::unordered_map<NodeId, Bytes> latest_payloads_;
   std::uint64_t applied_transactions_{0};

@@ -5,8 +5,30 @@
 
 namespace gpbft::ledger {
 
+namespace {
+
+std::size_t length_prefixed_size(std::size_t n) { return serde::varint_size(n) + n; }
+
+/// Bytes encode() writes for `tx`, field by field in its order.
+std::size_t encoded_size(const Transaction& tx) {
+  const EraConfig& config = tx.era_config;
+  std::size_t n = 1 + 8 + tx.sender_address.bytes.size() + 8 +
+                  length_prefixed_size(tx.payload.size()) + 8 + 8;
+  n += serde::varint_size(config.endorsers.size()) + 8 * config.endorsers.size();
+  n += serde::varint_size(config.cells.size());
+  for (const std::string& cell : config.cells) n += length_prefixed_size(cell.size());
+  n += 8 + 8 + 8;
+  if (!config.scores.empty()) {
+    n += serde::varint_size(config.scores.size()) + (8 + 8 + 1) * config.scores.size();
+  }
+  return n;
+}
+
+}  // namespace
+
 Bytes Transaction::encode() const {
   serde::Writer w;
+  w.reserve(encoded_size(*this));
   w.u8(static_cast<std::uint8_t>(kind));
   w.u64(sender.value);
   w.raw(sender_address.view());

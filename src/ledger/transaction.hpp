@@ -78,7 +78,12 @@ struct Transaction {
   [[nodiscard]] static Result<Transaction> decode(BytesView data);
 
   /// SHA-256 over the encoding; identifies the transaction everywhere
-  /// (mempool dedup, PBFT request digests, Merkle leaves).
+  /// (mempool dedup, PBFT request digests, Merkle leaves). Every call
+  /// re-encodes and re-hashes, so a replica computes it only where a
+  /// transaction enters: once per REQUEST (Replica::accept_request) and
+  /// once per block body (CheckedBlock::check). From there the digest is
+  /// carried, beside its mempool entry and in the CheckedBlock's
+  /// digests(), through execution.
   [[nodiscard]] crypto::Hash256 digest() const;
 
   friend bool operator==(const Transaction&, const Transaction&) = default;

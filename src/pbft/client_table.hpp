@@ -26,11 +26,11 @@ class ClientTable {
     Height last_height{0};
   };
 
-  /// Records `tx` as the sender's most recent executed request. Later
-  /// requests (by request id) displace earlier ones; replays of older ids
-  /// leave the entry untouched, so `find` always describes the newest
-  /// executed request per client.
-  void note_executed(const ledger::Transaction& tx, Height height);
+  /// Records `tx`, whose digest is `digest`, as the sender's most recent
+  /// executed request. Later requests (by request id) displace earlier
+  /// ones; replays of older ids leave the entry untouched, so `find` always
+  /// describes the newest executed request per client.
+  void note_executed(const ledger::Transaction& tx, const crypto::Hash256& digest, Height height);
 
   /// The sender's entry, or nullptr if no request of theirs executed yet.
   [[nodiscard]] const Entry* find(NodeId sender) const;

@@ -109,7 +109,7 @@ void Replica::handle(const net::Envelope& envelope) {
     }
     case msg_type::kPrePrepare: {
       if (auto m = PrePrepare::decode(view)) {
-        on_preprepare(envelope.from, m.value());
+        on_preprepare(envelope.from, std::move(m.value()));
       } else {
         reject();
       }
@@ -222,7 +222,7 @@ void Replica::accept_request(ledger::Transaction tx) {
     send_to(tx.sender, msg_type::kReply, BytesView(body.data(), body.size()));
     return;
   }
-  if (!mempool_.add(std::move(tx))) return;  // duplicate or full
+  if (!mempool_.add(std::move(tx), digest)) return;  // duplicate or full
   pending_since_.emplace(digest, now());
   maybe_propose();
 }
@@ -249,22 +249,28 @@ void Replica::on_view_changed(ViewId, ViewId) {}
 
 Result<void> Replica::adopt_chain_suffix(const std::vector<ledger::Block>& blocks) {
   bool adopted_any = false;
-  for (const ledger::Block& block : blocks) {
-    if (block.header.height <= chain_.height()) continue;  // already have it
-    if (auto appended = chain_.append(block); !appended) {
+  for (const ledger::Block& received : blocks) {
+    if (received.header.height <= chain_.height()) continue;  // already have it
+    auto checked = ledger::CheckedBlock::check(received);
+    Result<void> appended =
+        checked ? chain_.append(checked.value()) : make_error("chain: " + checked.error());
+    if (!appended) {
       if (adopted_any) persist_now();  // keep the partial progress durable
       return appended;
     }
-    state_.apply_block(block, committee_);
-    for (const ledger::Transaction& tx : block.transactions) {
-      pending_since_.erase(tx.digest());
-      mempool_.remove(tx.digest());
-      client_table_.note_executed(tx, block.header.height);
+    const ledger::CheckedBlock& block = checked.value();
+    const Height height = block.header().height;
+    state_.apply_block(block.block(), committee_);
+    for (std::size_t i = 0; i < block.transactions().size(); ++i) {
+      const crypto::Hash256& digest = block.digests()[i];
+      pending_since_.erase(digest);
+      mempool_.remove(digest);
+      client_table_.note_executed(block.transactions()[i], digest, height);
     }
     // Retire the instance slot this block occupied, if any.
-    const auto it = log_.find(block.header.height);
+    const auto it = log_.find(height);
     if (it != log_.end()) it->second.executed = true;
-    on_executed(block);
+    on_executed(block.block());
     if (executed_cb_) executed_cb_(block);
     adopted_any = true;
     telemetry().count("pbft.blocks_adopted", id_);
@@ -488,21 +494,24 @@ bool Replica::propose_batch(std::vector<ledger::Transaction> batch) {
   Instance& existing = log_[seq];
   if (existing.preprepared && !existing.executed) return false;
 
-  ledger::Block block = ledger::build_block(chain_.tip().header, std::move(batch), current_era(),
-                                            view_, seq, now(), id_);
-  if (fault_mode_ == FaultMode::CorruptProposals) {
-    block.header.merkle_root.bytes[0] ^= 0xff;  // body no longer committed to
-  }
+  // The primary hashes its own batch twice more: once for the root, once
+  // in the check. Only a batch that repeats a transaction fails it.
+  auto checked = ledger::CheckedBlock::check(ledger::build_block(
+      chain_.tip().header, std::move(batch), current_era(), view_, seq, now(), id_));
+  if (!checked) return false;
   PrePrepare msg;
   msg.view = view_;
   msg.seq = seq;
-  msg.digest = block.hash();
-  msg.block = std::move(block);
+  msg.block = checked.value().block();
+  if (fault_mode_ == FaultMode::CorruptProposals) {
+    msg.block.header.merkle_root.bytes[0] ^= 0xff;  // body no longer committed to
+  }
+  msg.digest = msg.block.hash();
 
   Instance& instance = log_[seq];
   instance.view = view_;
   instance.digest = msg.digest;
-  instance.block = msg.block;
+  instance.block = std::move(checked.value());
   instance.preprepared = true;
   instance.preprepared_at = now();
   if (config_.two_phase) instance.prepare_votes[msg.digest].insert(id_);  // speaker's vote
@@ -510,7 +519,7 @@ bool Replica::propose_batch(std::vector<ledger::Transaction> batch) {
   telemetry().count("pbft.batches_proposed", id_);
   telemetry().instant("propose", "pbft", id_,
                       {{"seq", std::to_string(seq)},
-                       {"txs", std::to_string(instance.block->transactions.size())}});
+                       {"txs", std::to_string(instance.block->transactions().size())}});
 
   const Bytes body = msg.encode();
   broadcast_committee(msg_type::kPrePrepare, BytesView(body.data(), body.size()));
@@ -531,7 +540,7 @@ bool config_only(const ledger::Block& block) {
 }
 }  // namespace
 
-void Replica::on_preprepare(NodeId from, const PrePrepare& msg) {
+void Replica::on_preprepare(NodeId from, PrePrepare msg) {
   // While halted for an era switch, only configuration blocks may proceed
   // (§III-E: the switch itself is committed under consensus).
   if (halted_ && !config_only(msg.block)) return;
@@ -545,7 +554,7 @@ void Replica::on_preprepare(NodeId from, const PrePrepare& msg) {
     // Possibly a new primary running ahead of its NEW-VIEW: hold the
     // message and replay once the view settles.
     if (msg.view >= view_ && stashed_preprepares_.size() < kMaxStashed) {
-      stashed_preprepares_.emplace_back(from, msg);
+      stashed_preprepares_.emplace_back(from, std::move(msg));
     }
     return;
   }
@@ -553,12 +562,13 @@ void Replica::on_preprepare(NodeId from, const PrePrepare& msg) {
   if (from != primary_of(msg.view)) return;  // only the primary may propose
   if (!seq_in_window(msg.seq)) return;
   if (msg.digest != msg.block.hash()) return;
-  if (!ledger::check_body(msg.block.transactions, msg.block.header.merkle_root)) return;
+  auto checked = ledger::CheckedBlock::check(std::move(msg.block));
+  if (!checked) return;
   // Backup-side twin of the select_batch filter: refuse proposals carrying
   // a configuration transaction for anything but the next era, so a stale
   // (or Byzantine) primary cannot commit a contradictory roster for an era
   // that already launched.
-  for (const ledger::Transaction& tx : msg.block.transactions) {
+  for (const ledger::Transaction& tx : checked.value().transactions()) {
     if (tx.kind == ledger::TxKind::Config && tx.era_config.era != current_era() + 1) return;
   }
 
@@ -572,7 +582,7 @@ void Replica::on_preprepare(NodeId from, const PrePrepare& msg) {
 
   instance.view = msg.view;
   instance.digest = msg.digest;
-  instance.block = msg.block;
+  instance.block = std::move(checked.value());
   instance.preprepared = true;
   instance.preprepared_at = now();
   if (config_.two_phase) instance.prepare_votes[msg.digest].insert(from);  // speaker's vote
@@ -580,8 +590,8 @@ void Replica::on_preprepare(NodeId from, const PrePrepare& msg) {
 
   // Track request arrival for timeout purposes (backup may not have seen
   // the client request directly).
-  for (const ledger::Transaction& tx : msg.block.transactions) {
-    pending_since_.emplace(tx.digest(), now());
+  for (const crypto::Hash256& digest : instance.block->digests()) {
+    pending_since_.emplace(digest, now());
   }
 
   send_prepare(msg.seq, instance);
@@ -719,12 +729,15 @@ void Replica::try_execute() {
     Instance& instance = it->second;
     if (!instance.block) break;
 
-    ledger::Block block = *instance.block;
+    // A copy shares the block; it outlives the instance, which the hooks
+    // and checkpoint below may erase.
+    const ledger::CheckedBlock block = *instance.block;
     if (auto appended = chain_.append(block); !appended) {
       log_error(id_.str() + ": committed block failed validation: " + appended.error());
       break;
     }
-    state_.apply_block(block, committee_);
+    const Height height = block.header().height;
+    state_.apply_block(block.block(), committee_);
     instance.executed = true;
     ++executed_blocks_;
 
@@ -744,37 +757,38 @@ void Replica::try_execute() {
         tel.observe("pbft.phase.execute_seconds",
                     (executed_at - instance.committed_at).to_seconds());
         if (tel.trace_enabled()) {
-          const auto height_arg = std::to_string(block.header.height);
+          const auto height_arg = std::to_string(height);
           tel.span(instance.preprepared_at, instance.prepared_at, id_, "phase.prepare", "pbft",
                    {{"height", height_arg}});
           tel.span(instance.prepared_at, instance.committed_at, id_, "phase.commit", "pbft",
                    {{"height", height_arg}});
           tel.span(instance.committed_at, executed_at, id_, "phase.execute", "pbft",
-                   {{"height", height_arg}, {"txs", std::to_string(block.transactions.size())}});
+                   {{"height", height_arg}, {"txs", std::to_string(block.transactions().size())}});
         }
       }
     }
 
-    for (const ledger::Transaction& tx : block.transactions) {
-      const crypto::Hash256 digest = tx.digest();
+    for (std::size_t i = 0; i < block.transactions().size(); ++i) {
+      const ledger::Transaction& tx = block.transactions()[i];
+      const crypto::Hash256& digest = block.digests()[i];
       pending_since_.erase(digest);
       mempool_.remove(digest);
-      client_table_.note_executed(tx, block.header.height);
+      client_table_.note_executed(tx, digest, height);
 
       Reply reply;
       reply.view = view_;
       reply.replica = id_;
       reply.tx_digest = digest;
-      reply.height = block.header.height;
+      reply.height = height;
       const Bytes body = reply.encode();
       send_to(tx.sender, msg_type::kReply, BytesView(body.data(), body.size()));
     }
 
-    on_executed(block);
+    on_executed(block.block());
     if (executed_cb_) executed_cb_(block);
     // Configuration blocks change the roster a restarted node must rebuild
     // from disk — always worth a save (era switches are rare).
-    for (const ledger::Transaction& tx : block.transactions) {
+    for (const ledger::Transaction& tx : block.transactions()) {
       if (tx.kind == ledger::TxKind::Config) {
         persist_now();
         break;
@@ -841,7 +855,7 @@ ViewChangeMsg Replica::build_view_change(ViewId new_view) const {
       proof.view = instance.prepared_view;
       proof.seq = seq;
       proof.digest = instance.prepared_digest;
-      proof.block = *instance.prepared_block;
+      proof.block = instance.prepared_block->block();
       msg.prepared.push_back(std::move(proof));
     }
   }
@@ -971,12 +985,8 @@ void Replica::enter_new_view(ViewId view, const std::vector<PrePrepare>& repropo
   for (auto& [seq, instance] : log_) {
     if (instance.committed || instance.executed) continue;
     // Requeue the transactions so they are not lost if the new primary
-    // proposes something else for this slot (dedup prevents double-commit).
-    if (instance.block) {
-      for (const ledger::Transaction& tx : instance.block->transactions) {
-        if (!chain_.find_transaction(tx.digest())) mempool_.add(tx);
-      }
-    }
+    // proposes something else for this slot.
+    if (instance.block) requeue(*instance.block);
     instance.preprepared = false;
     instance.prepared = false;
     instance.prepare_sent = false;
@@ -1001,10 +1011,10 @@ void Replica::enter_new_view(ViewId view, const std::vector<PrePrepare>& repropo
   // ahead of the NEW-VIEW.
   for (const PrePrepare& pp : reproposals) on_preprepare(primary_of(view_), pp);
 
-  const auto preprepares = std::move(stashed_preprepares_);
+  auto preprepares = std::move(stashed_preprepares_);
   stashed_preprepares_.clear();
-  for (const auto& [from, pp] : preprepares) {
-    if (pp.view == view_) on_preprepare(from, pp);
+  for (auto& [from, pp] : preprepares) {
+    if (pp.view == view_) on_preprepare(from, std::move(pp));
   }
   const auto prepares = std::move(stashed_prepares_);
   stashed_prepares_.clear();
@@ -1019,6 +1029,13 @@ void Replica::enter_new_view(ViewId view, const std::vector<PrePrepare>& repropo
 
   on_view_changed(previous, view_);
   maybe_propose();
+}
+
+void Replica::requeue(const ledger::CheckedBlock& block) {
+  for (std::size_t i = 0; i < block.transactions().size(); ++i) {
+    const crypto::Hash256& digest = block.digests()[i];
+    if (!chain_.find_transaction(digest)) mempool_.add(block.transactions()[i], digest);
+  }
 }
 
 // --- timers ----------------------------------------------------------------------
@@ -1076,11 +1093,7 @@ void Replica::reconfigure_committee(std::vector<NodeId> committee) {
   for (auto it = log_.begin(); it != log_.end();) {
     Instance& instance = it->second;
     if (!instance.executed) {
-      if (instance.block) {
-        for (const ledger::Transaction& tx : instance.block->transactions) {
-          if (!chain_.find_transaction(tx.digest())) mempool_.add(tx);
-        }
-      }
+      if (instance.block) requeue(*instance.block);
       it = log_.erase(it);
     } else {
       ++it;

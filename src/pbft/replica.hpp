@@ -40,7 +40,8 @@ namespace gpbft::pbft {
 
 class Replica : public net::INetNode {
  public:
-  using ExecutedCallback = std::function<void(const ledger::Block&)>;
+  /// Receives each executed block with the digests its body check carried.
+  using ExecutedCallback = std::function<void(const ledger::CheckedBlock&)>;
   using PersistCallback = std::function<void(const ledger::Chain&)>;
 
   Replica(NodeId id, std::vector<NodeId> committee, ledger::Block genesis, PbftConfig config,
@@ -187,7 +188,10 @@ class Replica : public net::INetNode {
   struct Instance {
     ViewId view{0};
     crypto::Hash256 digest;
-    std::optional<ledger::Block> block;
+    // Checked once where it enters (on_preprepare, propose_batch); execute
+    // and the requeues read its digests. A CorruptProposals primary keeps
+    // the block it built here, not the one whose root it broke.
+    std::optional<ledger::CheckedBlock> block;
     bool preprepared{false};
     bool prepared{false};
     bool committed{false};
@@ -218,11 +222,11 @@ class Replica : public net::INetNode {
     bool has_prepared{false};
     ViewId prepared_view{0};
     crypto::Hash256 prepared_digest;
-    std::optional<ledger::Block> prepared_block;
+    std::optional<ledger::CheckedBlock> prepared_block;
   };
 
   // Message handlers.
-  void on_preprepare(NodeId from, const PrePrepare& msg);
+  void on_preprepare(NodeId from, PrePrepare msg);
   void on_prepare(NodeId from, const Prepare& msg);
   void on_commit(NodeId from, const Commit& msg);
   void on_checkpoint(NodeId from, const CheckpointMsg& msg);
@@ -238,6 +242,9 @@ class Replica : public net::INetNode {
 
   void initiate_view_change();
   void enter_new_view(ViewId view, const std::vector<PrePrepare>& reproposals);
+  /// Returns an abandoned instance's transactions that are not on chain to
+  /// the mempool (dedup prevents double-commit).
+  void requeue(const ledger::CheckedBlock& block);
   [[nodiscard]] ViewChangeMsg build_view_change(ViewId new_view) const;
 
   // Chain sync (see SyncRequest in messages.hpp).

@@ -199,7 +199,8 @@ void Miner::sync_mempool_with_best_chain() {
     const PowBlock* block = chain_.find_block(hash);
     if (block == nullptr) continue;
     for (const ledger::Transaction& tx : block->transactions) {
-      if (!chain_.confirmation_depth(tx.digest()).has_value()) (void)mempool_.add(tx);
+      const crypto::Hash256 digest = tx.digest();
+      if (!chain_.confirmation_depth(digest).has_value()) (void)mempool_.add(tx, digest);
     }
   }
   for (const crypto::Hash256& hash : chain_.last_connected()) {
@@ -225,7 +226,7 @@ void Miner::submit(ledger::Transaction tx) {
   if (!watched_.contains(digest) && !chain_.confirmation_depth(digest).has_value()) {
     watched_.emplace(digest, network_.simulator().now());
   }
-  (void)mempool_.add(std::move(tx));
+  (void)mempool_.add(std::move(tx), digest);
 }
 
 void Miner::check_confirmations() {

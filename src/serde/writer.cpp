@@ -43,6 +43,12 @@ void Writer::varint(std::uint64_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v));
 }
 
+std::size_t varint_size(std::uint64_t v) {
+  std::size_t n = 1;
+  for (; v >= 0x80; v >>= 7) ++n;
+  return n;
+}
+
 void Writer::raw(BytesView data) { buf_.insert(buf_.end(), data.begin(), data.end()); }
 
 void Writer::bytes(BytesView data) {

@@ -18,6 +18,10 @@ class Writer {
  public:
   Writer() = default;
 
+  /// Sizes the buffer for `n` more bytes, so an encoder that knows its
+  /// output size writes into one allocation.
+  void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
+
   void u8(std::uint8_t v);
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);
@@ -43,5 +47,8 @@ class Writer {
  private:
   Bytes buf_;
 };
+
+/// Bytes varint(v) writes.
+[[nodiscard]] std::size_t varint_size(std::uint64_t v);
 
 }  // namespace gpbft::serde

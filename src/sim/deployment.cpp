@@ -696,7 +696,7 @@ void PowCluster::finish_invariants(InvariantMonitor& monitor) {
       if (height == 0 || height > limit) continue;  // genesis is shared by construction
       monitor.check_block_hash(miner->id(), height, block.hash());
       for (const ledger::Transaction& tx : block.transactions) {
-        monitor.check_transaction(miner->id(), height, tx);
+        monitor.check_transaction(miner->id(), height, tx, tx.digest());
       }
     }
   }

@@ -65,7 +65,7 @@ void InvariantMonitor::set_telemetry(obs::Telemetry& telemetry) {
 void InvariantMonitor::watch(pbft::Replica& replica) {
   const NodeId id = replica.id();
   replica.set_executed_callback(
-      [this, id](const ledger::Block& block) { on_executed(id, block); });
+      [this, id](const ledger::CheckedBlock& block) { on_executed(id, block); });
 }
 
 void InvariantMonitor::expect_submission(const ledger::Transaction& tx) {
@@ -92,8 +92,8 @@ void InvariantMonitor::note_fault(const std::string& description) {
   fault_context_ = description;
 }
 
-void InvariantMonitor::on_executed(NodeId node, const ledger::Block& block) {
-  const Height height = block.header.height;
+void InvariantMonitor::on_executed(NodeId node, const ledger::CheckedBlock& block) {
+  const Height height = block.header().height;
   // Restart floor: the restore path replays persisted blocks *before* the
   // monitor re-watches the node, so any live execution at or below the
   // restored height means the node re-ran state transitions it already
@@ -105,9 +105,9 @@ void InvariantMonitor::on_executed(NodeId node, const ledger::Block& block) {
            "re-executed height " + std::to_string(height) +
                " at or below restart floor " + std::to_string(it->second.floor));
   }
-  check_block_hash(node, height, block.hash());
-  for (const ledger::Transaction& tx : block.transactions) {
-    check_transaction(node, height, tx);
+  check_block_hash(node, height, block.block().hash());
+  for (std::size_t i = 0; i < block.transactions().size(); ++i) {
+    check_transaction(node, height, block.transactions()[i], block.digests()[i]);
   }
 }
 
@@ -129,10 +129,10 @@ void InvariantMonitor::check_block_hash(NodeId node, Height height, const crypto
 }
 
 void InvariantMonitor::check_transaction(NodeId node, Height height,
-                                         const ledger::Transaction& tx) {
+                                         const ledger::Transaction& tx,
+                                         const crypto::Hash256& digest) {
   if (faulty_.contains(node.value)) return;
   txs_counter_->add();
-  const crypto::Hash256 digest = tx.digest();
 
   // VALIDITY: client-submitted transactions must come from the registered
   // workload (protocol-generated geo/config transactions are endorser-sent

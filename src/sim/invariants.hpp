@@ -107,15 +107,17 @@ class InvariantMonitor {
   void note_fault(const std::string& description);
 
   /// The executed-block check; public so tests (and custom harnesses) can
-  /// drive it directly.
-  void on_executed(NodeId node, const ledger::Block& block);
+  /// drive it directly. It reads the digests the block carries.
+  void on_executed(NodeId node, const ledger::CheckedBlock& block);
 
   /// Fine-grained entry points for protocols without an execution hook
   /// (PoW replays its confirmed prefix through these at run end).
   /// AGREEMENT: the first honest node at a height fixes the canonical hash.
   void check_block_hash(NodeId node, Height height, const crypto::Hash256& hash);
-  /// VALIDITY / DUPLICATE-EXECUTION / ROSTER checks for one transaction.
-  void check_transaction(NodeId node, Height height, const ledger::Transaction& tx);
+  /// VALIDITY / DUPLICATE-EXECUTION / ROSTER checks for one transaction,
+  /// whose digest is `digest`.
+  void check_transaction(NodeId node, Height height, const ledger::Transaction& tx,
+                         const crypto::Hash256& digest);
 
   /// LIVENESS: call once every injected fault has healed and the workload
   /// has had `grace` time to finish. Records a violation when commits are

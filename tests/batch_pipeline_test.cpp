@@ -11,6 +11,7 @@
 //     replay byte-identically from a seed.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 
@@ -209,6 +210,61 @@ TEST(ClientTable, CachedReplySurvivesPrimaryViewChange) {
   EXPECT_GE(cluster->telemetry().metrics().counter_total("pbft.client_table.hits"), 1u);
   // f+1 matching cached replies re-complete the requests on the client.
   EXPECT_GT(cluster->client(0).committed_count(), commits_before_replay);
+}
+
+// --- carried digests across a failover --------------------------------------------
+
+// A batched n=7 PBFT cluster whose view-0 primary crashes mid-stream, on
+// links that drop 3% of messages: a batch the backups prepared but could
+// not commit under the dead primary is re-proposed by the NEW-VIEW. Every
+// digest a replica carried from a body check into its chain index, client
+// table and mempool must still be its transaction's recomputed digest.
+TEST(BatchPipeline, FailoverKeepsEveryCarriedDigestTrue) {
+  ScenarioSpec spec;
+  spec.protocol = ProtocolKind::Pbft;
+  spec.nodes = 7;
+  spec.clients = 8;
+  spec.seed = 7;
+  spec.workload.txs_per_client = 12;
+  spec.workload.period = Duration::millis(300);
+  spec.batch.size = 8;
+  spec.batch.timeout = Duration::millis(250);
+  spec.engine.request_timeout = Duration::seconds(3);
+  spec.engine.view_change_timeout = Duration::seconds(2);
+  spec.net.drop_rate = 0.03;
+  PbftCluster cluster(spec);
+  cluster.start();
+  LatencyRecorder recorder;
+  cluster.schedule_workload(spec.workload, &recorder);
+  cluster.run_for(Duration::seconds(3));
+  cluster.network().crash(cluster.replica(0).primary_of(0));
+  ASSERT_TRUE(cluster.run_until_committed(spec.workload.txs_per_client,
+                                          TimePoint{Duration::seconds(300).ns}));
+  cluster.stop();
+
+  for (std::size_t i = 0; i < cluster.replica_count(); ++i) {
+    const pbft::Replica& replica = cluster.replica(i);
+    if (cluster.network().is_crashed(replica.id())) continue;
+    const ledger::Chain& chain = replica.chain();
+    std::map<NodeId, const ledger::Transaction*> last_executed;
+    for (Height h = 1; h <= chain.height(); ++h) {
+      for (const ledger::Transaction& tx : chain.at(h).transactions) {
+        const auto found = chain.find_transaction(tx.digest());
+        ASSERT_TRUE(found.has_value()) << "replica " << i << " height " << h;
+        EXPECT_EQ(*found, h) << "replica " << i;
+        const ledger::Transaction*& last = last_executed[tx.sender];
+        if (last == nullptr || tx.request_id > last->request_id) last = &tx;
+      }
+    }
+    EXPECT_EQ(replica.client_table().size(), last_executed.size()) << "replica " << i;
+    for (const auto& [sender, tx] : last_executed) {
+      const pbft::ClientTable::Entry* entry = replica.client_table().find(sender);
+      ASSERT_NE(entry, nullptr) << "replica " << i << " sender " << sender.value;
+      EXPECT_EQ(entry->last_digest, tx->digest()) << "replica " << i << " sender " << sender.value;
+    }
+    EXPECT_EQ(replica.mempool_size(), 0u) << "replica " << i;
+    EXPECT_EQ(replica.completed_view_changes(), 5u) << "replica " << i;
+  }
 }
 
 }  // namespace

@@ -137,13 +137,15 @@ ledger::Transaction client_tx(std::uint64_t client, RequestId request) {
                                 geo::GeoReport{});
 }
 
-ledger::Block block_at(Height height, std::vector<ledger::Transaction> txs,
-                       std::uint8_t salt = 0) {
+ledger::CheckedBlock block_at(Height height, std::vector<ledger::Transaction> txs,
+                              std::uint8_t salt = 0) {
   ledger::BlockHeader prev;
   prev.height = height - 1;
   prev.prev_hash.bytes[0] = salt;  // differentiates hashes of rival blocks
-  return ledger::build_block(prev, std::move(txs), EraId{0}, ViewId{0}, SeqNum{height},
-                             TimePoint{}, NodeId{1});
+  return ledger::CheckedBlock::check(ledger::build_block(prev, std::move(txs), EraId{0},
+                                                         ViewId{0}, SeqNum{height}, TimePoint{},
+                                                         NodeId{1}))
+      .value();
 }
 
 TEST(InvariantMonitor, DetectsAgreementViolation) {

@@ -236,6 +236,95 @@ TEST(Chain, FindsTransactionsByDigest) {
   EXPECT_FALSE(chain.find_transaction(sample_tx(9, 9).digest()).has_value());
 }
 
+TEST(Block, CheckBodyReturnsTheLeafDigestsInBodyOrder) {
+  const Block genesis = make_genesis_block(small_genesis());
+  const std::vector<Transaction> body = {sample_tx(3, 1), sample_tx(1, 1), sample_tx(2, 7)};
+  const Block block = build_block(genesis.header, body, 0, 0, 1, TimePoint{1}, NodeId{1});
+  const auto digests = check_body(block.transactions, block.header.merkle_root);
+  ASSERT_TRUE(digests.ok()) << digests.error();
+  ASSERT_EQ(digests.value().size(), body.size());
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    EXPECT_EQ(digests.value()[i], body[i].digest()) << "leaf " << i;
+  }
+
+  const auto checked = CheckedBlock::check(block);
+  ASSERT_TRUE(checked.ok()) << checked.error();
+  EXPECT_EQ(checked.value().block(), block);
+  EXPECT_EQ(checked.value().digests(), digests.value());
+}
+
+TEST(CheckedBlock, RefusesAWrongRootOrARepeatedTransaction) {
+  const Block genesis = make_genesis_block(small_genesis());
+  const Transaction a = sample_tx(1, 1);
+  const Transaction b = sample_tx(2, 2);
+  const Transaction c = sample_tx(3, 3);
+
+  Block wrong_root = build_block(genesis.header, {a, b}, 0, 0, 1, TimePoint{1}, NodeId{1});
+  wrong_root.header.merkle_root.bytes[0] ^= 0xff;
+  const auto refused_root = CheckedBlock::check(wrong_root);
+  ASSERT_FALSE(refused_root.ok());
+  EXPECT_NE(refused_root.error().find("merkle root"), std::string::npos) << refused_root.error();
+
+  Block grown = build_block(genesis.header, {a, b}, 0, 0, 1, TimePoint{1}, NodeId{1});
+  grown.transactions.push_back(c);  // the root no longer commits to the body
+  EXPECT_FALSE(CheckedBlock::check(grown).ok());
+
+  const Block padded = build_block(genesis.header, {a, b, c, c}, 0, 0, 1, TimePoint{1}, NodeId{1});
+  const auto refused_repeat = CheckedBlock::check(padded);
+  ASSERT_FALSE(refused_repeat.ok());
+  EXPECT_NE(refused_repeat.error().find("repeats"), std::string::npos) << refused_repeat.error();
+}
+
+TEST(Chain, CheckedAppendRefusesWrongHeightAndBrokenLink) {
+  Chain chain(make_genesis_block(small_genesis()));
+  Block tall = build_block(chain.tip().header, {sample_tx()}, 0, 0, 1, TimePoint{1}, NodeId{1});
+  tall.header.height = 2;
+  Block unlinked =
+      build_block(chain.tip().header, {sample_tx()}, 0, 0, 1, TimePoint{1}, NodeId{1});
+  unlinked.header.prev_hash.bytes[0] ^= 1;
+  const auto tall_checked = CheckedBlock::check(tall);
+  const auto unlinked_checked = CheckedBlock::check(unlinked);
+  ASSERT_TRUE(tall_checked.ok());  // the bodies are sound; only the links are not
+  ASSERT_TRUE(unlinked_checked.ok());
+
+  const auto wrong_height = chain.append(tall_checked.value());
+  ASSERT_FALSE(wrong_height.ok());
+  EXPECT_NE(wrong_height.error().find("does not extend"), std::string::npos)
+      << wrong_height.error();
+  const auto broken_link = chain.append(unlinked_checked.value());
+  ASSERT_FALSE(broken_link.ok());
+  EXPECT_NE(broken_link.error().find("link broken"), std::string::npos) << broken_link.error();
+  EXPECT_EQ(chain.height(), 0u);
+  EXPECT_FALSE(chain.find_transaction(sample_tx().digest()).has_value());
+}
+
+TEST(Chain, FindsEveryTransactionAtItsHeightWhicheverAppendAddedIt) {
+  Chain chain(make_genesis_block(small_genesis()));
+  std::vector<std::pair<Transaction, Height>> placed;
+  for (Height h = 1; h <= 4; ++h) {
+    std::vector<Transaction> body;
+    for (RequestId r = 1; r <= h; ++r) {
+      body.push_back(sample_tx(h, r));
+      placed.emplace_back(body.back(), h);
+    }
+    Block block = build_block(chain.tip().header, std::move(body), 0, 0, h, TimePoint{1},
+                              NodeId{1});
+    if (h % 2 == 0) {
+      ASSERT_TRUE(chain.append(std::move(block)).ok());
+    } else {
+      const auto checked = CheckedBlock::check(std::move(block));
+      ASSERT_TRUE(checked.ok()) << checked.error();
+      ASSERT_TRUE(chain.append(checked.value()).ok());
+    }
+  }
+  ASSERT_EQ(chain.height(), 4u);
+  for (const auto& [tx, height] : placed) {
+    const auto found = chain.find_transaction(tx.digest());
+    ASSERT_TRUE(found.has_value()) << "tx of sender " << tx.sender.value;
+    EXPECT_EQ(*found, height);
+  }
+}
+
 TEST(Chain, TracksEraConfig) {
   Chain chain(make_genesis_block(small_genesis()));
   EXPECT_EQ(chain.current_era_config().era, 0u);
@@ -336,11 +425,13 @@ TEST(State, TracksLatestPayloadAndCounters) {
 
 // --- mempool -----------------------------------------------------------------------------------
 
+bool add(Mempool& pool, const Transaction& tx) { return pool.add(tx, tx.digest()); }
+
 TEST(Mempool, AddAndPopFifo) {
   Mempool pool;
   const Transaction a = sample_tx(1, 1), b = sample_tx(1, 2);
-  EXPECT_TRUE(pool.add(a));
-  EXPECT_TRUE(pool.add(b));
+  EXPECT_TRUE(add(pool, a));
+  EXPECT_TRUE(add(pool, b));
   EXPECT_EQ(pool.size(), 2u);
 
   const auto batch = pool.pop_batch(10, nullptr);
@@ -352,23 +443,23 @@ TEST(Mempool, AddAndPopFifo) {
 
 TEST(Mempool, RejectsDuplicates) {
   Mempool pool;
-  EXPECT_TRUE(pool.add(sample_tx()));
-  EXPECT_FALSE(pool.add(sample_tx()));
+  EXPECT_TRUE(add(pool, sample_tx()));
+  EXPECT_FALSE(add(pool, sample_tx()));
   EXPECT_EQ(pool.size(), 1u);
 }
 
 TEST(Mempool, RespectsCapacity) {
   Mempool pool(2);
-  EXPECT_TRUE(pool.add(sample_tx(1, 1)));
-  EXPECT_TRUE(pool.add(sample_tx(1, 2)));
-  EXPECT_FALSE(pool.add(sample_tx(1, 3)));
+  EXPECT_TRUE(add(pool, sample_tx(1, 1)));
+  EXPECT_TRUE(add(pool, sample_tx(1, 2)));
+  EXPECT_FALSE(add(pool, sample_tx(1, 3)));
 }
 
 TEST(Mempool, PopBatchSkipsCommitted) {
   Mempool pool;
   const Transaction a = sample_tx(1, 1), b = sample_tx(1, 2);
-  pool.add(a);
-  pool.add(b);
+  add(pool, a);
+  add(pool, b);
   const crypto::Hash256 committed = a.digest();
   const auto batch =
       pool.pop_batch(10, [&committed](const crypto::Hash256& d) { return d == committed; });
@@ -378,7 +469,7 @@ TEST(Mempool, PopBatchSkipsCommitted) {
 
 TEST(Mempool, PopBatchBounded) {
   Mempool pool;
-  for (RequestId i = 1; i <= 10; ++i) pool.add(sample_tx(1, i));
+  for (RequestId i = 1; i <= 10; ++i) add(pool, sample_tx(1, i));
   EXPECT_EQ(pool.pop_batch(3, nullptr).size(), 3u);
   EXPECT_EQ(pool.size(), 7u);
 }
@@ -386,21 +477,21 @@ TEST(Mempool, PopBatchBounded) {
 TEST(Mempool, RemoveByDigest) {
   Mempool pool;
   const Transaction a = sample_tx(1, 1);
-  pool.add(a);
-  pool.add(sample_tx(1, 2));
+  add(pool, a);
+  add(pool, sample_tx(1, 2));
   pool.remove(a.digest());
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_FALSE(pool.contains(a.digest()));
   // Re-adding after removal works (digest index consistent).
-  EXPECT_TRUE(pool.add(a));
+  EXPECT_TRUE(add(pool, a));
 }
 
 TEST(Mempool, ClearEmptiesEverything) {
   Mempool pool;
-  pool.add(sample_tx(1, 1));
+  add(pool, sample_tx(1, 1));
   pool.clear();
   EXPECT_TRUE(pool.empty());
-  EXPECT_TRUE(pool.add(sample_tx(1, 1)));
+  EXPECT_TRUE(add(pool, sample_tx(1, 1)));
 }
 
 }  // namespace
