@@ -9,9 +9,9 @@
 //
 //   * wall-clock events/sec of the discrete-event core under the Fig. 3
 //     workload at n in {20, 100, 202} for PBFT and G-PBFT;
-//   * golden chain hashes per point, so hot-path rewrites must prove
-//     behaviour parity (byte-identical consensus outcome) before any
-//     speedup counts.
+//   * golden chain hashes per point (the `scale/` entries of
+//     tests/goldens.sha256), so hot-path rewrites must prove behaviour
+//     parity (byte-identical consensus outcome) before any speedup counts.
 //
 // Since the batched request pipeline landed (docs/protocol.md §11) the
 // grid carries batched points too (batch.size=32): same workload, one
@@ -20,17 +20,20 @@
 // BENCH_scale.json.
 //
 // Usage: bench_scale [--smoke] [--plane]
+//   (none)    the full grid. Fails (exit 1) on any golden-hash mismatch,
+//             naming the entry with its pinned and actual tip.
 //   --smoke   n = 20 only (both protocols, unbatched + batched): the CI
 //             perf-smoke leg. Fails (exit 1) only on golden-hash mismatch —
 //             events/sec is reported, never gated (machines differ;
 //             regressions are judged against BENCH_scale.json trends
 //             instead).
-//   --plane   million-device WorkloadPlane smoke: a 10^6-device diurnal
-//             PBFT run (n=20, 8 concrete endpoints, batch.size=32) executed
-//             twice with the same seed. Fails (exit 1) when the two runs
-//             disagree on tip hash / committed count (determinism) or when
-//             one run exceeds the wall-clock budget
-//             (GPBFT_PLANE_BUDGET_SECS, default 120).
+//   --plane   million-device WorkloadPlane smoke: one 10^6-device diurnal
+//             PBFT run (n=20, 8 concrete endpoints, batch.size=32). Fails
+//             (exit 1) when its tip differs from the `scale/plane` golden,
+//             when a submission does not commit, or when the run exceeds
+//             the wall-clock budget (GPBFT_PLANE_BUDGET_SECS, default 120).
+//             WorkloadPlane.MillionDevicePlaneIsDeterministicAndOpenLoopComplete
+//             repeats a plane run in one process.
 //
 // Environment (see docs/performance.md and EXPERIMENTS.md):
 //   GPBFT_BENCH_JSON        per-point ExperimentResult records (bench_util)
@@ -48,36 +51,42 @@
 
 #include "bench_util.hpp"
 #include "crypto/sha256.hpp"
+#include "goldens.hpp"
 #include "sim/experiment.hpp"
 
 namespace gpbft::bench {
 namespace {
 
+/// One grid point. Its golden is the tip hash of node 1's chain after the
+/// run (seed 1, default calibration), pinned as `scale/<proto>-n<nodes>`
+/// with `-batch<size>` for batched points. Unbatched goldens are from the
+/// pre-refactor message plane; batched goldens pin the batched pipeline's
+/// first recording. Any hot-path change must reproduce these bytes exactly.
 struct ScalePoint {
   sim::ProtocolKind protocol;
   std::size_t nodes;
   /// Consensus batch close size (1 = the unbatched seed pipeline).
   std::size_t batch_close;
-  /// Tip hash of node 1's chain after the run (seed 1, default
-  /// calibration). Unbatched goldens are from the pre-refactor message
-  /// plane; batched goldens pin the batched pipeline's first recording.
-  /// Any hot-path change must reproduce these bytes exactly.
-  const char* golden_tip;
 };
 
 constexpr ScalePoint kPoints[] = {
-    {sim::ProtocolKind::Pbft, 20, 1, "a8dcd8aec20a0a27730cf9c380c933c1b38ddb3d62772c8bdebc205adccb49fe"},
-    {sim::ProtocolKind::Gpbft, 20, 1, "b3e1157c5119e17d83cbb2d8479dd4e71fd79944e30a860f7b406baf56b0a8ef"},
-    {sim::ProtocolKind::Pbft, 100, 1, "e6e54b49f7ed7a2e3988be5d1de7044d16c055ef9c20bab51632d748cc374d59"},
-    {sim::ProtocolKind::Gpbft, 100, 1, "06f9c254a1cfa9134ae6d5570bc4ef6f0db64d3e88930077ee5b8e7c2f0e3414"},
-    {sim::ProtocolKind::Pbft, 202, 1, "30869784007ce186a1d614ad3bcdb11649e95e5c712f6ee18698ce08a598ec55"},
-    {sim::ProtocolKind::Gpbft, 202, 1, "a4e27b6b37cb50e98ab18d27a99223edd2dc7cb0bc7397339c29ad9932b74439"},
+    {sim::ProtocolKind::Pbft, 20, 1},   {sim::ProtocolKind::Gpbft, 20, 1},
+    {sim::ProtocolKind::Pbft, 100, 1},  {sim::ProtocolKind::Gpbft, 100, 1},
+    {sim::ProtocolKind::Pbft, 202, 1},  {sim::ProtocolKind::Gpbft, 202, 1},
     // Batched pipeline (batch.size=32, engine ceiling raised to match).
-    {sim::ProtocolKind::Pbft, 20, 32, "77cd9a7d4cd45ad084a8cc39a4faf81310f484d916969e46037e99bbc4943856"},
-    {sim::ProtocolKind::Gpbft, 20, 32, "a642ffdd402221bef2e1f100361d46b374e028dbd86557d8a1fa2b0f31db83d8"},
-    {sim::ProtocolKind::Pbft, 202, 32, "f3c52b2791424c542104299c83d84ffc880276be8176d91eff822be7627ac0ee"},
-    {sim::ProtocolKind::Gpbft, 202, 32, "a993e3d202c6135bef9882d670da6212074108d5a60d44818f9f7f5a70b35f60"},
+    {sim::ProtocolKind::Pbft, 20, 32},  {sim::ProtocolKind::Gpbft, 20, 32},
+    {sim::ProtocolKind::Pbft, 202, 32}, {sim::ProtocolKind::Gpbft, 202, 32},
 };
+
+/// Compares a run's tip with its golden; on a mismatch prints the entry
+/// with both digests and returns false.
+bool matches_golden(const std::string& name, const std::string& tip) {
+  const std::string& golden = goldens::pinned(name);
+  if (tip == golden) return true;
+  std::fprintf(stderr, "bench_scale: GOLDEN HASH MISMATCH for %s\n  pinned %s\n  actual %s\n",
+               name.c_str(), golden.c_str(), tip.c_str());
+  return false;
+}
 
 struct ScaleResult {
   sim::ExperimentResult experiment;
@@ -190,16 +199,14 @@ int run(bool smoke) {
                 static_cast<unsigned long long>(r.sim_events), r.wall_seconds, r.events_per_sec(),
                 committed_per_sec, r.tip_hex.c_str());
     std::string series = std::string("scale.") + proto;
-    if (point.batch_close > 1) series += ".batch" + std::to_string(point.batch_close);
+    std::string golden = std::string("scale/") + proto + "-n" + std::to_string(point.nodes);
+    if (point.batch_close > 1) {
+      series += ".batch" + std::to_string(point.batch_close);
+      golden += "-batch" + std::to_string(point.batch_close);
+    }
     append_json_record(series.c_str(), r.experiment, 1);
     append_scale_record(series.c_str(), r);
-    if (r.tip_hex != point.golden_tip) {
-      std::fprintf(stderr,
-                   "bench_scale: GOLDEN HASH MISMATCH for %s n=%zu batch=%zu\n"
-                   "  expected %s\n  actual   %s\n",
-                   proto, point.nodes, point.batch_close, point.golden_tip, r.tip_hex.c_str());
-      ++failures;
-    }
+    if (!matches_golden(golden, r.tip_hex)) ++failures;
   }
   if (failures > 0) {
     std::fprintf(stderr,
@@ -249,57 +256,39 @@ int run_plane() {
   const sim::ScenarioSpec spec = plane_scenario();
   std::printf(
       "bench_scale --plane: %llu-device diurnal WorkloadPlane over %zu endpoints "
-      "(PBFT n=%zu, batch=%zu, seed %llu), double run\n",
+      "(PBFT n=%zu, batch=%zu, seed %llu)\n",
       static_cast<unsigned long long>(spec.workload.devices), spec.clients, spec.nodes,
       spec.batch.size, static_cast<unsigned long long>(spec.seed));
-  std::printf("%4s %10s %12s %9s %12s %10s  %s\n", "run", "committed", "sim events", "wall(s)",
+  std::printf("%10s %12s %9s %12s %10s  %s\n", "committed", "sim events", "wall(s)",
               "events/sec", "req/s", "tip");
+  const ScaleResult r = run_spec(spec);
+  const double committed_per_sec =
+      r.experiment.sim_seconds <= 0
+          ? 0.0
+          : static_cast<double>(r.experiment.committed) / r.experiment.sim_seconds;
+  std::printf("%4llu/%-5llu %12llu %9.2f %12.0f %10.3f  %s\n",
+              static_cast<unsigned long long>(r.experiment.committed),
+              static_cast<unsigned long long>(r.experiment.expected),
+              static_cast<unsigned long long>(r.sim_events), r.wall_seconds, r.events_per_sec(),
+              committed_per_sec, r.tip_hex.c_str());
   int failures = 0;
-  ScaleResult runs[2];
-  for (int i = 0; i < 2; ++i) {
-    runs[i] = run_spec(spec);
-    const ScaleResult& r = runs[i];
-    const double committed_per_sec =
-        r.experiment.sim_seconds <= 0
-            ? 0.0
-            : static_cast<double>(r.experiment.committed) / r.experiment.sim_seconds;
-    std::printf("%4d %4llu/%-5llu %12llu %9.2f %12.0f %10.3f  %s\n", i + 1,
-                static_cast<unsigned long long>(r.experiment.committed),
-                static_cast<unsigned long long>(r.experiment.expected),
-                static_cast<unsigned long long>(r.sim_events), r.wall_seconds, r.events_per_sec(),
-                committed_per_sec, r.tip_hex.c_str());
-    if (r.wall_seconds > budget) {
-      std::fprintf(stderr, "bench_scale --plane: run %d took %.2f s (budget %.0f s)\n", i + 1,
-                   r.wall_seconds, budget);
-      ++failures;
-    }
-    if (r.experiment.committed == 0 || r.experiment.committed < r.experiment.expected) {
-      std::fprintf(stderr,
-                   "bench_scale --plane: run %d committed %llu of %llu submissions\n", i + 1,
-                   static_cast<unsigned long long>(r.experiment.committed),
-                   static_cast<unsigned long long>(r.experiment.expected));
-      ++failures;
-    }
-  }
-  if (runs[0].tip_hex != runs[1].tip_hex ||
-      runs[0].experiment.committed != runs[1].experiment.committed ||
-      runs[0].sim_events != runs[1].sim_events) {
-    std::fprintf(stderr,
-                 "bench_scale --plane: NONDETERMINISM — same-seed runs disagree\n"
-                 "  run 1: tip %s committed %llu events %llu\n"
-                 "  run 2: tip %s committed %llu events %llu\n",
-                 runs[0].tip_hex.c_str(),
-                 static_cast<unsigned long long>(runs[0].experiment.committed),
-                 static_cast<unsigned long long>(runs[0].sim_events), runs[1].tip_hex.c_str(),
-                 static_cast<unsigned long long>(runs[1].experiment.committed),
-                 static_cast<unsigned long long>(runs[1].sim_events));
+  if (!matches_golden("scale/plane", r.tip_hex)) ++failures;
+  if (r.wall_seconds > budget) {
+    std::fprintf(stderr, "bench_scale --plane: the run took %.2f s (budget %.0f s)\n",
+                 r.wall_seconds, budget);
     ++failures;
   }
-  append_json_record("scale.plane.pbft", runs[0].experiment, spec.seed);
-  append_scale_record("scale.plane.pbft", runs[0]);
+  if (r.experiment.committed == 0 || r.experiment.committed < r.experiment.expected) {
+    std::fprintf(stderr, "bench_scale --plane: committed %llu of %llu submissions\n",
+                 static_cast<unsigned long long>(r.experiment.committed),
+                 static_cast<unsigned long long>(r.experiment.expected));
+    ++failures;
+  }
+  append_json_record("scale.plane.pbft", r.experiment, spec.seed);
+  append_scale_record("scale.plane.pbft", r);
   if (failures > 0) return 1;
-  std::printf("bench_scale --plane: deterministic, %llu committed, within budget\n",
-              static_cast<unsigned long long>(runs[0].experiment.committed));
+  std::printf("bench_scale --plane: golden tip, %llu committed, within budget\n",
+              static_cast<unsigned long long>(r.experiment.committed));
   return 0;
 }
 

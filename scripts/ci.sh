@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Fast CI gate: configure, build, run the tier-1 test label (everything
 # except the long-running torture/chaos suites — those run in the full
-# `ctest` sweep, see scripts/reproduce.sh) and smoke one bench harness on
+# `ctest` sweep, see scripts/reproduce.sh), check every CLI output pinned in
+# the golden manifest (tests/goldens.sha256) and smoke one bench harness on
 # the coarse GPBFT_BENCH_QUICK grid so bench regressions surface before a
 # full reproduction run.
 #
@@ -21,6 +22,27 @@ if grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*<(atomic|condition_va
   exit 1
 fi
 
+# Run-level goldens live in tests/goldens.sha256 and nowhere else; the only
+# 64-hex literals allowed in code are tests/crypto_test.cpp's known-answer
+# vectors.
+if grep -rnE '"[0-9a-fA-F]{64}"' --exclude=crypto_test.cpp tests bench tools examples; then
+  echo "ci: a 64-hex literal outside tests/goldens.sha256 (listed above)" >&2
+  exit 1
+fi
+
+# Diffs the SHA-256 of each named file under directory $1 against the line
+# tests/goldens.sha256 pins for that name (names are paths relative to $1).
+# A `<` line is the pinned one and a `>` line the actual one, in the
+# manifest's format, so the diff is the re-pin.
+check_goldens() {
+  local dir="$1"
+  shift
+  if ! diff <(for name in "$@"; do awk -v name="${name}" '$2 == name' tests/goldens.sha256; done)             <(cd "${dir}" && sha256sum "$@"); then
+    echo "ci: outputs under ${dir} differ from tests/goldens.sha256 (< pinned, > actual)" >&2
+    exit 1
+  fi
+}
+
 BUILD_DIR="${GPBFT_CI_BUILD_DIR:-build}"
 JOBS="${GPBFT_CI_JOBS:-$(nproc)}"
 
@@ -34,29 +56,33 @@ cmake --build "${BUILD_DIR}" -j "${JOBS}"
 # if a label change ever leaves nothing selected.
 ctest --test-dir "${BUILD_DIR}" -L tier1 -j "${JOBS}" --output-on-failure --no-tests=error
 
-# Scenario determinism gate: every checked-in scenario file except the
-# profiler's (its own leg below) runs twice with telemetry exports. Each run
-# must exit 0 — a chaos scenario arms the invariant monitor and fails on any
-# agreement break, SYBIL-SEATED / COMMITTEE-QUALITY / ERA-CONVERGENCE
-# violation or liveness miss — and the two runs' trace and metrics must be
-# byte-identical: fault plans, attack and tamper streams all replay from
-# the file's seed. The fault-free telemetry smoke run is also schema-checked.
-SCENARIO_DIR="${BUILD_DIR}/scenario-ci"
-mkdir -p "${SCENARIO_DIR}"
+# Golden gate (EXPERIMENTS.md "Goldens"): every checked-in scenario file
+# runs once with trace and metrics exports, and so does the restart chaos
+# campaign. Each run must exit 0 — a chaos scenario arms the invariant
+# monitor and fails on any agreement break, SYBIL-SEATED /
+# COMMITTEE-QUALITY / ERA-CONVERGENCE violation or liveness miss — and its
+# stdout, trace and metrics must hash to their `scenario/` and `chaos/`
+# lines in the manifest: fault plans, attack and tamper streams all replay
+# from the file's seed. The fault-free telemetry smoke run is also
+# schema-checked.
+GOLDEN_DIR="${BUILD_DIR}/goldens-ci"
+rm -rf "${GOLDEN_DIR}"
+mkdir -p "${GOLDEN_DIR}/scenario" "${GOLDEN_DIR}/chaos"
+outputs=()
 for path in scenarios/*.scenario; do
-  sc="$(basename "${path}" .scenario)"
-  [[ "${sc}" == profile_pbft20 ]] && continue
-  for run in 1 2; do
-    "${BUILD_DIR}/tools/gpbft_cli" run --scenario "${path}" \
-      --trace-out "${SCENARIO_DIR}/${sc}.trace.${run}.json" \
-      --metrics-out "${SCENARIO_DIR}/${sc}.metrics.${run}.jsonl" >/dev/null
-  done
-  cmp "${SCENARIO_DIR}/${sc}.trace.1.json" "${SCENARIO_DIR}/${sc}.trace.2.json"
-  cmp "${SCENARIO_DIR}/${sc}.metrics.1.jsonl" "${SCENARIO_DIR}/${sc}.metrics.2.jsonl"
+  sc="scenario/$(basename "${path}" .scenario)"
+  "${BUILD_DIR}/tools/gpbft_cli" run --scenario "${path}" \
+    --trace-out "${GOLDEN_DIR}/${sc}.trace.json" \
+    --metrics-out "${GOLDEN_DIR}/${sc}.metrics.jsonl" >"${GOLDEN_DIR}/${sc}.stdout"
+  outputs+=("${sc}.stdout" "${sc}.trace.json" "${sc}.metrics.jsonl")
 done
+"${BUILD_DIR}/tools/gpbft_cli" chaos --seeds 3 --restarts 0.25 --disk-faults 0.2 \
+  --intensity medium >"${GOLDEN_DIR}/chaos/restart-campaign.stdout"
+outputs+=(chaos/restart-campaign.stdout)
+check_goldens "${GOLDEN_DIR}" "${outputs[@]}"
 if command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace.py "${SCENARIO_DIR}/telemetry_smoke.trace.1.json" \
-    "${SCENARIO_DIR}/telemetry_smoke.metrics.1.jsonl"
+  python3 scripts/check_trace.py "${GOLDEN_DIR}/scenario/telemetry_smoke.trace.json" \
+    "${GOLDEN_DIR}/scenario/telemetry_smoke.metrics.jsonl"
 else
   echo "ci: python3 not found; skipping telemetry schema check"
 fi
@@ -64,8 +90,7 @@ fi
 # Fuzz gate: replay the checked-in malformed corpus and run a seeded
 # mutation sweep over every wire-decode target. Each target carries its own
 # totality + re-encode fixed-point oracle, so a decoder defect aborts the
-# driver; zero crashes is the pass condition. (The coverage-guided
-# libFuzzer leg needs Clang — GPBFT_FUZZ=ON — and is not part of this gate.)
+# driver; zero crashes is the pass condition.
 "${BUILD_DIR}/tools/gpbft_fuzz" replay fuzz/corpus
 "${BUILD_DIR}/tools/gpbft_fuzz" mutate --seed 1 --iters 2000
 
@@ -82,24 +107,27 @@ diff -r "${CORPUS_DIR}" fuzz/corpus
 # Profiler gate (docs/observability.md "Profiling & perf analytics"). The
 # probe unit tests and the guard test proving a profiled run's chain tip,
 # metrics and trace are byte-identical to an unprofiled run carry the
-# tier1-profile label (run above). End to end, the same seeded scenario
-# profiled twice must produce byte-identical telemetry AND profile exports
-# that agree on every deterministic field (tree shape, site names, call
-# counts — wall-clock ns are machine noise and excluded by
-# check_trace.py --profile-same).
+# tier1-profile label (run above). End to end, a profiled run of the
+# profiler's scenario must write the trace and metrics pinned for the
+# unprofiled run above (the same `scenario/profile_pbft20` lines), and two
+# profiled runs' exports must agree on every deterministic field (tree
+# shape, site names, call counts — wall-clock ns are machine noise and
+# excluded by check_trace.py --profile-same).
 PROF_DIR="${BUILD_DIR}/profile-ci"
-mkdir -p "${PROF_DIR}"
-for run in 1 2; do
-  "${BUILD_DIR}/tools/gpbft_cli" profile --scenario scenarios/profile_pbft20.scenario \
-    --profile-out "${PROF_DIR}/profile.${run}.json" \
-    --collapsed-out "${PROF_DIR}/collapsed.${run}.txt" \
-    --trace-out "${PROF_DIR}/trace.${run}.json" \
-    --metrics-out "${PROF_DIR}/metrics.${run}.jsonl" >/dev/null
-done
-cmp "${PROF_DIR}/trace.1.json" "${PROF_DIR}/trace.2.json"
-cmp "${PROF_DIR}/metrics.1.jsonl" "${PROF_DIR}/metrics.2.jsonl"
+rm -rf "${PROF_DIR}"
+mkdir -p "${PROF_DIR}/scenario"
+"${BUILD_DIR}/tools/gpbft_cli" profile --scenario scenarios/profile_pbft20.scenario \
+  --profile-out "${PROF_DIR}/profile.1.json" \
+  --collapsed-out "${PROF_DIR}/collapsed.txt" \
+  --trace-out "${PROF_DIR}/scenario/profile_pbft20.trace.json" \
+  --metrics-out "${PROF_DIR}/scenario/profile_pbft20.metrics.jsonl" >/dev/null
+"${BUILD_DIR}/tools/gpbft_cli" profile --scenario scenarios/profile_pbft20.scenario \
+  --profile-out "${PROF_DIR}/profile.2.json" >/dev/null
+check_goldens "${PROF_DIR}" scenario/profile_pbft20.trace.json \
+  scenario/profile_pbft20.metrics.jsonl
 if command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace.py "${PROF_DIR}/trace.1.json" "${PROF_DIR}/metrics.1.jsonl" \
+  python3 scripts/check_trace.py "${PROF_DIR}/scenario/profile_pbft20.trace.json" \
+    "${PROF_DIR}/scenario/profile_pbft20.metrics.jsonl" \
     --profile "${PROF_DIR}/profile.1.json" --profile "${PROF_DIR}/profile.2.json" \
     --profile-same "${PROF_DIR}/profile.1.json" "${PROF_DIR}/profile.2.json"
 else
@@ -113,7 +141,7 @@ GPBFT_BENCH_QUICK=1 GPBFT_BENCH_RUNS=1 "${BUILD_DIR}/bench/fig3b_gpbft_latency"
 
 # Perf smoke + regression gate: the message-plane scaling harness at its
 # smallest point (n=20, both protocols, ~1 s). The harness itself exits
-# nonzero if a seeded run's chain tip drifts from its golden hash; on top
+# nonzero if a seeded run's chain tip drifts from its `scale/` golden; on top
 # of that, the fresh events/sec rows are appended (under an ephemeral
 # "ci-smoke" label, to a COPY of the checked-in history — the repo file
 # only gains rows deliberately, via GPBFT_BENCH_SCALE_LABEL) and
@@ -136,10 +164,10 @@ else
   echo "ci: python3 not found; skipping perf-regression gate"
 fi
 
-# Million-device plane smoke: a 10^6-virtual-device diurnal workload over
-# O(regions) concrete endpoints, run twice from the same seed. Gates on
-# byte-identical tips, open-loop completeness (every submission commits)
-# and the wall budget (GPBFT_PLANE_BUDGET_SECS, default 120 s per run).
+# Million-device plane smoke: one run of a 10^6-virtual-device diurnal
+# workload over O(regions) concrete endpoints. Gates on the `scale/plane`
+# golden tip, open-loop completeness (every submission commits) and the
+# wall budget (GPBFT_PLANE_BUDGET_SECS, default 120 s).
 "${BUILD_DIR}/bench/bench_scale" --plane
 
 # Micro-benchmark smoke: each harness runs every case once, briefly, so a

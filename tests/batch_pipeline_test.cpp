@@ -2,7 +2,7 @@
 //
 // Covers the four contracts of docs/protocol.md §11:
 //   * batch.size=1 reproduces the unbatched seed pipeline byte-for-byte
-//     (tips cross-checked against golden_runs.hpp);
+//     (tips cross-checked against tests/goldens.sha256);
 //   * retransmissions of executed requests are answered from the client
 //     table without re-consensus (chain height frozen);
 //   * the cached-reply path survives a primary view change (the table is
@@ -17,6 +17,7 @@
 
 #include "crypto/sha256.hpp"
 #include "golden_runs.hpp"
+#include "goldens.hpp"
 #include "sim/deployment.hpp"
 #include "sim/workload.hpp"
 
@@ -67,7 +68,7 @@ TEST(BatchPipeline, SizeOneReproducesPbftSeedGolden) {
   spec.batch.timeout = Duration::millis(1);
   const RunOutcome out = run_spec(spec);
   EXPECT_EQ(out.committed, 8u);
-  EXPECT_EQ(out.tip, kPbftGoldenTip);
+  EXPECT_EQ(out.tip, goldens::pinned("parity/pbft.tip"));
   EXPECT_EQ(out.closed_full, 0u);
   EXPECT_EQ(out.closed_timeout, 0u);
   EXPECT_EQ(out.batch_observations, 0u);  // batch telemetry is gated off at size 1
@@ -79,7 +80,7 @@ TEST(BatchPipeline, SizeOneReproducesGpbftSeedGolden) {
   spec.batch.timeout = Duration::millis(1);
   const RunOutcome out = run_spec(spec, Duration::seconds(60));
   EXPECT_EQ(out.committed, 8u);
-  EXPECT_EQ(out.tip, kGpbftGoldenTip);
+  EXPECT_EQ(out.tip, goldens::pinned("parity/gpbft.tip"));
   EXPECT_EQ(out.closed_timeout, 0u);
 }
 

@@ -1,11 +1,12 @@
-// The two seeded golden runs several suites pin: their specs and chain tips.
+// The two seeded golden runs several suites pin. Their digests are the
+// `parity/pbft.*` and `parity/gpbft.*` entries of tests/goldens.sha256.
 //
 // perf_parity_test digests each run's full exports (tip, metrics, trace);
 // scenario_test replays them at their defaults and checks the tips plus
 // heights, era switches and committee size; batch_pipeline_test replays them
 // at batch.size=1 with tracing off and checks the same tips. If a change
 // moves a tip, it changed behaviour: fix the change, don't re-pin, unless
-// the behaviour change is itself the point.
+// the behaviour change is itself the point (EXPERIMENTS.md, "Goldens").
 #pragma once
 
 #include "sim/scenario.hpp"
@@ -48,10 +49,5 @@ inline ScenarioSpec gpbft_golden_spec() {
   spec.engine.compute_macs = true;  // see pbft_golden_spec()
   return spec;
 }
-
-inline constexpr const char* kPbftGoldenTip =
-    "68086af0d716cdecdc16dd24bd2c5c5a353ce8958358e0e12e321500564f84ed";
-inline constexpr const char* kGpbftGoldenTip =
-    "540d7bde3eab76203c96355ea7b35f686f91d6889e98e6071db233bc81b98894";
 
 }  // namespace gpbft::sim

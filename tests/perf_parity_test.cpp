@@ -10,10 +10,10 @@
 //     the net.* accounting the rewrite touches),
 //   * the Perfetto trace export (event-by-event causal order).
 //
-// The constants were recorded from the pre-refactor message plane. If a
-// net/sim change breaks one of them, it changed behaviour — fix the change,
-// don't re-pin, unless the behaviour change is itself the point of a PR
-// (then re-record and say so in the PR description).
+// The digests are the `parity/` entries of tests/goldens.sha256, recorded
+// from the pre-refactor message plane. If a net/sim change breaks one of
+// them, it changed behaviour: fix the change, don't re-pin, unless the
+// behaviour change is itself the point (EXPERIMENTS.md, "Goldens").
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -21,6 +21,7 @@
 
 #include "crypto/sha256.hpp"
 #include "golden_runs.hpp"
+#include "goldens.hpp"
 #include "sim/deployment.hpp"
 
 namespace gpbft::sim {
@@ -63,17 +64,17 @@ RunDigests run_and_digest(const ScenarioSpec& spec, Duration horizon) {
 TEST(PerfParity, PbftMetricsAndTraceAreBitIdentical) {
   const RunDigests digests = run_and_digest(pbft_golden_spec(), Duration{});
   EXPECT_EQ(digests.committed, 8u);
-  EXPECT_EQ(digests.tip, kPbftGoldenTip);
-  EXPECT_EQ(digests.metrics_sha256, "d85842224baa8ba17e65af84ace0b1b13ede387aeefa8cd4e519667708296461");
-  EXPECT_EQ(digests.trace_sha256, "0a11a21a6b70ca40bbb65f74c877dec92dfc75b5ce4ba8dd2581e11bedd3a587");
+  EXPECT_EQ(digests.tip, goldens::pinned("parity/pbft.tip"));
+  EXPECT_EQ(digests.metrics_sha256, goldens::pinned("parity/pbft.metrics"));
+  EXPECT_EQ(digests.trace_sha256, goldens::pinned("parity/pbft.trace"));
 }
 
 TEST(PerfParity, GpbftMetricsAndTraceAreBitIdentical) {
   const RunDigests digests = run_and_digest(gpbft_golden_spec(), Duration::seconds(60));
   EXPECT_EQ(digests.committed, 8u);
-  EXPECT_EQ(digests.tip, kGpbftGoldenTip);
-  EXPECT_EQ(digests.metrics_sha256, "3046f93e32de54a9418969ed0c1bf27dee92c0342eba4047e6e37ed1081b6b4a");
-  EXPECT_EQ(digests.trace_sha256, "6f0db6012934c165913fd44a14aa9dc8b7f7fd654522280de7ec1d15eed38d79");
+  EXPECT_EQ(digests.tip, goldens::pinned("parity/gpbft.tip"));
+  EXPECT_EQ(digests.metrics_sha256, goldens::pinned("parity/gpbft.metrics"));
+  EXPECT_EQ(digests.trace_sha256, goldens::pinned("parity/gpbft.trace"));
 }
 
 // A fault-heavy run: drops, a crash/recover window and a brownout exercise
@@ -107,16 +108,15 @@ TEST(PerfParity, FaultyNetworkRunIsBitIdentical) {
       crypto::sha256(deployment->telemetry().metrics().to_jsonl()).hex();
   const std::string trace_sha =
       crypto::sha256(deployment->telemetry().trace().to_perfetto_json()).hex();
-  EXPECT_EQ(deployment->tip_hex(),
-            "b5d28fba6a2cf03efee1ef2b4b30f68ed4713d407a225f5160f2ebbb9fa5f1cd");
+  EXPECT_EQ(deployment->tip_hex(), goldens::pinned("parity/pbft-faulty.tip"));
   // The tip and trace digests match the pre-refactor run exactly. The
   // metrics digest was re-recorded once, deliberately, in the same PR that
   // rewrote the hot path: delivery-time drops (receiver crashed/detached
   // between send and processing) used to bump NetStats::dropped_messages
   // but not the `net.msgs_dropped` counter, so the old snapshot undercounts
   // drops. Network.DropAccountingMatchesTelemetry pins the two paths equal.
-  EXPECT_EQ(metrics_sha, "0abd5729da2bc7821134f98e45d644864c6caea93061099fa1bbed3e1c9a16ac");
-  EXPECT_EQ(trace_sha, "4b0a5ece7c3b416894730ea9f4104efb2fa4ad3ff819b8ef543cb95fcae43bc4");
+  EXPECT_EQ(metrics_sha, goldens::pinned("parity/pbft-faulty.metrics"));
+  EXPECT_EQ(trace_sha, goldens::pinned("parity/pbft-faulty.trace"));
 }
 
 }  // namespace

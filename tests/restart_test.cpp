@@ -10,6 +10,8 @@
 
 #include "common/rng.hpp"
 #include "crypto/sha256.hpp"
+#include "golden_runs.hpp"
+#include "goldens.hpp"
 #include "ledger/store.hpp"
 #include "pbft/client.hpp"
 #include "pow/pow_store.hpp"
@@ -346,19 +348,10 @@ std::string disk_digest(Deployment& deployment) {
 // Pins what every disk holds after a faulted run on each stack: node 2's
 // next save is torn and node 2 restarts 2.5 s later; node 4's image rots
 // and node 4 restarts from it at once. A change in what a save writes, or
-// in how a fault damages it, moves a digest.
+// in how a fault damages it, moves a digest (the `disk/` entries of
+// tests/goldens.sha256).
 TEST(DiskImages, FaultedRunsLeaveTheSameBytesOnEveryStack) {
-  const std::pair<ProtocolKind, std::string> pinned[] = {
-      {ProtocolKind::Pbft,
-       "21bb4ad8f2e3c5dc8a42eb4f47ec1f4fc3ae433bdce283837a87df94294b446c"},
-      {ProtocolKind::Gpbft,
-       "2b5d3ba8de43172185d825a759af60977c73b4860a26a22a8855ac0af291e1cd"},
-      {ProtocolKind::Dbft,
-       "5c6b5d17d586d36b1a9400ac5cb8100f672f8eeecd69bf35dd1a0fb043642094"},
-      {ProtocolKind::Pow,
-       "7fea50e212c8a8e88469c24fdd70d56b9a9361ec75afec2f3fe6f16a8bbcac10"},
-  };
-  for (const auto& [protocol, digest] : pinned) {
+  for (const ProtocolKind protocol : kStacks) {
     SCOPED_TRACE(protocol_name(protocol));
     const ScenarioSpec spec = stack_spec(protocol);
     const std::unique_ptr<Deployment> deployment = make_deployment(spec);
@@ -378,31 +371,18 @@ TEST(DiskImages, FaultedRunsLeaveTheSameBytesOnEveryStack) {
 
     EXPECT_EQ(deployment->storage().disk(NodeId{2}).faults_applied(), 1u);
     EXPECT_EQ(deployment->storage().disk(NodeId{4}).faults_applied(), 1u);
-    EXPECT_EQ(disk_digest(*deployment), digest);
+    EXPECT_EQ(disk_digest(*deployment),
+              goldens::pinned("disk/" + std::string(protocol_name(protocol))));
   }
 }
 
 // --- G-PBFT restart across an era switch ----------------------------------------------
 
 TEST(Restart, GpbftEndorserRestartsAcrossEraSwitch) {
-  // Same shape as the G-PBFT parity scenario: an era switch at ~15s promotes
-  // both candidates. Restarting an endorser after the switch must re-derive
-  // the era, roster and producer order from the persisted config blocks.
-  ScenarioSpec spec;
-  spec.protocol = ProtocolKind::Gpbft;
-  spec.nodes = 6;
-  spec.clients = 2;
-  spec.seed = 7;
-  spec.committee.initial = 4;
-  spec.committee.min = 4;
-  spec.committee.max = 6;
-  spec.committee.era_period = Duration::seconds(15);
-  spec.geo.report_period = Duration::seconds(3);
-  spec.geo.window = Duration::seconds(12);
-  spec.geo.min_reports = 2;
-  spec.geo.promotion_threshold = Duration::seconds(20);
-  spec.workload.period = Duration::seconds(2);
-  spec.workload.txs_per_client = 4;
+  // The G-PBFT parity scenario: an era switch at ~15s promotes both
+  // candidates. Restarting an endorser after the switch must re-derive the
+  // era, roster and producer order from the persisted config blocks.
+  const ScenarioSpec spec = gpbft_golden_spec();
 
   const auto cluster = std::make_unique<GpbftCluster>(spec);
   InvariantMonitor monitor(cluster->simulator());

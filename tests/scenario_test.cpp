@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "golden_runs.hpp"
+#include "goldens.hpp"
 #include "sim/chaos.hpp"
 #include "sim/deployment.hpp"
 #include "sim/invariants.hpp"
@@ -156,7 +157,7 @@ TEST(DeploymentParity, PbftGoldenRunIsBitIdentical) {
   EXPECT_TRUE(done);
   EXPECT_EQ(cluster.committed_count(), 8u);
   EXPECT_EQ(cluster.replica(0).chain().height(), 8u);
-  EXPECT_EQ(cluster.replica(0).chain().tip().hash().hex(), kPbftGoldenTip);
+  EXPECT_EQ(cluster.replica(0).chain().tip().hash().hex(), goldens::pinned("parity/pbft.tip"));
 }
 
 TEST(DeploymentParity, GpbftGoldenRunIsBitIdentical) {
@@ -172,7 +173,8 @@ TEST(DeploymentParity, GpbftGoldenRunIsBitIdentical) {
   EXPECT_EQ(cluster.total_era_switches(), 1u);
   EXPECT_EQ(cluster.committee_size(), 6u);  // both candidates promoted
   EXPECT_EQ(cluster.endorser(0).chain().height(), 9u);
-  EXPECT_EQ(cluster.endorser(0).chain().tip().hash().hex(), kGpbftGoldenTip);
+  EXPECT_EQ(cluster.endorser(0).chain().tip().hash().hex(),
+            goldens::pinned("parity/gpbft.tip"));
 }
 
 TEST(DeploymentDeathTest, ClusterAbortsOnAnotherProtocolsSpec) {
