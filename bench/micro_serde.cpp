@@ -131,8 +131,9 @@ void BM_SealOpen(benchmark::State& state) {
   for (auto _ : state) {
     const Bytes sealed = pbft::seal(keys, NodeId{1}, NodeId{2}, pbft::msg_type::kPrepare,
                                     BytesView(body.data(), body.size()), true);
-    benchmark::DoNotOptimize(pbft::open(keys, NodeId{1}, NodeId{2}, pbft::msg_type::kPrepare,
-                                        BytesView(sealed.data(), sealed.size()), true));
+    benchmark::DoNotOptimize(pbft::open_view(keys, NodeId{1}, NodeId{2},
+                                             pbft::msg_type::kPrepare,
+                                             BytesView(sealed.data(), sealed.size()), true));
   }
 }
 BENCHMARK(BM_SealOpen);

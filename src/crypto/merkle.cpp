@@ -23,7 +23,7 @@ Hash256 MerkleTree::hash_interior(const Hash256& left, const Hash256& right) {
   return ctx.finalize();
 }
 
-MerkleTree::MerkleTree(std::vector<Hash256> leaves) : leaf_count_(leaves.size()) {
+MerkleTree::MerkleTree(std::vector<Hash256> leaves) {
   std::vector<Hash256> level;
   if (leaves.empty()) {
     // Empty tree: root is the hash of the empty leaf tag, so empty blocks

@@ -32,9 +32,9 @@ class MerkleTree {
   explicit MerkleTree(std::vector<Hash256> leaves);
 
   [[nodiscard]] const Hash256& root() const { return levels_.back().front(); }
-  [[nodiscard]] std::size_t leaf_count() const { return leaf_count_; }
 
-  /// Inclusion proof for leaf `index`; index must be < leaf_count().
+  /// Inclusion proof for leaf `index`; index must be less than the number
+  /// of leaves the tree was built from.
   [[nodiscard]] MerkleProof prove(std::size_t index) const;
 
   /// Verifies `proof` connects `leaf` to `root`.
@@ -49,7 +49,6 @@ class MerkleTree {
   static Hash256 hash_interior(const Hash256& left, const Hash256& right);
 
   std::vector<std::vector<Hash256>> levels_;  // levels_[0] = hashed leaves
-  std::size_t leaf_count_;
 };
 
 }  // namespace gpbft::crypto

@@ -21,14 +21,6 @@ std::vector<NodeId> genesis_roster(const ledger::Block& genesis) {
   return {};
 }
 
-pbft::PbftConfig phase_rule(const DbftConfig& config) {
-  // dBFT 2.0 (full PREPARE + COMMIT) unless the caller opts into the 1.0
-  // two-phase ablation — see the legacy_two_phase comment in delegate.hpp.
-  pbft::PbftConfig pbft = config.pbft;
-  pbft.two_phase = config.legacy_two_phase;
-  return pbft;
-}
-
 }  // namespace
 
 ledger::Transaction make_vote_tx(NodeId voter, RequestId request_id, NodeId candidate,
@@ -52,7 +44,7 @@ std::optional<NodeId> parse_vote_tx(const ledger::Transaction& tx) {
 Delegate::Delegate(NodeId id, ledger::Block genesis, DbftConfig config,
                    StakeRegistry initial_stakes, std::vector<NodeId> observers,
                    net::Network& network, const crypto::KeyRegistry& keys)
-    : Replica(id, genesis_roster(genesis), genesis, phase_rule(config), network, keys),
+    : Replica(id, genesis_roster(genesis), genesis, config.pbft, network, keys),
       config_(config),
       stakes_(std::move(initial_stakes)),
       delegates_(genesis_roster(genesis)),
@@ -110,9 +102,9 @@ void Delegate::on_executed(const ledger::Block& block) {
 
   if (block.header.height % config_.epoch_blocks == 0) maybe_reelect(block.header.height);
 
-  // dBFT blocks are final once executed (2.0: after the COMMIT quorum;
-  // legacy 1.0: at 2f+1 PREPAREs), so every executed block is a durability
-  // point: a restarted delegate resumes at its exact executed height.
+  // dBFT blocks are final once executed (after the COMMIT quorum), so
+  // every executed block is a durability point: a restarted delegate
+  // resumes at its exact executed height.
   persist_now();
 }
 

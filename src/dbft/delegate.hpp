@@ -1,13 +1,11 @@
 // dBFT delegate node (the NEO-style baseline of the paper's Table IV).
 //
 // Differences from plain PBFT, layered on the same engine:
-//  * by default the dBFT 2.0 rule: a block finalizes after the full
-//    PREPARE + COMMIT exchange. The original dBFT 1.0 two-phase rule
-//    (finalize on a 2f+1 PREPARE quorum, no COMMIT round) is kept as an
-//    opt-in ablation knob (`legacy_two_phase`) — it is the historically
-//    deployed protocol, but it can fork under message loss + view change
-//    (the defect NEO fixed by adding the commit phase in dBFT 2.0), and
-//    our wire-tamper campaigns reproduce exactly that fork;
+//  * finality is the dBFT 2.0 rule, the engine's full PREPARE + COMMIT
+//    exchange. The dBFT 1.0 rule (finalize on a 2f+1 PREPARE quorum, no
+//    COMMIT round) forks under message loss + view change, the defect NEO
+//    fixed in 2.0; the wire-tamper campaigns reproduced that fork here
+//    (docs/protocol.md §12), and the 1.0 rule is gone;
 //  * the speaker rotates every block: speaker(height, view) =
 //    delegates[(height + view) mod c], so view changes skip a faulty
 //    speaker within a height and rotation happens naturally across heights;
@@ -35,11 +33,7 @@ namespace gpbft::dbft {
 inline constexpr net::MessageType kPublishedBlock = 41;
 
 struct DbftConfig {
-  pbft::PbftConfig pbft;  // two_phase is derived from legacy_two_phase below
-  /// Opt into the dBFT 1.0 finality rule (execute at 2f+1 PREPAREs, no
-  /// COMMIT round). Off by default: 1.0 forks under message loss + view
-  /// change, which is why NEO moved to the three-phase 2.0 protocol.
-  bool legacy_two_phase{false};
+  pbft::PbftConfig pbft;
   /// Block production cadence (NEO: ~15 s).
   Duration block_interval = Duration::seconds(15);
   /// Delegates elected per epoch.

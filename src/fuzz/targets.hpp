@@ -10,13 +10,11 @@
 //  * Round-trip — when a decoder ACCEPTS an input, re-encoding the decoded
 //    value and decoding it again must succeed and re-encode to the same
 //    bytes (encode ∘ decode is a fixed point after one normalisation pass).
-//    A violation aborts the process so it is loud under CI and libFuzzer
-//    alike.
+//    A violation aborts the process so it is loud under CI.
 //
-// The same registry backs three consumers: the gpbft_fuzz CLI driver
+// The same registry backs two consumers: the gpbft_fuzz CLI driver
 // (corpus generation / replay / deterministic mutation, buildable with any
-// C++20 compiler), the optional libFuzzer entry point (GPBFT_FUZZ=ON,
-// requires Clang), and the golden-rejection tests over the checked-in
+// C++20 compiler) and the golden-rejection tests over the checked-in
 // corpus (tests/wire_fuzz_test.cpp).
 #pragma once
 

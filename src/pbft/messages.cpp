@@ -543,11 +543,4 @@ Result<BytesView> open_view(const crypto::KeyRegistry& keys, NodeId sender, Node
   return body;
 }
 
-Result<Bytes> open(const crypto::KeyRegistry& keys, NodeId sender, NodeId receiver,
-                   net::MessageType type, BytesView sealed, bool compute_macs) {
-  auto body = open_view(keys, sender, receiver, type, sealed, compute_macs);
-  if (!body) return make_error(body.error());
-  return Bytes(body.value().begin(), body.value().end());
-}
-
 }  // namespace gpbft::pbft

@@ -188,7 +188,7 @@ struct EraLaunchMsg {
 
 /// Appends the sender's HMAC tag for `receiver` to `body`. When
 /// `compute_macs` is false the tag bytes are still appended (zeroed) so
-/// wire sizes are identical; open() skips verification symmetrically.
+/// wire sizes are identical; open_view() skips verification symmetrically.
 ///
 /// The MAC binds the envelope's MessageType alongside the body: Prepare and
 /// Commit share one field layout, so a tag over the body alone would let an
@@ -199,14 +199,10 @@ struct EraLaunchMsg {
 [[nodiscard]] Bytes seal(const crypto::KeyRegistry& keys, NodeId sender, NodeId receiver,
                          net::MessageType type, BytesView body, bool compute_macs);
 
-/// Splits and verifies a sealed payload; returns the body on success.
-[[nodiscard]] Result<Bytes> open(const crypto::KeyRegistry& keys, NodeId sender, NodeId receiver,
-                                 net::MessageType type, BytesView sealed, bool compute_macs);
-
-/// As open(), but returns a view of the body *inside* `sealed` — valid only
-/// while the sealed bytes live. The per-delivery hot path: handlers decode
-/// straight out of the arrival buffer instead of paying an allocation and
-/// copy per message.
+/// Splits and verifies a sealed payload; on success returns a view of the
+/// body *inside* `sealed` — valid only while the sealed bytes live. The
+/// per-delivery hot path: handlers decode straight out of the arrival
+/// buffer instead of paying an allocation and copy per message.
 [[nodiscard]] Result<BytesView> open_view(const crypto::KeyRegistry& keys, NodeId sender,
                                           NodeId receiver, net::MessageType type, BytesView sealed,
                                           bool compute_macs);

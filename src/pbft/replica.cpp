@@ -514,7 +514,6 @@ bool Replica::propose_batch(std::vector<ledger::Transaction> batch) {
   instance.block = std::move(checked.value());
   instance.preprepared = true;
   instance.preprepared_at = now();
-  if (config_.two_phase) instance.prepare_votes[msg.digest].insert(id_);  // speaker's vote
 
   telemetry().count("pbft.batches_proposed", id_);
   telemetry().instant("propose", "pbft", id_,
@@ -585,7 +584,6 @@ void Replica::on_preprepare(NodeId from, PrePrepare msg) {
   instance.block = std::move(checked.value());
   instance.preprepared = true;
   instance.preprepared_at = now();
-  if (config_.two_phase) instance.prepare_votes[msg.digest].insert(from);  // speaker's vote
   telemetry().count("pbft.preprepares_accepted", id_);
 
   // Track request arrival for timeout purposes (backup may not have seen
@@ -647,21 +645,6 @@ void Replica::try_prepare(SeqNum seq) {
   const std::size_t f = faults_tolerated();
   const auto votes_it = instance.prepare_votes.find(instance.digest);
   const std::size_t votes = votes_it == instance.prepare_votes.end() ? 0 : votes_it->second.size();
-
-  if (config_.two_phase) {
-    // dBFT-style: 2f+1 PREPAREs (speaker's proposal included) finalize the
-    // block directly; no COMMIT round.
-    if (votes >= 2 * f + 1) {
-      instance.prepared = true;
-      instance.committed = true;
-      instance.prepared_at = now();
-      instance.committed_at = instance.prepared_at;
-      telemetry().count("pbft.prepared", id_);
-      telemetry().count("pbft.committed", id_);
-      try_execute();
-    }
-    return;
-  }
 
   // prepared == pre-prepare + 2f matching prepares from distinct replicas.
   if (votes >= 2 * f) {
@@ -739,7 +722,6 @@ void Replica::try_execute() {
     const Height height = block.header().height;
     state_.apply_block(block.block(), committee_);
     instance.executed = true;
-    ++executed_blocks_;
 
     // Per-phase attribution: how long this replica spent gathering each
     // certificate for the block it just executed. Blocks adopted via chain

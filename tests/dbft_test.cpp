@@ -1,4 +1,4 @@
-// dBFT baseline tests: stake registry, vote transactions, two-phase
+// dBFT baseline tests: stake registry, vote transactions, commit-phase
 // finality, speaker rotation, block pacing, and epoch re-election.
 #include <gtest/gtest.h>
 
@@ -158,8 +158,8 @@ DbftConfig fast_dbft() {
 }
 
 TEST(Delegate, DefaultRuleRunsCommitPhase) {
-  // dBFT 2.0 by default: finality takes the full PREPARE + COMMIT exchange
-  // (the 1.0 two-phase rule forks under loss + view change).
+  // dBFT 2.0: finality takes the full PREPARE + COMMIT exchange (the 1.0
+  // two-phase rule forks under loss + view change).
   DbftNet net(4, 4, fast_dbft());
   net.start();
   net.clients[0]->set_commit_callback([](const crypto::Hash256&, Height, Duration) {});
@@ -170,23 +170,6 @@ TEST(Delegate, DefaultRuleRunsCommitPhase) {
   EXPECT_EQ(net.nodes[0]->chain().height(), 1u);
   const auto& by_type = net.network->stats().bytes_by_type;
   EXPECT_TRUE(by_type.contains(pbft::msg_type::kCommit));
-  EXPECT_TRUE(by_type.contains(pbft::msg_type::kPrepare));
-}
-
-TEST(Delegate, LegacyTwoPhaseCommitsWithoutCommitRound) {
-  DbftConfig config = fast_dbft();
-  config.legacy_two_phase = true;  // dBFT 1.0 ablation
-  DbftNet net(4, 4, config);
-  net.start();
-  net.clients[0]->set_commit_callback([](const crypto::Hash256&, Height, Duration) {});
-  net.clients[0]->submit(net.tx(0, 1));
-  net.run_for(Duration::seconds(10));
-
-  EXPECT_EQ(net.clients[0]->committed_count(), 1u);
-  EXPECT_EQ(net.nodes[0]->chain().height(), 1u);
-  // No COMMIT-phase traffic at all: 1.0 finalizes on the PREPARE quorum.
-  const auto& by_type = net.network->stats().bytes_by_type;
-  EXPECT_FALSE(by_type.contains(pbft::msg_type::kCommit));
   EXPECT_TRUE(by_type.contains(pbft::msg_type::kPrepare));
 }
 

@@ -352,7 +352,8 @@ std::string disk_digest(Deployment& deployment) {
 // tests/goldens.sha256).
 TEST(DiskImages, FaultedRunsLeaveTheSameBytesOnEveryStack) {
   for (const ProtocolKind protocol : kStacks) {
-    SCOPED_TRACE(protocol_name(protocol));
+    const std::string golden = "disk/" + std::string(protocol_name(protocol));
+    SCOPED_TRACE(golden);
     const ScenarioSpec spec = stack_spec(protocol);
     const std::unique_ptr<Deployment> deployment = make_deployment(spec);
     deployment->start();
@@ -371,8 +372,7 @@ TEST(DiskImages, FaultedRunsLeaveTheSameBytesOnEveryStack) {
 
     EXPECT_EQ(deployment->storage().disk(NodeId{2}).faults_applied(), 1u);
     EXPECT_EQ(deployment->storage().disk(NodeId{4}).faults_applied(), 1u);
-    EXPECT_EQ(disk_digest(*deployment),
-              goldens::pinned("disk/" + std::string(protocol_name(protocol))));
+    EXPECT_EQ(disk_digest(*deployment), goldens::pinned(golden));
   }
 }
 

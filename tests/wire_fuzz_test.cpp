@@ -1,7 +1,6 @@
 // Wire-decode fuzz suite: replays the checked-in malformed corpus through
 // the fuzz::FuzzTarget registry (the same registry the gpbft_fuzz driver
-// and the optional libFuzzer binary use) and runs a deterministic mutation
-// sweep per target.
+// uses) and runs a deterministic mutation sweep per target.
 //
 // Every target's run() carries its own oracle — totality plus
 // encode∘decode fixed-point on accepted inputs — so a decoder defect

@@ -1,8 +1,7 @@
 // Deterministic protocol-fuzzer driver over the fuzz::FuzzTarget registry.
 //
 // Buildable with any C++20 compiler (no libFuzzer dependency), so it is the
-// CI path for corpus replay under sanitizers; the coverage-guided libFuzzer
-// entry (gpbft_fuzz_lf, GPBFT_FUZZ=ON + Clang) shares the same targets.
+// CI path for corpus replay under sanitizers.
 //
 //   gpbft_fuzz list
 //   gpbft_fuzz corpus <dir>                     regenerate the seed corpus
