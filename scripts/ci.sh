@@ -37,7 +37,8 @@ fi
 check_goldens() {
   local dir="$1"
   shift
-  if ! diff <(for name in "$@"; do awk -v name="${name}" '$2 == name' tests/goldens.sha256; done)             <(cd "${dir}" && sha256sum "$@"); then
+  if ! diff <(for name in "$@"; do awk -v name="${name}" '$2 == name' tests/goldens.sha256; done) \
+            <(cd "${dir}" && sha256sum "$@"); then
     echo "ci: outputs under ${dir} differ from tests/goldens.sha256 (< pinned, > actual)" >&2
     exit 1
   fi
