@@ -48,8 +48,9 @@ BUILD_DIR="${GPBFT_CI_BUILD_DIR:-build}"
 JOBS="${GPBFT_CI_JOBS:-$(nproc)}"
 
 # No -G: reuse whatever generator an existing build directory was
-# configured with (fresh checkouts get the platform default).
-cmake -B "${BUILD_DIR}"
+# configured with (fresh checkouts get the platform default). Warnings are
+# errors here, so a new one fails the gate.
+cmake -B "${BUILD_DIR}" -DGPBFT_WERROR=ON
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
 # `-L` is a regex, so this selects every tier1* label (adversarial, batch,

@@ -53,7 +53,6 @@ void Logger::log(LogLevel level, const std::string& message) {
   }
 }
 
-void log_trace(const std::string& message) { Logger::instance().log(LogLevel::Trace, message); }
 void log_debug(const std::string& message) { Logger::instance().log(LogLevel::Debug, message); }
 void log_info(const std::string& message) { Logger::instance().log(LogLevel::Info, message); }
 void log_warn(const std::string& message) { Logger::instance().log(LogLevel::Warn, message); }

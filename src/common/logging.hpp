@@ -61,7 +61,6 @@ class SimTimeScope {
   double previous_;
 };
 
-void log_trace(const std::string& message);
 void log_debug(const std::string& message);
 void log_info(const std::string& message);
 void log_warn(const std::string& message);

@@ -84,37 +84,4 @@ std::array<std::uint8_t, 8> KeyRegistry::tag(NodeId sender, NodeId receiver,
   return truncated;
 }
 
-Authenticator KeyRegistry::authenticate(NodeId sender, const std::vector<NodeId>& receivers,
-                                        std::span<const BytesView> payload_parts) const {
-  Authenticator auth;
-  auth.sender = sender;
-  auth.tags.reserve(receivers.size());
-  for (NodeId receiver : receivers) {
-    auth.tags.push_back(AuthTag{receiver, tag(sender, receiver, payload_parts)});
-  }
-  return auth;
-}
-
-Authenticator KeyRegistry::authenticate(NodeId sender, const std::vector<NodeId>& receivers,
-                                        BytesView payload) const {
-  const std::array<BytesView, 1> parts{payload};
-  return authenticate(sender, receivers, std::span<const BytesView>(parts.data(), parts.size()));
-}
-
-bool KeyRegistry::verify(const Authenticator& auth, NodeId receiver,
-                         std::span<const BytesView> payload_parts) const {
-  for (const AuthTag& entry : auth.tags) {
-    if (entry.receiver != receiver) continue;
-    const std::array<std::uint8_t, 8> expected = tag(auth.sender, receiver, payload_parts);
-    return constant_time_equal(BytesView(entry.tag.data(), entry.tag.size()),
-                               BytesView(expected.data(), expected.size()));
-  }
-  return false;
-}
-
-bool KeyRegistry::verify(const Authenticator& auth, NodeId receiver, BytesView payload) const {
-  const std::array<BytesView, 1> parts{payload};
-  return verify(auth, receiver, std::span<const BytesView>(parts.data(), parts.size()));
-}
-
 }  // namespace gpbft::crypto

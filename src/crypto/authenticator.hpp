@@ -1,17 +1,18 @@
-// Key registry and pairwise message authenticators.
+// Key registry and pairwise message tags.
 //
 // PBFT's well-known MAC optimisation (Castro & Liskov, OSDI'99 §5) replaces
-// per-message public-key signatures with vectors of pairwise HMAC tags: a
-// sender appends, for each receiver, HMAC(session_key(sender, receiver),
-// message). A receiver checks only its own entry. We adopt that scheme:
+// per-message public-key signatures with pairwise HMAC tags: a sender tags
+// a message for a receiver with HMAC(session_key(sender, receiver),
+// message). We adopt the pairwise tags:
 //
 //  * The KeyRegistry derives a deterministic identity key per node from the
 //    genesis seed (trusted setup — G-PBFT targets consortium/private chains,
 //    §I of the paper, where the operator provisions device keys).
 //  * session_key(a, b) is HMAC(identity_key(min), "session" || max), so both
 //    directions share one key and the derivation is symmetric.
-//  * An Authenticator carries truncated 8-byte tags to keep wire sizes
-//    realistic; tag truncation is standard for HMAC (RFC 2104 §5).
+//  * Every network message is a unicast envelope, so each carries exactly
+//    one truncated 8-byte tag, for its one receiver (pbft::seal), never a
+//    vector of them; tag truncation is standard for HMAC (RFC 2104 §5).
 //
 // The threat model (§III-A) matches: adversaries cannot forge or tamper with
 // others' messages, only emit invalid ones of their own.
@@ -30,30 +31,12 @@
 #include <span>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/types.hpp"
 #include "crypto/hmac.hpp"
 
 namespace gpbft::crypto {
-
-/// Truncated HMAC tag carried on the wire.
-struct AuthTag {
-  NodeId receiver;
-  std::array<std::uint8_t, 8> tag{};
-
-  friend bool operator==(const AuthTag&, const AuthTag&) = default;
-};
-
-/// A vector of per-receiver tags attached to one protocol message.
-struct Authenticator {
-  NodeId sender;
-  std::vector<AuthTag> tags;
-
-  /// Bytes this authenticator occupies on the wire (sender id + entries).
-  [[nodiscard]] std::size_t wire_size() const { return 8 + tags.size() * 16; }
-};
 
 /// Deterministic identity/session key material for the whole deployment.
 class KeyRegistry {
@@ -73,18 +56,6 @@ class KeyRegistry {
   /// abort the process.
   [[nodiscard]] std::array<std::uint8_t, 8> tag(NodeId sender, NodeId receiver,
                                                 std::span<const BytesView> payload_parts) const;
-
-  /// Builds the authenticator `sender` attaches for `receivers` over `payload`.
-  [[nodiscard]] Authenticator authenticate(NodeId sender, const std::vector<NodeId>& receivers,
-                                           BytesView payload) const;
-  [[nodiscard]] Authenticator authenticate(NodeId sender, const std::vector<NodeId>& receivers,
-                                           std::span<const BytesView> payload_parts) const;
-
-  /// Verifies the tag addressed to `receiver` in `auth` over `payload`.
-  /// Returns false when no tag for `receiver` exists or the tag mismatches.
-  [[nodiscard]] bool verify(const Authenticator& auth, NodeId receiver, BytesView payload) const;
-  [[nodiscard]] bool verify(const Authenticator& auth, NodeId receiver,
-                            std::span<const BytesView> payload_parts) const;
 
  private:
   /// Cached pairwise material: the 32-byte session key plus the HMAC pad

@@ -174,7 +174,10 @@ Bytes seed_seal() {
   const Bytes body = msg.encode();
   const Bytes sealed = pbft::seal(keys, NodeId{1}, NodeId{2}, pbft::msg_type::kPrepare,
                                   BytesView(body.data(), body.size()), /*compute_macs=*/true);
-  Bytes out{static_cast<std::uint8_t>(pbft::msg_type::kPrepare), 0x01};
+  Bytes out;
+  out.reserve(2 + sealed.size());
+  out.push_back(static_cast<std::uint8_t>(pbft::msg_type::kPrepare));
+  out.push_back(0x01);
   out.insert(out.end(), sealed.begin(), sealed.end());
   return out;
 }

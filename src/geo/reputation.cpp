@@ -57,10 +57,6 @@ void ReputationLedger::record_missed_heartbeat(NodeId device, TimePoint now) {
   apply(device, -params_.heartbeat_penalty, now);
 }
 
-void ReputationLedger::record_invariant_violation(NodeId device, TimePoint now) {
-  apply(device, -params_.invariant_penalty, now);
-}
-
 void ReputationLedger::record_sybil_anomaly(NodeId device, TimePoint now) {
   apply(device, -params_.sybil_penalty, now);
 }

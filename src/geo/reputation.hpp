@@ -41,7 +41,6 @@ struct ReputationParams {
   std::int64_t view_change_penalty{350};    ///< view change suffered as primary
   std::int64_t fault_penalty{500};          ///< observed Byzantine behaviour
   std::int64_t heartbeat_penalty{300};      ///< no geo-report in the window
-  std::int64_t invariant_penalty{600};      ///< implicated in a violation
   /// Geo-report rate anomaly (Sybil flood). Deliberately below `enter` in
   /// one strike: the era switch that detects a flood must not seat the
   /// flooder, so detection and demotion land in the same election.
@@ -68,7 +67,6 @@ class ReputationLedger {
   void record_view_change(NodeId device, TimePoint now);
   void record_fault_observation(NodeId device, TimePoint now);
   void record_missed_heartbeat(NodeId device, TimePoint now);
-  void record_invariant_violation(NodeId device, TimePoint now);
   void record_sybil_anomaly(NodeId device, TimePoint now);
 
   // --- queries ------------------------------------------------------------

@@ -541,10 +541,6 @@ void Endorser::report_fork(const ledger::ForkEvidence& evidence) {
 
 // --- reputation ---------------------------------------------------------------
 
-void Endorser::note_invariant_violation(NodeId device) {
-  reputation_.record_invariant_violation(device, now());
-}
-
 void Endorser::observe_committee_behaviour(TimePoint at, const ElectionParams& params) {
   const std::int64_t period = config_.genesis.geo_report_period.ns;
   if (period <= 0) return;

@@ -69,10 +69,6 @@ class Endorser : public pbft::Replica {
   [[nodiscard]] geo::GeoPoint location() const { return location_; }
   [[nodiscard]] const geo::ReputationLedger& reputation() const { return reputation_; }
 
-  /// Feeds an invariant-monitor violation implicating `device` into the
-  /// reputation ledger (wired by the harness; see sim::InvariantMonitor).
-  void note_invariant_violation(NodeId device);
-
   /// Moves the device (examples / mobility): subsequent reports carry the
   /// new position, so its geographic timer restarts on peers.
   void set_location(const geo::GeoPoint& location) { location_ = location; }

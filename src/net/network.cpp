@@ -21,7 +21,7 @@ void Network::set_telemetry(obs::Telemetry& telemetry) {
   tel_rejected_ = nullptr;
   tel_recv_stall_ = nullptr;
   type_handles_.clear();
-  node_handles_.clear();
+  for (auto& [id, peer] : peers_) peer.handles = NodeHandles{};
 }
 
 void Network::reset_stats() {
@@ -29,7 +29,7 @@ void Network::reset_stats() {
   // The stat pointers in the handle caches aimed into the maps the reset
   // just destroyed; the telemetry rows survive but re-resolve cheaply.
   type_handles_.clear();
-  node_handles_.clear();
+  for (auto& [id, peer] : peers_) peer.handles = NodeHandles{};
 }
 
 Network::TypeHandles& Network::type_handles(MessageType type) {
@@ -42,10 +42,9 @@ Network::TypeHandles& Network::type_handles(MessageType type) {
   return handles;
 }
 
-Network::NodeHandles& Network::node_handles(NodeId id) {
-  NodeHandles& handles = node_handles_[id.value];
-  if (handles.traffic == nullptr) handles.traffic = &stats_.per_node[id];
-  return handles;
+Network::NodeHandles& Network::node_handles(Peer& peer, NodeId id) {
+  if (peer.handles.traffic == nullptr) peer.handles.traffic = &stats_.per_node[id];
+  return peer.handles;
 }
 
 void Network::resolve_node_telemetry(NodeHandles& handles, NodeId id) {
@@ -57,26 +56,36 @@ void Network::resolve_node_telemetry(NodeHandles& handles, NodeId id) {
 }
 
 void Network::attach(INetNode* node) {
-  nodes_[node->id()] = node;
+  Peer& peer = peers_[node->id()];
+  peer.node = node;
   // Unconditional: an id that was crashed/detached mid-queue and re-attached
   // (Deployment::restart_node) starts idle — reboot wipes the backlog.
-  busy_until_[node->id()] = sim_.now();
+  peer.busy_until = sim_.now();
 }
 
 void Network::detach(NodeId id) {
-  nodes_.erase(id);
-  busy_until_.erase(id);
-  rate_overrides_.erase(id);
-  brownouts_.erase(id);
+  const auto it = peers_.find(id);
+  if (it == peers_.end()) return;
+  it->second.node = nullptr;
+  it->second.rate_override = 0.0;
+  it->second.brownout = 1.0;
 }
 
-bool Network::partitioned_apart(NodeId a, NodeId b) const {
+Network::Peer* Network::live_peer(NodeId id) {
+  const auto it = peers_.find(id);
+  if (it == peers_.end() || it->second.node == nullptr || it->second.crashed) return nullptr;
+  return &it->second;
+}
+
+bool Network::is_crashed(NodeId id) const {
+  const auto it = peers_.find(id);
+  return it != peers_.end() && it->second.crashed;
+}
+
+bool Network::partitioned_apart(const Peer& sender, NodeId to) const {
   if (!partitioned_) return false;
-  const auto group_of = [this](NodeId id) {
-    const auto it = partition_group_.find(id);
-    return it == partition_group_.end() ? 0 : it->second;
-  };
-  return group_of(a) != group_of(b);
+  const auto it = peers_.find(to);
+  return sender.partition_group != (it == peers_.end() ? 0 : it->second.partition_group);
 }
 
 void Network::note_dropped() {
@@ -282,13 +291,14 @@ void Network::send(Envelope envelope) {
 
   // Sender-side accounting: bytes leave the NIC regardless of what happens
   // to them downstream. A crashed sender sends nothing.
-  if (crashed_.contains(envelope.from)) return;
+  Peer& source = peers_[envelope.from];
+  if (source.crashed) return;
 
   stats_.total_messages += 1;
   stats_.total_bytes += size;
   TypeHandles& by_type = type_handles(envelope.type);
   *by_type.stat_bytes += size;
-  NodeHandles& sender = node_handles(envelope.from);
+  NodeHandles& sender = node_handles(source, envelope.from);
   sender.traffic->messages_sent += 1;
   sender.traffic->bytes_sent += size;
   if (telemetry_->enabled()) {
@@ -322,7 +332,7 @@ void Network::send(Envelope envelope) {
   const Duration first_reorder = reorder_delay();
 
   const bool blocked = blocked_links_.contains({envelope.from.value, envelope.to.value});
-  if (blocked || partitioned_apart(envelope.from, envelope.to) || dropped) {
+  if (blocked || partitioned_apart(source, envelope.to) || dropped) {
     note_dropped();
     return;
   }
@@ -371,11 +381,12 @@ void Network::send(Envelope envelope) {
 void Network::schedule_delivery(TimePoint arrival, Envelope envelope, std::size_t size) {
   // One scheduled event per delivery carries the envelope (the payload is a
   // refcount bump, not a copy). The processing-done event it chains to
-  // captures only (this, receiver) — 16 bytes, inside std::function's
-  // small-buffer storage — so the second hop costs no allocation and no
-  // copy. See docs/performance.md for why the two-instant structure itself
-  // is load-bearing: arrival-time crash sampling and the serial-queue fold
-  // must happen at the arrival instant to keep seeded runs byte-identical.
+  // captures only (this, receiver record) — 16 bytes, inside
+  // std::function's small-buffer storage — so the second hop costs no
+  // allocation, no copy and no lookup. See docs/performance.md for why the
+  // two-instant structure itself is load-bearing: arrival-time crash
+  // sampling and the serial-queue fold must happen at the arrival instant
+  // to keep seeded runs byte-identical.
   sim_.schedule_at(arrival, [this, envelope = std::move(envelope), size]() mutable {
     on_arrival(std::move(envelope), size);
   });
@@ -383,8 +394,8 @@ void Network::schedule_delivery(TimePoint arrival, Envelope envelope, std::size_
 
 void Network::on_arrival(Envelope envelope, std::size_t size) {
   GPBFT_PROFILE_SCOPE("net.arrival");
-  const NodeId to = envelope.to;
-  if (!nodes_.contains(to) || crashed_.contains(to)) {
+  Peer* const receiver = live_peer(envelope.to);
+  if (receiver == nullptr) {
     note_dropped();
     return;
   }
@@ -393,12 +404,11 @@ void Network::on_arrival(Envelope envelope, std::size_t size) {
   // messages at its rate (the paper's `s`, §IV-B; per-node overrides for
   // heterogeneous fleets, brownouts for time-varying degradation).
   const Duration processing =
-      Duration::from_seconds(1.0 / processing_rate_of(to) +
+      Duration::from_seconds(1.0 / processing_rate(*receiver) +
                              static_cast<double>(size) * config_.processing_secs_per_byte);
-  TimePoint& busy = busy_until_[to];
-  const TimePoint start = std::max(sim_.now(), busy);
+  const TimePoint start = std::max(sim_.now(), receiver->busy_until);
   const TimePoint done = start + processing;
-  busy = done;
+  receiver->busy_until = done;
 
   // The receiver-stall histogram is the queueing-delay signal behind the
   // superlinear PBFT curves: time a message waits for the serial
@@ -410,34 +420,33 @@ void Network::on_arrival(Envelope envelope, std::size_t size) {
     tel_recv_stall_->observe((start - sim_.now()).to_seconds());
   }
 
-  inbox_[to].push_back(PendingDelivery{std::move(envelope), size, done});
-  sim_.schedule_at(done, [this, to]() { process_next(to); });
+  receiver->inbox.push_back(PendingDelivery{std::move(envelope), size, done});
+  sim_.schedule_at(done, [this, receiver]() { process_next(*receiver); });
 }
 
-void Network::process_next(NodeId to) {
+void Network::process_next(Peer& receiver) {
   // Exactly one done-event per inbox entry, firing precisely at that
   // entry's done instant; ties fire in enqueue order. The front matches
   // unless a reboot reset the busy horizon under pending stragglers (see
   // PendingDelivery) — then this event's message sits behind entries that
   // are still processing, so scan for the first entry due now.
-  auto& queue = inbox_[to];
-  auto entry = queue.begin();
+  auto entry = receiver.inbox.begin();
   while (entry->done != sim_.now()) ++entry;
   const PendingDelivery pending = std::move(*entry);
-  queue.erase(entry);
+  receiver.inbox.erase(entry);
   deliver(pending.envelope, pending.size);
 }
 
 void Network::deliver(const Envelope& envelope, std::size_t size) {
   const NodeId to = envelope.to;
-  const auto node_it = nodes_.find(to);
-  if (node_it == nodes_.end() || crashed_.contains(to)) {
+  Peer* const peer = live_peer(to);
+  if (peer == nullptr) {
     // The receiver died (or was torn down) before delivery: the message
     // is lost with it.
     note_dropped();
     return;
   }
-  NodeHandles& receiver = node_handles(to);
+  NodeHandles& receiver = node_handles(*peer, to);
   receiver.traffic->messages_received += 1;
   receiver.traffic->bytes_received += size;
   if (telemetry_->enabled()) {
@@ -453,15 +462,16 @@ void Network::deliver(const Envelope& envelope, std::size_t size) {
         "net.deliver." + telemetry_->message_name(envelope.type));
   }
   obs::ScopedProbe deliver_probe(by_type.deliver_site);
-  node_it->second->handle(envelope);
+  peer->node->handle(envelope);
 }
 
 void Network::recover(NodeId id) {
-  crashed_.erase(id);
+  const auto it = peers_.find(id);
+  if (it == peers_.end()) return;
+  it->second.crashed = false;
   // Reboot semantics: whatever was queued on the node when it died is gone;
   // it must not resume with a pre-crash processing backlog.
-  const auto it = busy_until_.find(id);
-  if (it != busy_until_.end()) it->second = sim_.now();
+  it->second.busy_until = sim_.now();
 }
 
 void Network::broadcast(NodeId from, const std::vector<NodeId>& destinations, MessageType type,
@@ -473,45 +483,37 @@ void Network::broadcast(NodeId from, const std::vector<NodeId>& destinations, Me
 }
 
 void Network::set_processing_rate(NodeId id, double msgs_per_sec) {
-  if (msgs_per_sec <= 0) {
-    rate_overrides_.erase(id);
-  } else {
-    rate_overrides_[id] = msgs_per_sec;
-  }
+  peers_[id].rate_override = msgs_per_sec;
+}
+
+double Network::processing_rate(const Peer& peer) const {
+  const double rate =
+      peer.rate_override > 0 ? peer.rate_override : config_.processing_rate_msgs_per_sec;
+  return rate / peer.brownout;
 }
 
 double Network::processing_rate_of(NodeId id) const {
-  const auto it = rate_overrides_.find(id);
-  const double rate =
-      it == rate_overrides_.end() ? config_.processing_rate_msgs_per_sec : it->second;
-  return rate / brownout_of(id);
+  const auto it = peers_.find(id);
+  return it == peers_.end() ? config_.processing_rate_msgs_per_sec
+                            : processing_rate(it->second);
 }
 
 void Network::set_brownout(NodeId id, double factor) {
-  if (factor <= 1.0) {
-    brownouts_.erase(id);
-  } else {
-    brownouts_[id] = factor;
-  }
-}
-
-double Network::brownout_of(NodeId id) const {
-  const auto it = brownouts_.find(id);
-  return it == brownouts_.end() ? 1.0 : it->second;
+  peers_[id].brownout = std::max(1.0, factor);
 }
 
 void Network::partition(const std::vector<std::vector<NodeId>>& groups) {
-  partition_group_.clear();
+  heal_partition();
   int group_index = 0;
   for (const auto& group : groups) {
-    for (NodeId id : group) partition_group_[id] = group_index;
+    for (NodeId id : group) peers_[id].partition_group = group_index;
     ++group_index;
   }
   partitioned_ = true;
 }
 
 void Network::heal_partition() {
-  partition_group_.clear();
+  for (auto& [id, peer] : peers_) peer.partition_group = 0;
   partitioned_ = false;
 }
 

@@ -32,7 +32,6 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -169,9 +168,10 @@ class Network {
   /// horizon is reset to now, so a restart (detach + attach) can never
   /// resurrect a pre-crash processing backlog.
   void attach(INetNode* node);
-  /// Unregisters a node and drops all its per-node state (busy horizon,
-  /// processing-rate override, brownout): a node id re-attached later — an
-  /// era switch, a restart — must not inherit the old node's degradation.
+  /// Unregisters a node and drops its processing-rate override and
+  /// brownout: a node id re-attached later — an era switch, a restart —
+  /// must not inherit the old node's degradation. Its crash flag and
+  /// partition group stay (see Peer).
   void detach(NodeId id);
 
   /// Sends an envelope; accounts traffic and schedules delivery + handling.
@@ -192,11 +192,11 @@ class Network {
 
   // --- fault injection -----------------------------------------------------
   void set_drop_rate(double p) { config_.drop_rate = p; }
-  void crash(NodeId id) { crashed_.insert(id); }
+  void crash(NodeId id) { peers_[id].crashed = true; }
   /// Models a reboot: the node comes back empty-handed, so any processing
   /// backlog accumulated before the crash is discarded (busy-until reset).
   void recover(NodeId id);
-  [[nodiscard]] bool is_crashed(NodeId id) const { return crashed_.contains(id); }
+  [[nodiscard]] bool is_crashed(NodeId id) const;
 
   /// Splits the network: messages between nodes in different groups drop.
   /// Nodes not mentioned in any group stay in group 0.
@@ -224,8 +224,7 @@ class Network {
   /// Brownout: divides the node's processing rate by `factor` (>= 1) until
   /// cleared — a time-varying degradation (thermal throttling, contention).
   void set_brownout(NodeId id, double factor);
-  void clear_brownout(NodeId id) { brownouts_.erase(id); }
-  [[nodiscard]] double brownout_of(NodeId id) const;
+  void clear_brownout(NodeId id) { set_brownout(id, 1.0); }
 
   // --- accounting ----------------------------------------------------------
   [[nodiscard]] const NetStats& stats() const { return stats_; }
@@ -251,14 +250,18 @@ class Network {
   [[nodiscard]] const NetConfig& config() const { return config_; }
 
  private:
-  [[nodiscard]] bool partitioned_apart(NodeId a, NodeId b) const;
+  struct Peer;  // one node id's record, below
+  /// The record of `id` if a node is attached there and not crashed.
+  [[nodiscard]] Peer* live_peer(NodeId id);
+  [[nodiscard]] double processing_rate(const Peer& peer) const;
+  [[nodiscard]] bool partitioned_apart(const Peer& sender, NodeId to) const;
   void schedule_delivery(TimePoint arrival, Envelope envelope, std::size_t size);
-  /// Arrival instant: crash/detach check, serial-queue fold into
-  /// busy_until_, inbox enqueue, done-event scheduling.
+  /// Arrival instant: crash/detach check, serial-queue fold into the
+  /// receiver's busy-until, inbox enqueue, done-event scheduling.
   void on_arrival(Envelope envelope, std::size_t size);
-  /// Processing-done instant: pops the receiver's inbox front and
+  /// Processing-done instant: pops the receiver's entry due now and
   /// delivers it.
-  void process_next(NodeId to);
+  void process_next(Peer& receiver);
   /// The one receive path: re-checks the receiver's liveness, accounts the
   /// receive, then invokes the handler under its `net.deliver.<TYPE>`
   /// probe. process_next() calls it at the end of processing; Inject-mode
@@ -310,7 +313,7 @@ class Network {
     obs::Counter* bytes_received{nullptr};
   };
   [[nodiscard]] TypeHandles& type_handles(MessageType type);
-  [[nodiscard]] NodeHandles& node_handles(NodeId id);
+  [[nodiscard]] NodeHandles& node_handles(Peer& peer, NodeId id);
   void resolve_node_telemetry(NodeHandles& handles, NodeId id);
 
   /// A message past its arrival instant, waiting on the receiver's serial
@@ -327,17 +330,34 @@ class Network {
     TimePoint done;
   };
 
+  /// Everything the network knows about one node id. A record is made on
+  /// first use (attach, send, crash, a rate, brownout or partition call)
+  /// and never erased, so a reference held across a handler call stays
+  /// valid and a straggler's done-event always finds its inbox. Lifecycle:
+  ///   - attach sets `node` and resets `busy_until` to now;
+  ///   - detach clears `node`, `rate_override` and `brownout`; the crash
+  ///     flag, partition group, handles and inbox stay (queued done-events
+  ///     still fire and drop), so a node restarted while crashed or cut off
+  ///     stays so;
+  ///   - recover clears `crashed` and resets `busy_until`;
+  ///   - partition assigns every record's group, heal_partition zeroes it;
+  ///   - reset_stats and set_telemetry clear `handles`.
+  struct Peer {
+    INetNode* node{nullptr};  // null while detached
+    TimePoint busy_until;     // the serial processor's horizon
+    std::deque<PendingDelivery> inbox;
+    double rate_override{0.0};  // msgs/s; <= 0 means the fleet default
+    double brownout{1.0};       // rate divisor; 1 means none
+    bool crashed{false};
+    int partition_group{0};
+    NodeHandles handles;
+  };
+
   Simulator& sim_;
   NetConfig config_;
   Rng fault_rng_;   // dedicated stream for every fault decision
   Rng tamper_rng_;  // dedicated stream for every tamper decision
-  std::unordered_map<NodeId, INetNode*> nodes_;
-  std::unordered_map<NodeId, TimePoint> busy_until_;
-  std::unordered_map<NodeId, std::deque<PendingDelivery>> inbox_;
-  std::unordered_map<NodeId, double> rate_overrides_;
-  std::unordered_map<NodeId, double> brownouts_;
-  std::unordered_set<NodeId> crashed_;
-  std::unordered_map<NodeId, int> partition_group_;
+  std::unordered_map<NodeId, Peer> peers_;
   bool partitioned_{false};
   std::set<std::pair<std::uint64_t, std::uint64_t>> blocked_links_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, LinkFault> link_faults_;
@@ -355,7 +375,6 @@ class Network {
   obs::Counter* tel_rejected_{nullptr};
   obs::Histogram* tel_recv_stall_{nullptr};
   std::vector<TypeHandles> type_handles_;  // dense, indexed by MessageType
-  std::unordered_map<std::uint64_t, NodeHandles> node_handles_;
 };
 
 }  // namespace gpbft::net

@@ -48,7 +48,6 @@ class Client : public net::INetNode {
   /// cap never perturbs the deterministic jitter stream). Zero = uncapped
   /// (the legacy 8x-base bound still applies).
   void set_max_backoff(Duration cap) { max_backoff_ = cap; }
-  [[nodiscard]] Duration max_backoff() const { return max_backoff_; }
 
   // --- INetNode ---------------------------------------------------------------
   [[nodiscard]] NodeId id() const override { return id_; }

@@ -87,7 +87,6 @@ void Miner::on_block_found(std::uint64_t attempt) {
   // were already paid for on the simulated clock; see mine_block docs).
   block = mine_block(std::move(block), config_.proof_difficulty, attempt);
 
-  ++blocks_mined_;
   network_.telemetry().count("pow.blocks_mined", id_);
   network_.telemetry().instant("block.mined", "pow", id_,
                                {{"height", std::to_string(block.header.height)},

@@ -79,7 +79,6 @@ class Miner : public net::INetNode {
   // --- introspection ------------------------------------------------------------
   [[nodiscard]] const PowChain& chain() const { return chain_; }
   [[nodiscard]] double hashes_computed() const { return hashes_computed_; }
-  [[nodiscard]] std::uint64_t blocks_mined() const { return blocks_mined_; }
   void set_confirmed_callback(ConfirmedCallback cb) { confirmed_cb_ = std::move(cb); }
   void set_persist_callback(PersistCallback cb) { persist_cb_ = std::move(cb); }
 
@@ -104,7 +103,6 @@ class Miner : public net::INetNode {
   std::uint64_t attempt_counter_{0};  // invalidates superseded solve events
   TimePoint mining_since_{};
   double hashes_computed_{0};
-  std::uint64_t blocks_mined_{0};
 
   // Pending confirmation watches: digest -> submission time.
   std::unordered_map<crypto::Hash256, TimePoint> watched_;

@@ -69,7 +69,7 @@ void InvariantMonitor::watch(pbft::Replica& replica) {
 }
 
 void InvariantMonitor::expect_submission(const ledger::Transaction& tx) {
-  submitted_.insert(tx.digest());
+  txs_[tx.digest()].submitted = true;
 }
 
 void InvariantMonitor::set_faulty(NodeId id, bool faulty) {
@@ -94,16 +94,16 @@ void InvariantMonitor::note_fault(const std::string& description) {
 
 void InvariantMonitor::on_executed(NodeId node, const ledger::CheckedBlock& block) {
   const Height height = block.header().height;
-  // Restart floor: the restore path replays persisted blocks *before* the
-  // monitor re-watches the node, so any live execution at or below the
-  // restored height means the node re-ran state transitions it already
-  // owned on disk. (check_block_hash is exempt: PoW replays whole chains
-  // through it at run end.)
-  if (const auto it = restarts_.find(node.value);
-      it != restarts_.end() && !faulty_.contains(node.value) && height <= it->second.floor) {
+  // DUPLICATE-EXECUTION by height: an honest node's executed heights
+  // strictly rise. After a restart the last height is the restored one
+  // (note_restart), because the restore replays persisted blocks before
+  // the monitor re-watches the node. (check_block_hash is exempt: PoW
+  // replays whole chains through it at run end.)
+  if (const auto it = observed_height_.find(node.value);
+      it != observed_height_.end() && !faulty_.contains(node.value) && height <= it->second) {
     record(Violation::Kind::DuplicateExecution, node, height,
-           "re-executed height " + std::to_string(height) +
-               " at or below restart floor " + std::to_string(it->second.floor));
+           "re-executed height " + std::to_string(height) + " at or below its last height " +
+               std::to_string(it->second));
   }
   check_block_hash(node, height, block.block().hash());
   for (std::size_t i = 0; i < block.transactions().size(); ++i) {
@@ -137,13 +137,20 @@ void InvariantMonitor::check_transaction(NodeId node, Height height,
   // VALIDITY: client-submitted transactions must come from the registered
   // workload (protocol-generated geo/config transactions are endorser-sent
   // and exempt).
-  if (tx.sender.value > kClientIdBase && !submitted_.contains(digest)) {
+  TxRecord& entry = txs_[digest];
+  if (tx.sender.value > kClientIdBase && !entry.submitted) {
     record(Violation::Kind::Validity, node, height,
            "committed unsubmitted tx " + digest.short_hex() + " from " + tx.sender.str());
   }
-  if (!executed_txs_[node.value].insert(digest).second) {
+  // DUPLICATE-EXECUTION by transaction: the first honest execution fixes
+  // the transaction's height, as the first executor of a height fixes its
+  // block. A block never repeats a digest, so the height names the slot.
+  if (entry.height == 0) {
+    entry.height = height;
+  } else if (entry.height != height) {
     record(Violation::Kind::DuplicateExecution, node, height,
-           "tx " + digest.short_hex() + " executed twice");
+           "tx " + digest.short_hex() + " executed twice, first at height " +
+               std::to_string(entry.height));
   }
 
   // ROSTER: every endorser must commit the same configuration for an era.
@@ -214,10 +221,6 @@ void InvariantMonitor::check_bounded_liveness(std::uint64_t committed, std::uint
 }
 
 void InvariantMonitor::note_restart(NodeId node, Height resumed_height) {
-  // Disk amnesia: everything above the restored height is legitimately
-  // re-executed, so the duplicate-execution set starts over; the restart
-  // floor (on_executed) covers the heights the restore already replayed.
-  executed_txs_[node.value].clear();
   Height target = 0;
   if (!canonical_.empty()) target = canonical_.rbegin()->first;
   restarts_[node.value] = RestartInfo{sim_.now(), resumed_height, target};
@@ -230,7 +233,7 @@ void InvariantMonitor::check_restart_convergence() {
     if (reached >= info.target) continue;
     record(Violation::Kind::RestartConvergence, NodeId{node}, reached,
            "restarted at " + format_time(info.at) + " with height " +
-               std::to_string(info.floor) + " but only re-reached " +
+               std::to_string(info.resumed) + " but only re-reached " +
                std::to_string(reached) + " of the agreed prefix " +
                std::to_string(info.target));
   }

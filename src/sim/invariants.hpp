@@ -5,8 +5,11 @@
 //
 //   AGREEMENT   no two honest replicas execute different blocks at the same
 //               height (continuous prefix consistency);
-//   VALIDITY    every committed client transaction was actually submitted,
-//               and no replica executes the same transaction twice;
+//   VALIDITY    every committed client transaction was actually submitted;
+//   DUPLICATE-EXECUTION
+//               every transaction executes at one height only (the first
+//               honest execution fixes it), and each node's executed
+//               heights strictly rise;
 //   ROSTER      every configuration block committed for an era carries the
 //               same roster (and enrolled cells) on every endorser;
 //   LIVENESS    progress resumes within a bounded grace period after all
@@ -19,7 +22,6 @@
 #pragma once
 
 #include <map>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -83,8 +85,8 @@ class InvariantMonitor {
   /// hook every node via Deployment::watch.
   void watch(pbft::Replica& replica);
 
-  /// Registers a client submission; committed client transactions outside
-  /// this set are VALIDITY violations.
+  /// Registers a client submission; committed client transactions never
+  /// registered are VALIDITY violations.
   void expect_submission(const ledger::Transaction& tx);
 
   /// Marks a node Byzantine (excluded from agreement while faulty).
@@ -107,7 +109,9 @@ class InvariantMonitor {
   void note_fault(const std::string& description);
 
   /// The executed-block check; public so tests (and custom harnesses) can
-  /// drive it directly. It reads the digests the block carries.
+  /// drive it directly. It reads the digests the block carries, and an
+  /// honest node's height at or below its last executed one is a
+  /// DUPLICATE-EXECUTION violation.
   void on_executed(NodeId node, const ledger::CheckedBlock& block);
 
   /// Fine-grained entry points for protocols without an execution hook
@@ -127,12 +131,13 @@ class InvariantMonitor {
 
   /// Restart bookkeeping: Deployment::restart_node calls this after
   /// rebuilding a node from disk with the height its restored chain
-  /// resumed at. The node's per-node executed set is reset — after disk
-  /// amnesia it legitimately re-executes blocks above the restored height —
-  /// but re-executing anything AT OR BELOW the restored height is a
+  /// resumed at. That height becomes the node's last executed height, so
+  /// the height rule makes re-executing anything at or below it a
   /// DUPLICATE-EXECUTION violation (the restore already replayed those),
-  /// and the canonical height at restart time becomes the node's
-  /// convergence target for check_restart_convergence.
+  /// while blocks above it — lost with the disk — are re-executed at the
+  /// heights the transaction index already holds. The canonical height at
+  /// restart time becomes the node's convergence target for
+  /// check_restart_convergence.
   void note_restart(NodeId node, Height resumed_height);
 
   /// Post-restart convergence (run end, after finish_invariants): every
@@ -163,10 +168,15 @@ class InvariantMonitor {
   obs::Counter* txs_counter_{nullptr};
   obs::Counter* violations_counter_{nullptr};
 
+  /// One entry per transaction digest the run submitted or executed.
+  struct TxRecord {
+    bool submitted{false};  // expect_submission saw it
+    Height height{0};       // first honest execution; 0 = none yet
+  };
+
   std::map<Height, crypto::Hash256> canonical_;                // height -> agreed hash
   std::map<EraId, ledger::EraConfig> canonical_config_;        // era -> agreed roster
-  std::set<crypto::Hash256> submitted_;                        // client submissions
-  std::unordered_map<std::uint64_t, std::unordered_set<crypto::Hash256>> executed_txs_;
+  std::unordered_map<crypto::Hash256, TxRecord> txs_;
   std::unordered_set<std::uint64_t> faulty_;
   std::map<std::uint64_t, TimePoint> sybil_;  // active flooders -> flood start
   Duration sybil_grace_{0};                  // see set_sybil_detection_grace
@@ -175,11 +185,11 @@ class InvariantMonitor {
 
   struct RestartInfo {
     TimePoint at;
-    Height floor{0};   // restored height; re-executing <= floor is a dup
-    Height target{0};  // canonical height at restart time; must be re-reached
+    Height resumed{0};  // height the restored chain resumed at
+    Height target{0};   // canonical height at restart time; must be re-reached
   };
   std::map<std::uint64_t, RestartInfo> restarts_;  // latest restart per node
-  std::map<std::uint64_t, Height> observed_height_;  // per-node max executed height
+  std::map<std::uint64_t, Height> observed_height_;  // per-node last executed height
 
   std::string fault_context_ = "no faults injected yet";
   std::vector<Violation> violations_;

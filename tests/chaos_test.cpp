@@ -1,14 +1,12 @@
 // Chaos engine tests: FaultPlan generation (determinism, fault budget,
-// fault/heal pairing), the online InvariantMonitor's detectors, and the
-// campaign driver's byte-identical reporting.
+// fault/heal pairing) and the campaign driver's byte-identical reporting.
+// The InvariantMonitor's detectors are unit-tested in invariants_test.cpp.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "ledger/block.hpp"
 #include "sim/chaos.hpp"
 #include "sim/deployment.hpp"
-#include "sim/invariants.hpp"
 
 namespace gpbft::sim {
 namespace {
@@ -128,95 +126,6 @@ TEST(ChaosEvent, DescribeIsStable) {
             "t=12.000s crash node 3");
   EXPECT_EQ(ChaosEvent::heal(TimePoint{Duration::millis(500).ns}).describe(),
             "t=0.500s heal partition");
-}
-
-// --- InvariantMonitor ----------------------------------------------------------------
-
-ledger::Transaction client_tx(std::uint64_t client, RequestId request) {
-  return ledger::make_normal_tx(NodeId{kClientIdBase + client}, request, Bytes{1, 2, 3}, Amount{1},
-                                geo::GeoReport{});
-}
-
-ledger::CheckedBlock block_at(Height height, std::vector<ledger::Transaction> txs,
-                              std::uint8_t salt = 0) {
-  ledger::BlockHeader prev;
-  prev.height = height - 1;
-  prev.prev_hash.bytes[0] = salt;  // differentiates hashes of rival blocks
-  return ledger::CheckedBlock::check(ledger::build_block(prev, std::move(txs), EraId{0},
-                                                         ViewId{0}, SeqNum{height}, TimePoint{},
-                                                         NodeId{1}))
-      .value();
-}
-
-TEST(InvariantMonitor, DetectsAgreementViolation) {
-  net::Simulator sim(1);
-  InvariantMonitor monitor(sim);
-  const ledger::Transaction tx = client_tx(1, 1);
-  monitor.expect_submission(tx);
-
-  monitor.on_executed(NodeId{1}, block_at(1, {tx}, 0));
-  monitor.on_executed(NodeId{2}, block_at(1, {}, 1));  // rival block, same height
-
-  ASSERT_EQ(monitor.violations().size(), 1u);
-  EXPECT_EQ(monitor.violations()[0].kind, Violation::Kind::Agreement);
-  EXPECT_EQ(monitor.violations()[0].node, NodeId{2});
-  EXPECT_FALSE(monitor.clean());
-}
-
-TEST(InvariantMonitor, IgnoresFaultyNodesForAgreement) {
-  net::Simulator sim(1);
-  InvariantMonitor monitor(sim);
-  monitor.set_faulty(NodeId{2}, true);
-  monitor.on_executed(NodeId{1}, block_at(1, {}, 0));
-  monitor.on_executed(NodeId{2}, block_at(1, {}, 1));  // Byzantine divergence: excluded
-  EXPECT_TRUE(monitor.clean());
-
-  monitor.set_faulty(NodeId{2}, false);
-  monitor.on_executed(NodeId{2}, block_at(2, {}, 1));
-  monitor.on_executed(NodeId{1}, block_at(2, {}, 0));  // now it counts again
-  EXPECT_FALSE(monitor.clean());
-}
-
-TEST(InvariantMonitor, DetectsUnsubmittedTransaction) {
-  net::Simulator sim(1);
-  InvariantMonitor monitor(sim);
-  monitor.on_executed(NodeId{1}, block_at(1, {client_tx(1, 99)}));
-  ASSERT_EQ(monitor.violations().size(), 1u);
-  EXPECT_EQ(monitor.violations()[0].kind, Violation::Kind::Validity);
-}
-
-TEST(InvariantMonitor, DetectsDuplicateExecution) {
-  net::Simulator sim(1);
-  InvariantMonitor monitor(sim);
-  const ledger::Transaction tx = client_tx(1, 1);
-  monitor.expect_submission(tx);
-  monitor.on_executed(NodeId{1}, block_at(1, {tx}));
-  monitor.on_executed(NodeId{1}, block_at(2, {tx}));  // same tx at a new height
-  ASSERT_EQ(monitor.violations().size(), 1u);
-  EXPECT_EQ(monitor.violations()[0].kind, Violation::Kind::DuplicateExecution);
-}
-
-TEST(InvariantMonitor, DetectsMissedLivenessDeadline) {
-  net::Simulator sim(1);
-  InvariantMonitor monitor(sim);
-  monitor.check_bounded_liveness(5, 10, TimePoint{}, Duration::seconds(30));
-  ASSERT_EQ(monitor.violations().size(), 1u);
-  EXPECT_EQ(monitor.violations()[0].kind, Violation::Kind::Liveness);
-
-  net::Simulator sim2(1);
-  InvariantMonitor satisfied(sim2);
-  satisfied.check_bounded_liveness(10, 10, TimePoint{}, Duration::seconds(30));
-  EXPECT_TRUE(satisfied.clean());
-}
-
-TEST(InvariantMonitor, ViolationCarriesFaultContext) {
-  net::Simulator sim(1);
-  InvariantMonitor monitor(sim);
-  monitor.note_fault("t=1.000s crash node 2");
-  monitor.on_executed(NodeId{1}, block_at(1, {}, 0));
-  monitor.on_executed(NodeId{3}, block_at(1, {}, 1));
-  ASSERT_FALSE(monitor.clean());
-  EXPECT_NE(monitor.report().find("crash node 2"), std::string::npos);
 }
 
 // --- campaign ------------------------------------------------------------------------

@@ -485,46 +485,16 @@ TEST(Address, DeterministicPerNode) {
 
 TEST(Address, HexIs40Chars) { EXPECT_EQ(address_for_node(NodeId{9}).hex().size(), 40u); }
 
-// --- authenticators ----------------------------------------------------------------------
-
-TEST(Authenticator, VerifyAcceptsGenuineTag) {
-  KeyRegistry keys(77);
-  const Bytes payload = {9, 8, 7};
-  const Authenticator auth =
-      keys.authenticate(NodeId{1}, {NodeId{2}, NodeId{3}}, BytesView(payload.data(), payload.size()));
-  EXPECT_TRUE(keys.verify(auth, NodeId{2}, BytesView(payload.data(), payload.size())));
-  EXPECT_TRUE(keys.verify(auth, NodeId{3}, BytesView(payload.data(), payload.size())));
-}
-
-TEST(Authenticator, VerifyRejectsTamperedPayload) {
-  KeyRegistry keys(77);
-  const Bytes payload = {9, 8, 7};
-  Bytes tampered = payload;
-  tampered[0] ^= 1;
-  const Authenticator auth =
-      keys.authenticate(NodeId{1}, {NodeId{2}}, BytesView(payload.data(), payload.size()));
-  EXPECT_FALSE(keys.verify(auth, NodeId{2}, BytesView(tampered.data(), tampered.size())));
-}
-
-TEST(Authenticator, VerifyRejectsWrongReceiver) {
-  KeyRegistry keys(77);
-  const Bytes payload = {1};
-  const Authenticator auth =
-      keys.authenticate(NodeId{1}, {NodeId{2}}, BytesView(payload.data(), payload.size()));
-  EXPECT_FALSE(keys.verify(auth, NodeId{4}, BytesView(payload.data(), payload.size())));
-}
+// --- pairwise tags -----------------------------------------------------------------------
 
 TEST(Authenticator, DirectionalityMatters) {
-  // A->B tag must not verify as a B->A tag even though the session key is
-  // symmetric.
+  // The session key is symmetric, yet the tag binds the sender: A->B and
+  // B->A tags over the same payload differ.
   KeyRegistry keys(77);
+  ASSERT_EQ(keys.session_key(NodeId{1}, NodeId{2}), keys.session_key(NodeId{2}, NodeId{1}));
   const Bytes payload = {5, 5};
-  Authenticator forward =
-      keys.authenticate(NodeId{1}, {NodeId{2}}, BytesView(payload.data(), payload.size()));
-  Authenticator reversed = forward;
-  reversed.sender = NodeId{2};
-  reversed.tags[0].receiver = NodeId{1};
-  EXPECT_FALSE(keys.verify(reversed, NodeId{1}, BytesView(payload.data(), payload.size())));
+  const std::array<BytesView, 1> parts{BytesView(payload.data(), payload.size())};
+  EXPECT_NE(keys.tag(NodeId{1}, NodeId{2}, parts), keys.tag(NodeId{2}, NodeId{1}, parts));
 }
 
 TEST(Authenticator, SessionKeySymmetric) {
@@ -535,14 +505,6 @@ TEST(Authenticator, SessionKeySymmetric) {
 TEST(Authenticator, DifferentRegistrySeedsProduceDifferentKeys) {
   KeyRegistry a(1), b(2);
   EXPECT_NE(a.identity_key(NodeId{1}), b.identity_key(NodeId{1}));
-}
-
-TEST(Authenticator, WireSizeAccountsEntries) {
-  KeyRegistry keys(1);
-  const Bytes payload = {1};
-  const Authenticator auth = keys.authenticate(
-      NodeId{1}, {NodeId{2}, NodeId{3}, NodeId{4}}, BytesView(payload.data(), payload.size()));
-  EXPECT_EQ(auth.wire_size(), 8 + 3 * 16u);
 }
 
 // --- HmacKey precomputed context --------------------------------------------------

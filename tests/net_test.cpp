@@ -680,6 +680,56 @@ TEST(Network, RestartedNodeStartsWithEmptyBacklog) {
   EXPECT_NEAR(fresh_handled, 0.152, 1e-9);
 }
 
+TEST(Network, DetachAndAttachKeepCrashFlagPartitionGroupCountsAndEarlyRate) {
+  // What a restart (detach + attach) keeps: the crash flag (only recover
+  // clears it), the partition group (a node restarted inside a partition
+  // stays cut off) and the traffic counts. And a rate override set before
+  // the first attach survives that attach.
+  Simulator sim(1);
+  Network network(sim, quiet_config());  // default 1000 msgs/s
+  network.set_processing_rate(NodeId{3}, 10.0);
+  RecordingNode a(NodeId{1}), b(NodeId{2}), c(NodeId{3});
+  network.attach(&a);
+  network.attach(&b);
+  network.attach(&c);
+  EXPECT_DOUBLE_EQ(network.processing_rate_of(NodeId{3}), 10.0);
+
+  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{1}});
+  sim.run();
+  ASSERT_EQ(b.received.size(), 1u);
+
+  network.crash(NodeId{2});
+  network.detach(NodeId{2});
+  EXPECT_EQ(network.stats().per_node.at(NodeId{2}).messages_received, 1u);
+  EXPECT_EQ(network.stats().per_node.at(NodeId{1}).messages_sent, 1u);
+  RecordingNode b_rebuilt(NodeId{2});
+  network.attach(&b_rebuilt);
+  EXPECT_TRUE(network.is_crashed(NodeId{2}));
+  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{2}});
+  sim.run();
+  EXPECT_TRUE(b_rebuilt.received.empty());
+  network.recover(NodeId{2});
+  EXPECT_FALSE(network.is_crashed(NodeId{2}));
+  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{3}});
+  sim.run();
+  EXPECT_EQ(b_rebuilt.received.size(), 1u);
+
+  network.partition({{NodeId{1}, NodeId{2}}, {NodeId{3}}});
+  network.detach(NodeId{3});
+  RecordingNode c_rebuilt(NodeId{3});
+  network.attach(&c_rebuilt);
+  network.send(Envelope{NodeId{1}, NodeId{3}, 1, Bytes{4}});
+  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{4}});
+  sim.run();
+  EXPECT_TRUE(c_rebuilt.received.empty());
+  EXPECT_EQ(b_rebuilt.received.size(), 2u);
+  network.heal_partition();
+  network.send(Envelope{NodeId{1}, NodeId{3}, 1, Bytes{5}});
+  sim.run();
+  EXPECT_EQ(c_rebuilt.received.size(), 1u);
+  EXPECT_EQ(network.stats().per_node.at(NodeId{2}).messages_received, 3u);
+}
+
 TEST(Network, DuplicatedAndDroppedMessageLeavesNoGhost) {
   // Send-time fault draws happen in a fixed order on the dedicated fault
   // stream: drop first, then duplicate. A message that loses both coin

@@ -97,7 +97,7 @@ TEST_F(ProfilerTest, ExclusiveTimeIsInclusiveMinusChildren) {
     // Burn a little time outside the child so exclusive > 0 is plausible,
     // then a child frame.
     volatile unsigned sink = 0;
-    for (unsigned i = 0; i < 10000; ++i) sink += i;
+    for (unsigned i = 0; i < 10000; ++i) sink = sink + i;
     obs::ScopedProbe in1(inner);
   }
   prof.set_enabled(false);
