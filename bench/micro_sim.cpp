@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "sim/deployment.hpp"
 #include "sim/workload.hpp"
@@ -25,12 +26,13 @@ void BM_SimulatorEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorEventThroughput);
 
+struct Sink : net::INetNode {
+  NodeId node_id;
+  [[nodiscard]] NodeId id() const override { return node_id; }
+  void handle(const net::Envelope&) override {}
+};
+
 void BM_NetworkMessageDelivery(benchmark::State& state) {
-  struct Sink : net::INetNode {
-    NodeId node_id;
-    [[nodiscard]] NodeId id() const override { return node_id; }
-    void handle(const net::Envelope&) override {}
-  };
   for (auto _ : state) {
     net::Simulator sim(1);
     net::Network network(sim, net::NetConfig{});
@@ -48,6 +50,30 @@ void BM_NetworkMessageDelivery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1'000);
 }
 BENCHMARK(BM_NetworkMessageDelivery);
+
+void BM_NetworkBroadcastDelivery(benchmark::State& state) {
+  // A PBFT n=20 broadcast: one sender, 19 receivers, one shared payload.
+  // Each copy goes send -> arrival -> done -> handle.
+  constexpr std::size_t kNodes = 20;
+  constexpr int kBroadcasts = 100;
+  for (auto _ : state) {
+    net::Simulator sim(1);
+    net::Network network(sim, net::NetConfig{});
+    std::vector<Sink> nodes(kNodes);
+    std::vector<NodeId> ids;
+    for (std::size_t i = 0; i < kNodes; ++i) {
+      nodes[i].node_id = NodeId{i + 1};
+      network.attach(&nodes[i]);
+      ids.push_back(nodes[i].node_id);
+    }
+    const net::Payload payload(Bytes(64, 0));
+    for (int i = 0; i < kBroadcasts; ++i) network.broadcast(ids[0], ids, 1, payload);
+    sim.run();
+    benchmark::DoNotOptimize(network.stats().total_bytes);
+  }
+  state.SetItemsProcessed(state.iterations() * kBroadcasts * (kNodes - 1));
+}
+BENCHMARK(BM_NetworkBroadcastDelivery);
 
 void BM_ConsensusRound(benchmark::State& state) {
   // Full three-phase PBFT round, committee size as the argument.

@@ -465,8 +465,11 @@ void Endorser::handle_extra(const net::Envelope& envelope) {
         return;
       }
       if (role_ != Role::Active) return;
-      // Only the current lead may halt the committee.
-      if (m.value().sender != primary_of(this->view()) || m.value().closing_era != era_) return;
+      // Only the current lead may halt the committee, under its own seal.
+      const NodeId lead = primary_of(this->view());
+      if (envelope.from != lead || m.value().sender != lead || m.value().closing_era != era_) {
+        return;
+      }
       switch_in_progress_ = true;
       switch_started_ = now();
       set_halted(true);

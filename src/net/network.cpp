@@ -260,9 +260,8 @@ void Network::apply_tamper(Envelope& envelope, std::size_t& size) {
                                                          config_.bandwidth_bytes_per_sec);
     const TimePoint arrival =
         sim_.now() + config_.base_latency + transmission + ghost_jitter + delay;
-    sim_.schedule_at(arrival, [this, replayed = std::move(replayed), ghost_size]() {
-      deliver(replayed, ghost_size);
-    });
+    sim_.schedule_at(arrival, *this,
+                     deliveries_.park(Delivery{std::move(replayed), ghost_size, true}));
     return;
   }
 
@@ -280,9 +279,8 @@ void Network::apply_tamper(Envelope& envelope, std::size_t& size) {
   const Duration transmission =
       Duration::from_seconds(static_cast<double>(ghost_size) / config_.bandwidth_bytes_per_sec);
   const TimePoint arrival = sim_.now() + config_.base_latency + transmission + ghost_jitter;
-  sim_.schedule_at(arrival, [this, mutant = std::move(mutant), ghost_size]() {
-    deliver(mutant, ghost_size);
-  });
+  sim_.schedule_at(arrival, *this,
+                   deliveries_.park(Delivery{std::move(mutant), ghost_size, true}));
 }
 
 void Network::send(Envelope envelope) {
@@ -379,23 +377,32 @@ void Network::send(Envelope envelope) {
 }
 
 void Network::schedule_delivery(TimePoint arrival, Envelope envelope, std::size_t size) {
-  // One scheduled event per delivery carries the envelope (the payload is a
-  // refcount bump, not a copy). The processing-done event it chains to
-  // captures only (this, receiver record) — 16 bytes, inside
-  // std::function's small-buffer storage — so the second hop costs no
-  // allocation, no copy and no lookup. See docs/performance.md for why the
+  // The envelope is parked once, here; the arrival event and the done event
+  // it chains to both name its slot. See docs/performance.md for why the
   // two-instant structure itself is load-bearing: arrival-time crash
   // sampling and the serial-queue fold must happen at the arrival instant
   // to keep seeded runs byte-identical.
-  sim_.schedule_at(arrival, [this, envelope = std::move(envelope), size]() mutable {
-    on_arrival(std::move(envelope), size);
-  });
+  sim_.schedule_at(arrival, *this,
+                   deliveries_.park(Delivery{std::move(envelope), size, false}));
 }
 
-void Network::on_arrival(Envelope envelope, std::size_t size) {
+void Network::fire(std::uint32_t slot) {
+  if (!deliveries_[slot].arrived) {
+    on_arrival(slot);
+    return;
+  }
+  // Out of the slab before the handler runs: its sends park new messages,
+  // which can grow the slab and take this slot.
+  const Delivery delivery = deliveries_.take(slot);
+  deliver(delivery.envelope, delivery.size);
+}
+
+void Network::on_arrival(std::uint32_t slot) {
   GPBFT_PROFILE_SCOPE("net.arrival");
-  Peer* const receiver = live_peer(envelope.to);
+  Delivery& delivery = deliveries_[slot];
+  Peer* const receiver = live_peer(delivery.envelope.to);
   if (receiver == nullptr) {
+    deliveries_.take(slot);  // the message is lost
     note_dropped();
     return;
   }
@@ -405,7 +412,7 @@ void Network::on_arrival(Envelope envelope, std::size_t size) {
   // heterogeneous fleets, brownouts for time-varying degradation).
   const Duration processing =
       Duration::from_seconds(1.0 / processing_rate(*receiver) +
-                             static_cast<double>(size) * config_.processing_secs_per_byte);
+                             static_cast<double>(delivery.size) * config_.processing_secs_per_byte);
   const TimePoint start = std::max(sim_.now(), receiver->busy_until);
   const TimePoint done = start + processing;
   receiver->busy_until = done;
@@ -420,21 +427,8 @@ void Network::on_arrival(Envelope envelope, std::size_t size) {
     tel_recv_stall_->observe((start - sim_.now()).to_seconds());
   }
 
-  receiver->inbox.push_back(PendingDelivery{std::move(envelope), size, done});
-  sim_.schedule_at(done, [this, receiver]() { process_next(*receiver); });
-}
-
-void Network::process_next(Peer& receiver) {
-  // Exactly one done-event per inbox entry, firing precisely at that
-  // entry's done instant; ties fire in enqueue order. The front matches
-  // unless a reboot reset the busy horizon under pending stragglers (see
-  // PendingDelivery) — then this event's message sits behind entries that
-  // are still processing, so scan for the first entry due now.
-  auto entry = receiver.inbox.begin();
-  while (entry->done != sim_.now()) ++entry;
-  const PendingDelivery pending = std::move(*entry);
-  receiver.inbox.erase(entry);
-  deliver(pending.envelope, pending.size);
+  delivery.arrived = true;
+  sim_.schedule_at(done, *this, slot);
 }
 
 void Network::deliver(const Envelope& envelope, std::size_t size) {

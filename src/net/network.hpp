@@ -13,6 +13,13 @@
 // once n nodes broadcast O(n) messages each. Byte counters feed the
 // communication-cost experiments (Figs. 5-6, Table III).
 //
+// Each message costs two simulator events: its arrival, which folds it into
+// the receiver's busy-until, and its done event, which hands it to the
+// receiver's handler. The envelope waits between send and handler in one
+// slot of a delivery slab, and both events name that slot, so the message
+// plane schedules no callable and, once the slab is warm, allocates nothing
+// per message.
+//
 // Fault injection covers the behaviours the protocols must tolerate: drops,
 // crashes, partitions, and per-link degradation (loss, added latency,
 // duplication, reordering) plus per-node "brownouts" that slow a node's
@@ -159,7 +166,7 @@ struct NetStats {
   void reset() { *this = NetStats{}; }
 };
 
-class Network {
+class Network final : private EventTarget {
  public:
   Network(Simulator& sim, NetConfig config);
 
@@ -255,22 +262,23 @@ class Network {
   [[nodiscard]] Peer* live_peer(NodeId id);
   [[nodiscard]] double processing_rate(const Peer& peer) const;
   [[nodiscard]] bool partitioned_apart(const Peer& sender, NodeId to) const;
+  /// Parks the envelope in the delivery slab and schedules its arrival.
   void schedule_delivery(TimePoint arrival, Envelope envelope, std::size_t size);
+  /// The slab's event: slot's arrival, or its done event once arrived.
+  void fire(std::uint32_t slot) override;
   /// Arrival instant: crash/detach check, serial-queue fold into the
-  /// receiver's busy-until, inbox enqueue, done-event scheduling.
-  void on_arrival(Envelope envelope, std::size_t size);
-  /// Processing-done instant: pops the receiver's entry due now and
-  /// delivers it.
-  void process_next(Peer& receiver);
+  /// receiver's busy-until, done-event scheduling for the same slot.
+  void on_arrival(std::uint32_t slot);
   /// The one receive path: re-checks the receiver's liveness, accounts the
   /// receive, then invokes the handler under its `net.deliver.<TYPE>`
-  /// probe. process_next() calls it at the end of processing; Inject-mode
-  /// ghosts call it at their arrival instant without folding into the
-  /// serial processing queue — the injection happens at the network edge,
-  /// and the receiver's wire-integrity check discards forgeries at line
-  /// rate. This keeps the genuine plane causally untouched, which is what
-  /// makes the REJECT-SAFE invariant (tampered tips byte-identical to clean
-  /// tips with MACs on) exact rather than probabilistic.
+  /// probe. A done event calls it at the end of processing. An Inject-mode
+  /// ghost is parked already arrived, so its done event fires at its
+  /// arrival instant without folding into the serial processing queue —
+  /// the injection happens at the network edge, and the receiver's
+  /// wire-integrity check discards forgeries at line rate. This keeps the
+  /// genuine plane causally untouched, which is what makes the REJECT-SAFE
+  /// invariant (tampered tips byte-identical to clean tips with MACs on)
+  /// exact rather than probabilistic.
   void deliver(const Envelope& envelope, std::size_t size);
   /// One drop, wherever it happens (send-time fault, receiver down at
   /// arrival or at processing-done): NetStats and the `net.msgs_dropped`
@@ -316,36 +324,34 @@ class Network {
   [[nodiscard]] NodeHandles& node_handles(Peer& peer, NodeId id);
   void resolve_node_telemetry(NodeHandles& handles, NodeId id);
 
-  /// A message past its arrival instant, waiting on the receiver's serial
-  /// processor. Normally FIFO per receiver: done instants are non-decreasing
-  /// in arrival order (each is max(arrival, previous done) + processing) and
-  /// the simulator breaks timestamp ties in scheduling order, so the
-  /// done-event for the front fires first. A recover()/attach() busy-until
-  /// reset can break the monotone order (a post-reboot message finishes
-  /// before pre-crash stragglers), so each entry records its done instant
-  /// and process_next() pops the first entry due now.
-  struct PendingDelivery {
+  /// One message from send to its handler. Its arrival and done events
+  /// fire in order, and the done event delivers exactly this message. That
+  /// picks what a per-receiver FIFO would: a receiver's done events are
+  /// scheduled in arrival order, and ties fire in scheduling order. It also
+  /// stays right where a FIFO would not, when a recover()/attach() reset of
+  /// busy-until lets a post-reboot message finish before pre-crash
+  /// stragglers.
+  struct Delivery {
     Envelope envelope;
     std::size_t size{0};
-    TimePoint done;
+    bool arrived{false};  // true: the slot's next event is its done event
   };
 
   /// Everything the network knows about one node id. A record is made on
   /// first use (attach, send, crash, a rate, brownout or partition call)
   /// and never erased, so a reference held across a handler call stays
-  /// valid and a straggler's done-event always finds its inbox. Lifecycle:
+  /// valid. Lifecycle:
   ///   - attach sets `node` and resets `busy_until` to now;
   ///   - detach clears `node`, `rate_override` and `brownout`; the crash
-  ///     flag, partition group, handles and inbox stay (queued done-events
-  ///     still fire and drop), so a node restarted while crashed or cut off
-  ///     stays so;
+  ///     flag, partition group and handles stay (queued done events still
+  ///     fire and drop), so a node restarted while crashed or cut off stays
+  ///     so;
   ///   - recover clears `crashed` and resets `busy_until`;
   ///   - partition assigns every record's group, heal_partition zeroes it;
   ///   - reset_stats and set_telemetry clear `handles`.
   struct Peer {
     INetNode* node{nullptr};  // null while detached
     TimePoint busy_until;     // the serial processor's horizon
-    std::deque<PendingDelivery> inbox;
     double rate_override{0.0};  // msgs/s; <= 0 means the fleet default
     double brownout{1.0};       // rate divisor; 1 means none
     bool crashed{false};
@@ -358,6 +364,7 @@ class Network {
   Rng fault_rng_;   // dedicated stream for every fault decision
   Rng tamper_rng_;  // dedicated stream for every tamper decision
   std::unordered_map<NodeId, Peer> peers_;
+  Slab<Delivery> deliveries_;  // in-flight messages
   bool partitioned_{false};
   std::set<std::pair<std::uint64_t, std::uint64_t>> blocked_links_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, LinkFault> link_faults_;

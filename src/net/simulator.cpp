@@ -1,5 +1,7 @@
 #include "net/simulator.hpp"
 
+#include <utility>
+
 #include "common/logging.hpp"
 #include "obs/profiler.hpp"
 
@@ -13,22 +15,35 @@ void Simulator::schedule(Duration delay, std::function<void()> fn) {
 }
 
 void Simulator::schedule_at(TimePoint when, std::function<void()> fn) {
+  push(when, nullptr, timers_.park(std::move(fn)));
+}
+
+void Simulator::schedule_at(TimePoint when, EventTarget& target, std::uint32_t index) {
+  push(when, &target, index);
+}
+
+void Simulator::push(TimePoint when, EventTarget* target, std::uint32_t index) {
   if (when < now_) when = now_;
-  queue_.push(Event{when, next_seq_++, std::move(fn)});
+  queue_.push(Event{when, next_seq_++, target, index});
   if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
 }
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  // priority_queue::top() is const; the handle must be copied out before pop.
-  Event event = queue_.top();
+  const Event event = queue_.top();
   queue_.pop();
   now_ = event.when;
   Logger::instance().set_sim_time_seconds(now_.to_seconds());
   ++events_processed_;
   {
     GPBFT_PROFILE_SCOPE("sim.event");
-    event.fn();
+    if (event.target != nullptr) {
+      event.target->fire(event.index);
+    } else {
+      // Out of the slab before the call: the timer may schedule others,
+      // which can grow the slab and take this slot.
+      timers_.take(event.index)();
+    }
   }
   return true;
 }

@@ -143,7 +143,7 @@ void Client::handle(const net::Envelope& envelope) {
   if (it == outstanding_.end()) return;  // already committed or unknown
 
   Pending& pending = it->second;
-  pending.votes[reply.value().replica.value] = reply.value().height;
+  pending.votes[envelope.from.value] = reply.value().height;
 
   // Count the most common claimed height; commit on f+1 agreement.
   std::map<Height, std::size_t> tally;

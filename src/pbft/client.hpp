@@ -71,8 +71,9 @@ class Client : public net::INetNode {
     TimePoint next_retry_at;     // backoff deadline for the next resend
     std::uint32_t attempts{0};   // resends so far (drives the backoff)
     ledger::Transaction transaction;  // kept for retransmission
-    // votes per (replica): height claimed; commit at f+1 matching heights.
-    std::unordered_map<std::uint64_t, Height> votes;  // replica id -> height
+    // votes per sealed sender (never the body's replica field): height
+    // claimed; commit at f+1 matching heights.
+    std::unordered_map<std::uint64_t, Height> votes;  // sender id -> height
   };
 
   void send_request(const ledger::Transaction& tx);

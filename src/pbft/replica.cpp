@@ -318,8 +318,8 @@ void Replica::maybe_request_sync() {
     // A straggler in an older view stashes newer-view commits instead of
     // counting them; enough distinct stashed voters are the same evidence.
     std::map<SeqNum, std::set<NodeId>> stashed_voters;
-    for (const Commit& commit : stashed_commits_) {
-      if (commit.seq >= next) stashed_voters[commit.seq].insert(commit.replica);
+    for (const auto& [from, commit] : stashed_commits_) {
+      if (commit.seq >= next) stashed_voters[commit.seq].insert(from);
     }
     for (const auto& [seq, voters] : stashed_voters) {
       if (voters.size() >= f + 1) {
@@ -628,7 +628,7 @@ void Replica::send_prepare(SeqNum seq, const Instance& instance) {
 
 void Replica::on_prepare(NodeId from, const Prepare& msg) {
   if ((in_view_change_ || msg.view > view_) && msg.view >= view_) {
-    if (stashed_prepares_.size() < kMaxStashed) stashed_prepares_.push_back(msg);
+    if (stashed_prepares_.size() < kMaxStashed) stashed_prepares_.emplace_back(from, msg);
     return;
   }
   if (msg.view != view_ || !seq_in_window(msg.seq)) return;
@@ -680,7 +680,7 @@ void Replica::on_commit(NodeId from, const Commit& msg) {
   // COMMIT certificates are view-scoped like PREPAREs: stash future-view
   // votes, drop stale ones, park same-view votes under their digest.
   if ((in_view_change_ || msg.view > view_) && msg.view >= view_) {
-    if (stashed_commits_.size() < kMaxStashed) stashed_commits_.push_back(msg);
+    if (stashed_commits_.size() < kMaxStashed) stashed_commits_.emplace_back(from, msg);
     return;
   }
   if (msg.view != view_ || !seq_in_window(msg.seq)) return;
@@ -1000,13 +1000,13 @@ void Replica::enter_new_view(ViewId view, const std::vector<PrePrepare>& repropo
   }
   const auto prepares = std::move(stashed_prepares_);
   stashed_prepares_.clear();
-  for (const Prepare& prepare : prepares) {
-    if (prepare.view == view_) on_prepare(prepare.replica, prepare);
+  for (const auto& [from, prepare] : prepares) {
+    if (prepare.view == view_) on_prepare(from, prepare);
   }
   const auto commits = std::move(stashed_commits_);
   stashed_commits_.clear();
-  for (const Commit& commit : commits) {
-    if (commit.view == view_) on_commit(commit.replica, commit);
+  for (const auto& [from, commit] : commits) {
+    if (commit.view == view_) on_commit(from, commit);
   }
 
   on_view_changed(previous, view_);

@@ -322,11 +322,13 @@ class Replica : public net::INetNode {
 
   // Out-of-order buffering: a new primary's PRE-PREPARE can overtake its
   // NEW-VIEW on a jittery network; messages for a future view (or arriving
-  // mid-view-change) are stashed and replayed when the view settles.
+  // mid-view-change) are stashed and replayed when the view settles. Each
+  // keeps its sealed sender, which is who a replayed vote counts for: a
+  // body's own replica field is whatever its sender wrote there.
   static constexpr std::size_t kMaxStashed = 256;
   std::vector<std::pair<NodeId, PrePrepare>> stashed_preprepares_;
-  std::vector<Prepare> stashed_prepares_;
-  std::vector<Commit> stashed_commits_;
+  std::vector<std::pair<NodeId, Prepare>> stashed_prepares_;
+  std::vector<std::pair<NodeId, Commit>> stashed_commits_;
 
   /// Largest number of blocks served per SyncResponse; a full response is
   /// the signal that more blocks remain and the requester should chain a

@@ -70,6 +70,41 @@ TEST(EraEdge, ForgedHaltFromNonLeadIgnored) {
   EXPECT_EQ(cluster.client(0).committed_count(), 1u);
 }
 
+TEST(EraEdge, HaltNamingTheLeadUnderAnotherSealIgnored) {
+  // The halt's sealed sender must be the lead too, not just the sender its
+  // body names: a backup that seals an ERA-HALT naming the lead halts no
+  // one, so ordering continues uninterrupted.
+  ScenarioSpec spec = edge_spec(4, 4);
+  spec.committee.era_period = Duration::seconds(1000);  // no real switches
+  GpbftCluster cluster(spec);
+  cluster.start();
+  cluster.run_for(Duration::seconds(1));
+
+  const NodeId lead = cluster.endorser(0).primary_of(0);
+  const NodeId forger = cluster.endorser(1).id();
+  ASSERT_NE(lead, forger);
+  pbft::EraHaltMsg halt;
+  halt.closing_era = 0;
+  halt.sender = lead;
+  const Bytes body = halt.encode();
+  for (std::size_t i = 0; i < 4; ++i) {
+    if (cluster.endorser(i).id() == forger) continue;
+    net::Envelope envelope;
+    envelope.from = forger;
+    envelope.to = cluster.endorser(i).id();
+    envelope.type = pbft::msg_type::kEraHalt;
+    envelope.payload = pbft::seal(cluster.keys(), forger, cluster.endorser(i).id(),
+                                  pbft::msg_type::kEraHalt,
+                                  BytesView(body.data(), body.size()), true);
+    cluster.network().send(std::move(envelope));
+  }
+  cluster.run_for(Duration::seconds(1));
+
+  cluster.client(0).submit(tx_from(cluster, 1));
+  cluster.run_for(Duration::seconds(3));
+  EXPECT_EQ(cluster.client(0).committed_count(), 1u);
+}
+
 TEST(EraEdge, LeadCrashMidSwitchResumesViaFailsafe) {
   // The lead halts the committee and dies before proposing the config
   // block; the halt failsafe (and the view change) restore ordering.

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -951,6 +953,112 @@ TEST(Network, RejectionAccountingMatchesTelemetry) {
             2u);
   EXPECT_EQ(telemetry.metrics().counter_total("net.msgs_rejected." + telemetry.message_name(4)),
             1u);
+}
+
+// --- event core -------------------------------------------------------------------
+
+/// A node whose handler runs a callback.
+class CallbackNode : public INetNode {
+ public:
+  CallbackNode(NodeId id, std::function<void(const Envelope&)> on_handle)
+      : id_(id), on_handle_(std::move(on_handle)) {}
+  [[nodiscard]] NodeId id() const override { return id_; }
+  void handle(const Envelope& envelope) override { on_handle_(envelope); }
+
+ private:
+  NodeId id_;
+  std::function<void(const Envelope&)> on_handle_;
+};
+
+/// Three events tied at 2 ms: a timer, the arrival of a message to node 3
+/// and the done event of a message to node 2. Node 3 is never attached, so
+/// its arrival drops the message, and the drop count each observer sees
+/// tells whether the arrival has fired yet.
+struct TiedEvents {
+  static NetConfig config() {
+    NetConfig config = quiet_config();
+    config.base_latency = Duration::millis(1);  // arrival 1 ms after send, done 1 ms later
+    return config;
+  }
+
+  Simulator sim{1};
+  Network network{sim, config()};
+  const TimePoint tie{Duration::millis(2).ns};
+  using Fired = std::vector<std::pair<std::string, std::uint64_t>>;  // observer, drops seen
+  Fired fired;
+  RecordingNode sender{NodeId{1}};
+  CallbackNode receiver{NodeId{2}, [this](const Envelope&) { note("done"); }};
+
+  TiedEvents() {
+    network.attach(&sender);
+    network.attach(&receiver);
+  }
+  void note(const std::string& observer) {
+    EXPECT_EQ(sim.now(), tie) << observer;
+    fired.emplace_back(observer, network.stats().dropped_messages);
+  }
+  void send_to_done() { network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{2}}); }
+  void send_to_drop() { network.send(Envelope{NodeId{1}, NodeId{3}, 1, Bytes{3}}); }
+  void arm_timer() {
+    sim.schedule_at(tie, [this]() { note("timer"); });
+  }
+};
+
+TEST(EventCore, TiedTimerArrivalAndDoneFireInSchedulingOrder) {
+  TiedEvents events;
+  events.arm_timer();
+  events.network.set_link_fault(NodeId{1}, NodeId{3},
+                                LinkFault{.extra_latency = Duration::millis(1)});
+  events.send_to_drop();  // arrival at 2 ms
+  events.send_to_done();  // arrival at 1 ms schedules the done event for 2 ms
+  events.sim.run();
+  EXPECT_EQ(events.fired, (TiedEvents::Fired{{"timer", 0}, {"done", 1}}));
+  EXPECT_EQ(events.network.stats().dropped_messages, 1u);
+}
+
+TEST(EventCore, TiedDoneArrivalAndTimerFireInSchedulingOrder) {
+  // The reverse: kind does not order ties, the sequence number does.
+  TiedEvents events;
+  events.send_to_done();  // arrival at 1 ms schedules the done event for 2 ms
+  events.sim.schedule(Duration::millis(1), [&events]() {
+    // Fires at 1 ms after that arrival, so both of these come after the
+    // done event.
+    events.send_to_drop();  // arrival at 2 ms
+    events.arm_timer();
+  });
+  events.sim.run();
+  EXPECT_EQ(events.fired, (TiedEvents::Fired{{"done", 0}, {"timer", 1}}));
+  EXPECT_EQ(events.network.stats().dropped_messages, 1u);
+}
+
+TEST(EventCore, HandlerSendsLeaveItsOwnEnvelopeIntact) {
+  // A done event takes its message out of the delivery slab before the
+  // handler runs. The handler's 1,000 sends grow the slab and the first of
+  // them reuses the slot just freed; the envelope it holds must not move.
+  Simulator sim(1);
+  Network network(sim, quiet_config());
+  Bytes original(200);
+  for (std::size_t i = 0; i < original.size(); ++i) original[i] = static_cast<std::uint8_t>(i);
+  RecordingNode sender(NodeId{1}), sink(NodeId{3});
+  bool checked = false;
+  CallbackNode relay(NodeId{2}, [&](const Envelope& envelope) {
+    for (int i = 0; i < 1'000; ++i) {
+      network.send(Envelope{NodeId{2}, NodeId{3}, 2, Bytes(64, 0xee)});
+    }
+    EXPECT_EQ(envelope.from, NodeId{1});
+    EXPECT_EQ(envelope.to, NodeId{2});
+    EXPECT_EQ(envelope.type, 1);
+    EXPECT_EQ(envelope.payload, original);
+    checked = true;
+  });
+  network.attach(&sender);
+  network.attach(&relay);
+  network.attach(&sink);
+
+  network.send(Envelope{NodeId{1}, NodeId{2}, 1, original});
+  sim.run();
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(sink.received.size(), 1'000u);
 }
 
 }  // namespace

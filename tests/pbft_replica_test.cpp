@@ -2,8 +2,12 @@
 // view changes, checkpoints, partitions, and safety invariants.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "pbft/messages.hpp"
 #include "sim/deployment.hpp"
+#include "sim/invariants.hpp"
 #include "sim/workload.hpp"
 
 namespace gpbft::sim {
@@ -450,19 +454,26 @@ TEST(PbftReplica, CorruptProposalsRejectedAndPrimaryReplaced) {
   }
 }
 
+/// Sends `body` from `from` to `to`, sealed under `from`'s identity.
+void send_sealed(PbftCluster& cluster, NodeId from, NodeId to, net::MessageType type,
+                 const Bytes& body) {
+  net::Envelope envelope;
+  envelope.from = from;
+  envelope.to = to;
+  envelope.type = type;
+  envelope.payload = pbft::seal(cluster.keys(), from, to, type,
+                                BytesView(body.data(), body.size()),
+                                cluster.spec().engine.compute_macs);
+  cluster.network().send(std::move(envelope));
+}
+
 /// Delivers `msg` to every backup as if the view-0 primary (replica 0)
 /// had sent it.
 void propose_as_primary(PbftCluster& cluster, const pbft::PrePrepare& msg) {
   const Bytes body = msg.encode();
   for (std::size_t i = 1; i < cluster.replica_count(); ++i) {
-    net::Envelope envelope;
-    envelope.from = cluster.replica(0).id();
-    envelope.to = cluster.replica(i).id();
-    envelope.type = pbft::msg_type::kPrePrepare;
-    envelope.payload = pbft::seal(cluster.keys(), envelope.from, envelope.to, envelope.type,
-                                  BytesView(body.data(), body.size()),
-                                  cluster.spec().engine.compute_macs);
-    cluster.network().send(std::move(envelope));
+    send_sealed(cluster, cluster.replica(0).id(), cluster.replica(i).id(),
+                pbft::msg_type::kPrePrepare, body);
   }
 }
 
@@ -496,6 +507,93 @@ TEST(PbftReplica, BackupsRefuseAProposalThatRepeatsATransaction) {
   EXPECT_EQ(metrics.counter_total("pbft.preprepares_accepted"), 3u);
   EXPECT_EQ(cluster.replica(1).chain().height(), 1u);
   EXPECT_EQ(cluster.replica(1).chain().at(1), honest.block);
+}
+
+TEST(PbftReplica, StashedCommitsCountForTheirSealedSender) {
+  // A replica in view 0 stashes view-1 COMMITs, and f+1 distinct stashed
+  // voters at a height it cannot produce make it ask for a sync. Replica 3
+  // seals three such COMMITs whose bodies name replicas 0, 2 and 3: they
+  // are one voter, so replica 1 must not count itself behind.
+  PbftCluster cluster(small_cluster(4));
+  cluster.start();
+  const NodeId sender = cluster.replica(3).id();
+  const NodeId target = cluster.replica(1).id();
+  for (const std::size_t named : {0u, 2u, 3u}) {
+    pbft::Commit commit;
+    commit.view = 1;
+    commit.seq = 1;
+    commit.digest = crypto::sha256("future block");
+    commit.replica = cluster.replica(named).id();
+    send_sealed(cluster, sender, target, pbft::msg_type::kCommit, commit.encode());
+  }
+  // Past the first tick (request_timeout / 4), which runs the sync check.
+  cluster.run_for(cluster.spec().engine.request_timeout / 4 + Duration::millis(500));
+  EXPECT_EQ(cluster.network().stats().bytes_by_type.count(pbft::msg_type::kSyncRequest), 0u);
+}
+
+TEST(PbftReplica, ClientCountsRepliesBySealedSender) {
+  // f+1 = 2 REPLYs commit a request only from two distinct replicas. With
+  // every replica silent, replica 3 seals two REPLYs for height 9 naming
+  // replicas 2 and 3: one vote, so the client must not commit.
+  PbftCluster cluster(small_cluster(4));
+  cluster.start();
+  for (std::size_t i = 0; i < cluster.replica_count(); ++i) {
+    cluster.set_fault_mode(cluster.replica(i).id(), pbft::FaultMode::Silent);
+  }
+  const ledger::Transaction tx = tx_from(cluster, 0, 1);
+  cluster.client(0).submit(tx);
+  cluster.run_for(Duration::seconds(1));
+  for (const std::size_t named : {2u, 3u}) {
+    pbft::Reply reply;
+    reply.view = 0;
+    reply.replica = cluster.replica(named).id();
+    reply.tx_digest = tx.digest();
+    reply.height = 9;
+    send_sealed(cluster, cluster.replica(3).id(), cluster.client(0).id(), pbft::msg_type::kReply,
+                reply.encode());
+  }
+  cluster.run_for(Duration::seconds(1));
+  EXPECT_EQ(cluster.client(0).committed_count(), 0u);
+}
+
+TEST(PbftReplica, RetransmittedRequestsExecuteOnce) {
+  // Clients that retry after 20 ms re-send requests that are in a mempool,
+  // in a proposal or already executed, so every REQUEST dedup path runs:
+  // the client-table shortcut and the chain probe in accepting a request,
+  // and the chain filter in picking a batch. Each transaction still runs
+  // exactly once on every replica.
+  ScenarioSpec spec = small_cluster(4, 2);
+  spec.workload.txs_per_client = 4;
+  PbftCluster cluster(spec);
+  for (std::size_t c = 0; c < cluster.client_count(); ++c) {
+    cluster.client(c).set_retry_interval(Duration::millis(20));
+  }
+  InvariantMonitor monitor(cluster.simulator());
+  cluster.watch(monitor);
+  cluster.start();
+  std::vector<crypto::Hash256> submitted;
+  cluster.schedule_workload(spec.workload, nullptr,
+                            [&monitor, &submitted](const ledger::Transaction& tx) {
+                              monitor.expect_submission(tx);
+                              submitted.push_back(tx.digest());
+                            });
+  ASSERT_TRUE(cluster.run_until_committed(4, TimePoint{Duration::seconds(120).ns}));
+  cluster.run_for(Duration::seconds(2));  // retries of the last requests land
+  cluster.stop();
+
+  EXPECT_TRUE(monitor.clean()) << monitor.report();
+  ASSERT_EQ(submitted.size(), 8u);
+  for (std::size_t i = 0; i < cluster.replica_count(); ++i) {
+    const ledger::Chain& chain = cluster.replica(i).chain();
+    std::map<crypto::Hash256, int> executed;
+    for (Height h = 1; h <= chain.height(); ++h) {
+      for (const ledger::Transaction& tx : chain.at(h).transactions) ++executed[tx.digest()];
+    }
+    for (const crypto::Hash256& digest : submitted) {
+      EXPECT_EQ(executed[digest], 1) << "replica " << i << " tx " << digest.short_hex();
+    }
+  }
+  EXPECT_GT(cluster.telemetry().metrics().counter_total("pbft.client_table.hits"), 0u);
 }
 
 TEST(PbftReplica, LargerCommitteeStillCommits) {
