@@ -1,6 +1,9 @@
 // Micro-benchmarks: the serde codec and whole-message encode/decode.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ledger/chain.hpp"
 #include "ledger/genesis.hpp"
 #include "pbft/messages.hpp"
@@ -116,6 +119,45 @@ void BM_ChainAppendChecked(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChainAppendChecked)->Arg(1)->Arg(32);
+
+// Chain::find_transaction on a chain of 32-transaction blocks indexing
+// range(0) digests: 2,424 is gpbft-n202-macs' workload and 7,200 about the
+// failover workload's. range(1) = 1 probes indexed digests, 0 digests the
+// chain never saw: accept_request probes the index with every new request,
+// so misses are common. The probes cycle through all of one kind.
+void BM_ChainFindTransaction(benchmark::State& state) {
+  const auto indexed = static_cast<std::size_t>(state.range(0));
+  const bool hit = state.range(1) == 1;
+  geo::GeoReport report;
+  report.point = geo::GeoPoint{22.39, 114.1};
+  const auto tx_at = [&report](std::size_t i) {
+    return ledger::make_normal_tx(NodeId{10'000 + i % 202}, i, Bytes(32, 0x5a), 10, report);
+  };
+  ledger::Chain chain(empty_genesis());
+  for (std::size_t first = 0; first < indexed; first += 32) {
+    std::vector<ledger::Transaction> batch;
+    for (std::size_t i = first; i < std::min(indexed, first + 32); ++i) batch.push_back(tx_at(i));
+    const ledger::BlockHeader tip = chain.tip().header;
+    if (auto appended = chain.append(ledger::build_block(tip, std::move(batch), 0, 0,
+                                                         tip.height + 1, TimePoint{1}, NodeId{1}));
+        !appended) {
+      state.SkipWithError(appended.error().c_str());
+      return;
+    }
+  }
+  std::vector<crypto::Hash256> probes;
+  for (std::size_t i = 0; i < indexed; ++i) probes.push_back(tx_at(hit ? i : indexed + i).digest());
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(chain.find_transaction(probes[next]));
+    if (++next == probes.size()) next = 0;
+  }
+}
+BENCHMARK(BM_ChainFindTransaction)
+    ->Args({2424, 1})
+    ->Args({2424, 0})
+    ->Args({7200, 1})
+    ->Args({7200, 0});
 
 void BM_BlockDecode(benchmark::State& state) {
   const Bytes encoded = sample_block(static_cast<std::size_t>(state.range(0))).encode();

@@ -33,10 +33,10 @@ Address address_for_node(NodeId id) {
   return derive_address(BytesView(w.buffer().data(), w.buffer().size()));
 }
 
-const Address& AddressCache::of(NodeId id) {
-  const auto [it, inserted] = addresses_.try_emplace(id);
-  if (inserted) it->second = address_for_node(id);
-  return it->second;
+Address AddressCache::of(NodeId id) {
+  const auto [address, inserted] = addresses_.try_emplace(id);
+  if (inserted) *address = address_for_node(id);
+  return *address;
 }
 
 }  // namespace gpbft::crypto

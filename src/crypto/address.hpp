@@ -9,9 +9,9 @@
 #include <array>
 #include <compare>
 #include <string>
-#include <unordered_map>
 
 #include "common/bytes.hpp"
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 
 namespace gpbft::crypto {
@@ -35,10 +35,11 @@ struct Address {
 /// path pays the double SHA-256 once per node.
 class AddressCache {
  public:
-  [[nodiscard]] const Address& of(NodeId id);
+  /// By value: the next call may move the cached entries.
+  [[nodiscard]] Address of(NodeId id);
 
  private:
-  std::unordered_map<NodeId, Address> addresses_;
+  FlatMap<NodeId, Address> addresses_;
 };
 
 }  // namespace gpbft::crypto

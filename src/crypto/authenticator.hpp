@@ -17,22 +17,26 @@
 // The threat model (§III-A) matches: adversaries cannot forge or tamper with
 // others' messages, only emit invalid ones of their own.
 //
-// Caching: pairwise session entries are derived once and cached; an entry
-// also holds the precomputed HmacKey pad states, so a tag costs two SHA-256
-// passes over the message, not a rederivation chain of four HMACs. The
-// registry is handed out as a const reference, yet its const calls fill this
-// cache, so one registry must not be shared between threads. Cache contents
-// are pure functions of the genesis seed, so results never depend on the
-// order in which links are first used.
+// Caching: each link's HmacKey (the two pad mid-states of its session key,
+// one 64-byte cache line) is derived on the link's first tag and cached, so
+// a tag costs two SHA-256 passes over the message, not a rederivation chain
+// of four HMACs. The cache is one dense vector of HmacKeys plus a FlatMap
+// from the packed (lower, higher) node-id pair to a vector slot, so a lookup
+// is one hash probe and one line. The session key itself is not kept;
+// session_key() re-derives it. The registry is handed out as a const
+// reference, yet its const calls fill this cache, so one registry must not
+// be shared between threads. Cache contents are pure functions of the
+// genesis seed, so results never depend on the order in which links are
+// first used.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
-#include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 #include "crypto/hmac.hpp"
 
@@ -47,7 +51,8 @@ class KeyRegistry {
   /// cache miss needs it).
   [[nodiscard]] Hash256 identity_key(NodeId id) const;
 
-  /// Symmetric pairwise session key (derived lazily, cached).
+  /// Symmetric pairwise session key (derived on every call; the cache
+  /// keeps only its HMAC context).
   [[nodiscard]] Hash256 session_key(NodeId a, NodeId b) const;
 
   /// One truncated tag for a single receiver, streaming `payload_parts`
@@ -58,26 +63,15 @@ class KeyRegistry {
                                                 std::span<const BytesView> payload_parts) const;
 
  private:
-  /// Cached pairwise material: the 32-byte session key plus the HMAC pad
-  /// states precomputed from it.
-  struct SessionEntry {
-    Hash256 key;
-    HmacKey mac;
-  };
-  /// Stable reference into the session cache (entries are never erased).
-  [[nodiscard]] const SessionEntry& session_entry(NodeId a, NodeId b) const;
-
-  /// A link is its (lower, higher) node-id pair, so both directions share
-  /// one entry.
-  using Link = std::pair<std::uint64_t, std::uint64_t>;
-  struct LinkHash {
-    std::size_t operator()(const Link& link) const {
-      return std::hash<std::uint64_t>{}((link.first << 32) ^ link.second);
-    }
-  };
+  /// The cached HMAC context of the link {lo, hi}, both ids below 2^32 (all
+  /// the simulator assigns), packed into one 64-bit index key; tag() derives
+  /// a link with a larger id on every call instead. The reference is valid
+  /// until the next call.
+  [[nodiscard]] const HmacKey& session_mac(NodeId lo, NodeId hi) const;
 
   std::uint64_t genesis_seed_;
-  mutable std::unordered_map<Link, SessionEntry, LinkHash> sessions_;
+  mutable FlatMap<std::uint64_t, std::uint32_t, MixHash> session_slots_;  // link -> slot
+  mutable std::vector<HmacKey> sessions_;
 };
 
 }  // namespace gpbft::crypto

@@ -20,10 +20,14 @@ HmacKey::HmacKey(BytesView key) {
     opad[i] = block_key[i] ^ 0x5c;
   }
   // Each pad is exactly one SHA-256 block, so after these updates the
-  // contexts hold compressed mid-states with empty buffers — cloning them
-  // is a 100-odd-byte copy, not a compression call.
-  inner_.update(BytesView(ipad.data(), ipad.size()));
-  outer_.update(BytesView(opad.data(), opad.size()));
+  // contexts hold compressed mid-states with empty buffers: the chaining
+  // words are all a message needs to resume from.
+  Sha256 inner;
+  inner.update(BytesView(ipad.data(), ipad.size()));
+  inner_ = inner.state();
+  Sha256 outer;
+  outer.update(BytesView(opad.data(), opad.size()));
+  outer_ = outer.state();
 }
 
 Hash256 HmacKey::mac(BytesView data) const {
@@ -32,11 +36,11 @@ Hash256 HmacKey::mac(BytesView data) const {
 }
 
 Hash256 HmacKey::mac(std::span<const BytesView> parts) const {
-  Sha256 inner = inner_;
+  Sha256 inner = Sha256::resume(inner_, 1);
   for (const BytesView part : parts) inner.update(part);
   const Hash256 inner_digest = inner.finalize();
 
-  Sha256 outer = outer_;
+  Sha256 outer = Sha256::resume(outer_, 1);
   outer.update(inner_digest.view());
   return outer.finalize();
 }

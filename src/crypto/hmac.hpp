@@ -9,10 +9,12 @@
 //   - hmac_sha256(): one-shot, for one-off callers (key derivation, tests).
 //   - HmacKey: a precomputed key context. The ipad/opad key schedule of
 //     HMAC is exactly one SHA-256 block each; a context absorbs both pads
-//     once at construction and clones the two mid-states per message, so a
-//     session key reused across thousands of tags pays the two extra
-//     compression calls exactly once instead of per message. Output is
-//     bit-identical to hmac_sha256 (proven in tests/crypto_test.cpp).
+//     once at construction and keeps only the two resulting 32-byte
+//     mid-states, 64 bytes in all, so a cached key fills one cache line. A
+//     message resumes a SHA-256 context from each mid-state, so a session
+//     key reused across thousands of tags pays the two extra compression
+//     calls exactly once instead of per message. Output is bit-identical to
+//     hmac_sha256 (proven in tests/crypto_test.cpp).
 #pragma once
 
 #include <span>
@@ -22,10 +24,10 @@
 
 namespace gpbft::crypto {
 
-/// Precomputed HMAC-SHA256 key context (keyed pads hashed once, cloned per
-/// message). Copyable; mac() clones the stored mid-states and never mutates
-/// the context.
-class HmacKey {
+/// Precomputed HMAC-SHA256 key context: the SHA-256 mid-states after the
+/// keyed inner and outer pads, resumed per message. Copyable; mac() never
+/// mutates the context.
+class alignas(64) HmacKey {
  public:
   HmacKey() = default;
   explicit HmacKey(BytesView key);
@@ -37,9 +39,10 @@ class HmacKey {
   [[nodiscard]] Hash256 mac(std::span<const BytesView> parts) const;
 
  private:
-  Sha256 inner_;  // state after absorbing key ^ ipad
-  Sha256 outer_;  // state after absorbing key ^ opad
+  Sha256::State inner_{};  // mid-state after the one block key ^ ipad
+  Sha256::State outer_{};  // mid-state after the one block key ^ opad
 };
+static_assert(sizeof(HmacKey) == 64);
 
 /// HMAC-SHA256 over `data` with `key` (any key length).
 [[nodiscard]] Hash256 hmac_sha256(BytesView key, BytesView data);

@@ -34,16 +34,33 @@ struct Hash256 {
 /// Incremental SHA-256 context.
 class Sha256 {
  public:
+  /// The eight chaining words between blocks.
+  using State = std::array<std::uint32_t, 8>;
+
   Sha256();
+
+  /// A context that has absorbed `blocks` whole 64-byte blocks and holds
+  /// `state` — what state() read from such a context.
+  [[nodiscard]] static Sha256 resume(const State& state, std::uint64_t blocks) {
+    return Sha256(state, blocks * 64);
+  }
 
   void update(BytesView data);
   void update(std::string_view data);
+
+  /// The chaining state; a mid-state that resume() can continue only when
+  /// the input so far is a whole number of blocks.
+  [[nodiscard]] const State& state() const { return state_; }
 
   /// Finalizes and returns the digest; the context must not be reused after.
   [[nodiscard]] Hash256 finalize();
 
  private:
-  std::array<std::uint32_t, 8> state_;
+  // The buffer stays unwritten: with buffer_len_ 0 nothing reads it before
+  // update() fills it.
+  Sha256(const State& state, std::uint64_t total_len) : state_(state), total_len_(total_len) {}
+
+  State state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffer_len_{0};
   std::uint64_t total_len_{0};

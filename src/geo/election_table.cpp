@@ -31,40 +31,38 @@ void ElectionTable::record(NodeId device, const Csc& csc, TimePoint now) {
 }
 
 Duration ElectionTable::timer(NodeId device) const {
-  const auto it = devices_.find(device);
-  if (it == devices_.end() || it->second.history.empty()) return Duration{0};
-  return it->second.history.back().geographic_timer;
+  const DeviceState* state = devices_.find(device);
+  if (state == nullptr || state->history.empty()) return Duration{0};
+  return state->history.back().geographic_timer;
 }
 
 Duration ElectionTable::timer_at(NodeId device, TimePoint now) const {
-  const auto it = devices_.find(device);
-  if (it == devices_.end() || !it->second.has_cell) return Duration{0};
-  if (now < it->second.cell_since) return Duration{0};
-  return now - it->second.cell_since;
+  const DeviceState* state = devices_.find(device);
+  if (state == nullptr || !state->has_cell) return Duration{0};
+  if (now < state->cell_since) return Duration{0};
+  return now - state->cell_since;
 }
 
 void ElectionTable::reset_timer(NodeId device, TimePoint now) {
-  auto it = devices_.find(device);
-  if (it == devices_.end()) return;
-  it->second.cell_since = now;
+  if (DeviceState* state = devices_.find(device)) state->cell_since = now;
 }
 
 std::vector<ElectionEntry> ElectionTable::reports_in_window(NodeId device, TimePoint now,
                                                             Duration window) const {
   std::vector<ElectionEntry> out;
-  const auto it = devices_.find(device);
-  if (it == devices_.end()) return out;
+  const DeviceState* state = devices_.find(device);
+  if (state == nullptr) return out;
   const TimePoint start = TimePoint{now.ns - window.ns};
-  for (const ElectionEntry& entry : it->second.history) {
+  for (const ElectionEntry& entry : state->history) {
     if (entry.timestamp >= start && entry.timestamp <= now) out.push_back(entry);
   }
   return out;
 }
 
 std::optional<ElectionEntry> ElectionTable::latest(NodeId device) const {
-  const auto it = devices_.find(device);
-  if (it == devices_.end() || it->second.history.empty()) return std::nullopt;
-  return it->second.history.back();
+  const DeviceState* state = devices_.find(device);
+  if (state == nullptr || state->history.empty()) return std::nullopt;
+  return state->history.back();
 }
 
 std::vector<NodeId> ElectionTable::devices() const {
@@ -89,10 +87,10 @@ void ElectionTable::forget(NodeId device) { devices_.erase(device); }
 std::string ElectionTable::render(NodeId device) const {
   std::ostringstream os;
   os << "  # | CSC                      | Timestamp (s) | Geographic Timer\n";
-  const auto it = devices_.find(device);
-  if (it == devices_.end()) return os.str();
+  const DeviceState* state = devices_.find(device);
+  if (state == nullptr) return os.str();
   std::size_t row = 1;
-  for (const ElectionEntry& entry : it->second.history) {
+  for (const ElectionEntry& entry : state->history) {
     os << "  " << row++ << " | " << entry.csc.str() << " | " << entry.timestamp.to_seconds()
        << " | " << format_hms(entry.geographic_timer) << "\n";
   }

@@ -10,9 +10,9 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/sim_time.hpp"
 #include "common/types.hpp"
 #include "geo/csc.hpp"
@@ -76,7 +76,7 @@ class ElectionTable {
   };
 
   std::size_t history_limit_;
-  std::unordered_map<NodeId, DeviceState> devices_;
+  FlatMap<NodeId, DeviceState> devices_;
 };
 
 }  // namespace gpbft::geo

@@ -490,14 +490,25 @@ void Endorser::handle_extra(const net::Envelope& envelope) {
       }
       const pbft::EraLaunchMsg& launch = m.value();
       if (launch.config.era == era_) {
-        // Cancelled switch: membership unchanged, just resume.
-        if (switch_in_progress_) {
+        // Cancelled switch: membership unchanged, just resume. Only the lead
+        // that halted the committee may resume it, under its own seal, as
+        // for ERA-HALT.
+        const NodeId lead = primary_of(this->view());
+        if (switch_in_progress_ && envelope.from == lead && launch.sender == lead) {
           switch_in_progress_ = false;
           set_halted(false);
         }
         return;
       }
       if (launch.config.era < era_) return;
+      // A member learns a new roster only by executing its configuration
+      // block: a launch from a later era tells it that it fell behind, so it
+      // syncs from the sender. Only a node outside the committee (a
+      // newcomer) takes a launch as state transfer.
+      if (role_ == Role::Active) {
+        request_sync_from(envelope.from);
+        return;
+      }
       // A newcomer: adopt the chain suffix (on_executed fires per adopted
       // block, which replays geo trailers into the election table and
       // applies any configuration transactions), then the era config.

@@ -58,9 +58,8 @@ std::optional<ForkEvidence> Chain::observe_header(const BlockHeader& header) con
 }
 
 std::optional<Height> Chain::find_transaction(const crypto::Hash256& digest) const {
-  const auto it = tx_index_.find(digest);
-  if (it == tx_index_.end()) return std::nullopt;
-  return it->second;
+  if (const Height* height = tx_index_.find(digest)) return *height;
+  return std::nullopt;
 }
 
 EraConfig Chain::current_era_config() const { return latest_era_; }

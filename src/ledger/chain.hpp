@@ -8,9 +8,9 @@
 
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/result.hpp"
 #include "ledger/block.hpp"
 
@@ -50,7 +50,7 @@ class Chain {
   [[nodiscard]] std::size_t size() const { return blocks_.size(); }
 
   /// The height of the block holding the transaction with this digest: one
-  /// hash-map lookup.
+  /// flat-table probe.
   [[nodiscard]] std::optional<Height> find_transaction(const crypto::Hash256& digest) const;
 
   /// Latest era configuration recorded on chain (from config transactions).
@@ -62,7 +62,7 @@ class Chain {
 
   // Blocks are immutable once appended, so copies of a chain share them.
   std::vector<std::shared_ptr<const Block>> blocks_;
-  std::unordered_map<crypto::Hash256, Height> tx_index_;
+  FlatMap<crypto::Hash256, Height> tx_index_;
   EraConfig latest_era_;
 };
 

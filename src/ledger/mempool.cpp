@@ -8,7 +8,7 @@ Mempool::Mempool(std::size_t capacity) : capacity_(capacity) {}
 
 bool Mempool::add(Transaction tx, const crypto::Hash256& digest) {
   if (queue_.size() >= capacity_) return false;
-  if (!digests_.insert(digest).second) return false;
+  if (!digests_.try_emplace(digest).second) return false;
   queue_.push_back(Entry{digest, std::move(tx)});
   return true;
 }
@@ -29,7 +29,7 @@ std::vector<Transaction> Mempool::pop_batch(
 }
 
 void Mempool::remove(const crypto::Hash256& digest) {
-  if (digests_.erase(digest) == 0) return;
+  if (!digests_.erase(digest)) return;
   const auto it = std::find_if(queue_.begin(), queue_.end(),
                                [&digest](const Entry& entry) { return entry.digest == digest; });
   if (it != queue_.end()) queue_.erase(it);

@@ -8,9 +8,9 @@
 
 #include <deque>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "ledger/transaction.hpp"
 
 namespace gpbft::ledger {
@@ -49,7 +49,7 @@ class Mempool {
 
   std::size_t capacity_;
   std::deque<Entry> queue_;
-  std::unordered_set<crypto::Hash256> digests_;
+  FlatSet<crypto::Hash256> digests_;
 };
 
 }  // namespace gpbft::ledger

@@ -44,8 +44,8 @@ void State::apply_block(const Block& block, const std::vector<NodeId>& endorsers
 }
 
 std::int64_t State::balance(const crypto::Address& address) const {
-  const auto it = balances_.find(address);
-  return it == balances_.end() ? 0 : it->second;
+  const std::int64_t* balance = balances_.find(address);
+  return balance == nullptr ? 0 : *balance;
 }
 
 std::int64_t State::balance_of_node(NodeId id) const {

@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "crypto/address.hpp"
 #include "ledger/block.hpp"
 
@@ -45,7 +46,7 @@ class State {
   void credit(const crypto::Address& address, std::int64_t amount);
 
   crypto::AddressCache addresses_;  // producers and endorsers paid so far
-  std::unordered_map<crypto::Address, std::int64_t> balances_;
+  FlatMap<crypto::Address, std::int64_t> balances_;
   std::unordered_map<NodeId, Bytes> latest_payloads_;
   std::uint64_t applied_transactions_{0};
   std::uint64_t applied_blocks_{0};

@@ -91,6 +91,9 @@ class Client : public net::INetNode {
   const crypto::KeyRegistry& keys_;
   bool compute_macs_;
 
+  // Stays a node map: on_retry_tick walks it in bucket order, and that order
+  // fixes which retries are sent first and which backoff jitter each draws,
+  // so a table with another order would change every retried run.
   std::unordered_map<crypto::Hash256, Pending> outstanding_;
   CommitCallback commit_cb_;
   std::uint64_t committed_count_{0};

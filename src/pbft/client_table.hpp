@@ -10,8 +10,8 @@
 #pragma once
 
 #include <cstddef>
-#include <unordered_map>
 
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 #include "crypto/sha256.hpp"
 #include "ledger/transaction.hpp"
@@ -32,14 +32,15 @@ class ClientTable {
   /// describes the newest executed request per client.
   void note_executed(const ledger::Transaction& tx, const crypto::Hash256& digest, Height height);
 
-  /// The sender's entry, or nullptr if no request of theirs executed yet.
+  /// The sender's entry, or nullptr if no request of theirs executed yet;
+  /// valid until the next note_executed.
   [[nodiscard]] const Entry* find(NodeId sender) const;
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   void clear() { entries_.clear(); }
 
  private:
-  std::unordered_map<std::uint64_t, Entry> entries_;  // keyed by sender id
+  FlatMap<NodeId, Entry> entries_;  // keyed by sender
 };
 
 }  // namespace gpbft::pbft

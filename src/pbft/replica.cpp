@@ -223,7 +223,7 @@ void Replica::accept_request(ledger::Transaction tx) {
     return;
   }
   if (!mempool_.add(std::move(tx), digest)) return;  // duplicate or full
-  pending_since_.emplace(digest, now());
+  pending_since_.try_emplace(digest, now());
   maybe_propose();
 }
 
@@ -589,7 +589,7 @@ void Replica::on_preprepare(NodeId from, PrePrepare msg) {
   // Track request arrival for timeout purposes (backup may not have seen
   // the client request directly).
   for (const crypto::Hash256& digest : instance.block->digests()) {
-    pending_since_.emplace(digest, now());
+    pending_since_.try_emplace(digest, now());
   }
 
   send_prepare(msg.seq, instance);

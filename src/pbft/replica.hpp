@@ -25,8 +25,8 @@
 #include <memory>
 #include <optional>
 #include <set>
-#include <unordered_map>
 
+#include "common/flat_map.hpp"
 #include "crypto/authenticator.hpp"
 #include "ledger/chain.hpp"
 #include "ledger/mempool.hpp"
@@ -182,6 +182,10 @@ class Replica : public net::INetNode {
   /// invalid block and reports it.
   [[nodiscard]] Result<void> adopt_chain_suffix(const std::vector<ledger::Block>& blocks);
 
+  /// Asks `peer` for the blocks above this chain's tip (at most one request
+  /// per request_timeout / 4); the response is adopted as chain sync.
+  void request_sync_from(NodeId peer);
+
  private:
   // One consensus instance (one block height).
   struct Instance {
@@ -248,7 +252,6 @@ class Replica : public net::INetNode {
 
   // Chain sync (see SyncRequest in messages.hpp).
   void maybe_request_sync();
-  void request_sync_from(NodeId peer);
   void send_sync_request(NodeId peer);
   void on_sync_request(const SyncRequest& msg);
   void on_sync_response(const SyncResponse& msg);
@@ -304,7 +307,7 @@ class Replica : public net::INetNode {
   std::map<ViewId, std::map<NodeId, ViewChangeMsg>> view_changes_;
 
   // Request timeout tracking: tx digest -> first seen.
-  std::unordered_map<crypto::Hash256, TimePoint> pending_since_;
+  FlatMap<crypto::Hash256, TimePoint> pending_since_;
 
   // Per-client reply cache (see client_table.hpp); rebuilt by execution,
   // including restore/sync adoption, so a restarted replica serves the same

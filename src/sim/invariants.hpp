@@ -23,10 +23,10 @@
 
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "ledger/block.hpp"
 #include "net/simulator.hpp"
 #include "obs/telemetry.hpp"
@@ -176,7 +176,7 @@ class InvariantMonitor {
 
   std::map<Height, crypto::Hash256> canonical_;                // height -> agreed hash
   std::map<EraId, ledger::EraConfig> canonical_config_;        // era -> agreed roster
-  std::unordered_map<crypto::Hash256, TxRecord> txs_;
+  FlatMap<crypto::Hash256, TxRecord> txs_;
   std::unordered_set<std::uint64_t> faulty_;
   std::map<std::uint64_t, TimePoint> sybil_;  // active flooders -> flood start
   Duration sybil_grace_{0};                  // see set_sybil_detection_grace

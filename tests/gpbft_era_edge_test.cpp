@@ -35,6 +35,24 @@ ledger::Transaction tx_from(GpbftCluster& cluster, RequestId request) {
                           cluster.simulator().now(), 16, 10, request);
 }
 
+/// Sends `body` from `from` to `to` under from's genuine seal.
+void send_sealed(GpbftCluster& cluster, NodeId from, NodeId to, net::MessageType type,
+                 const Bytes& body) {
+  net::Envelope envelope;
+  envelope.from = from;
+  envelope.to = to;
+  envelope.type = type;
+  envelope.payload =
+      pbft::seal(cluster.keys(), from, to, type, BytesView(body.data(), body.size()), true);
+  cluster.network().send(std::move(envelope));
+}
+
+std::uint64_t preprepares_accepted(GpbftCluster& cluster, NodeId id) {
+  const obs::Counter* counter =
+      cluster.telemetry().metrics().find_counter("pbft.preprepares_accepted", id);
+  return counter == nullptr ? 0 : counter->value;
+}
+
 TEST(EraEdge, ForgedHaltFromNonLeadIgnored) {
   // Only the current lead may halt the committee (§III-E). A halt signed by
   // a backup endorser is discarded: ordering continues uninterrupted.
@@ -103,6 +121,90 @@ TEST(EraEdge, HaltNamingTheLeadUnderAnotherSealIgnored) {
   cluster.client(0).submit(tx_from(cluster, 1));
   cluster.run_for(Duration::seconds(3));
   EXPECT_EQ(cluster.client(0).committed_count(), 1u);
+}
+
+TEST(EraEdge, NewEraLaunchMovesNoMember) {
+  // A member learns a new roster only by executing its configuration block.
+  // Endorser 1 seals an ERA-LAUNCH for era 1 whose roster is endorser 1
+  // alone and sends it to endorser 2, which must stay an Active era-0
+  // member and keep executing requests.
+  ScenarioSpec spec = edge_spec(4, 4);
+  spec.committee.era_period = Duration::seconds(1000);  // no real switches
+  GpbftCluster cluster(spec);
+  cluster.start();
+  cluster.run_for(Duration::seconds(1));
+
+  const NodeId forger = cluster.endorser(1).id();
+  pbft::EraLaunchMsg launch;
+  launch.config.era = 1;
+  launch.config.endorsers = {forger};
+  launch.config_height = cluster.endorser(1).chain().height();
+  launch.sender = forger;
+  send_sealed(cluster, forger, cluster.endorser(2).id(), pbft::msg_type::kEraLaunch,
+              launch.encode());
+  cluster.run_for(Duration::seconds(1));
+
+  const auto& target = cluster.endorser(2);
+  EXPECT_EQ(target.role(), Role::Active);
+  EXPECT_EQ(target.era(), 0u);
+  EXPECT_EQ(target.producer_order(), cluster.endorser(0).producer_order());
+
+  cluster.client(0).submit(tx_from(cluster, 1));
+  cluster.run_for(Duration::seconds(3));
+  EXPECT_EQ(cluster.client(0).committed_count(), 1u);
+  EXPECT_EQ(target.chain().height(), cluster.endorser(0).chain().height());
+}
+
+TEST(EraEdge, BackupLaunchDoesNotEndLeadsHalt) {
+  // An unchanged-era ERA-LAUNCH ends a switch only from the lead, under its
+  // own seal, as for ERA-HALT. The lead halts endorser 2; a backup's launch
+  // leaves it halted, so it accepts no pre-prepare, and the lead's own
+  // launch resumes it.
+  ScenarioSpec spec = edge_spec(4, 4);
+  spec.committee.era_period = Duration::seconds(1000);  // no real switches
+  GpbftCluster cluster(spec);
+  cluster.start();
+  cluster.run_for(Duration::seconds(1));
+
+  const NodeId lead = cluster.endorser(0).primary_of(0);
+  std::vector<NodeId> backups;
+  for (std::size_t i = 0; i < cluster.endorser_count(); ++i) {
+    if (cluster.endorser(i).id() != lead) backups.push_back(cluster.endorser(i).id());
+  }
+  ASSERT_GE(backups.size(), 2u);
+  const NodeId receiver = backups[0];
+  const NodeId forger = backups[1];
+
+  pbft::EraHaltMsg halt;
+  halt.closing_era = 0;
+  halt.sender = lead;
+  send_sealed(cluster, lead, receiver, pbft::msg_type::kEraHalt, halt.encode());
+  cluster.run_for(Duration::millis(100));
+
+  pbft::EraLaunchMsg launch;
+  launch.config.era = 0;
+  launch.config.endorsers = cluster.endorser(0).producer_order();
+  launch.config_height = cluster.endorser(0).chain().height();
+  launch.sender = forger;
+  send_sealed(cluster, forger, receiver, pbft::msg_type::kEraLaunch, launch.encode());
+  cluster.run_for(Duration::millis(100));
+
+  // Still halted: the lead's next pre-prepare is dropped at the receiver
+  // while the other three commit the request.
+  const std::uint64_t before = preprepares_accepted(cluster, receiver);
+  cluster.client(0).submit(tx_from(cluster, 1));
+  cluster.run_for(Duration::seconds(2));
+  EXPECT_EQ(cluster.client(0).committed_count(), 1u);
+  EXPECT_EQ(preprepares_accepted(cluster, receiver), before);
+
+  // The lead's launch does resume it.
+  launch.sender = lead;
+  send_sealed(cluster, lead, receiver, pbft::msg_type::kEraLaunch, launch.encode());
+  cluster.run_for(Duration::millis(100));
+  cluster.client(0).submit(tx_from(cluster, 2));
+  cluster.run_for(Duration::seconds(2));
+  EXPECT_EQ(cluster.client(0).committed_count(), 2u);
+  EXPECT_GT(preprepares_accepted(cluster, receiver), before);
 }
 
 TEST(EraEdge, LeadCrashMidSwitchResumesViaFailsafe) {
