@@ -612,6 +612,25 @@ TEST(Authenticator, StreamedTagMatchesMaterializedInput) {
   }
 }
 
+TEST(Authenticator, LinkWithAnIdBeyond32BitsKeepsItsOwnKey) {
+  // The session cache packs (lower id << 32) | higher id; a higher id of
+  // 2^32 + 2 would pack like 2, so such a link must not reuse the cached
+  // key of link {1, 2}.
+  KeyRegistry keys(77);
+  const Bytes body{1, 2, 3};
+  const std::array<BytesView, 1> parts{BytesView(body.data(), body.size())};
+  const NodeId one{1};
+  const NodeId far{(std::uint64_t{1} << 32) + 2};
+  const auto near_tag = keys.tag(one, NodeId{2}, std::span<const BytesView>(parts.data(), 1));
+  const auto far_tag = keys.tag(one, far, std::span<const BytesView>(parts.data(), 1));
+  EXPECT_NE(near_tag, far_tag);
+
+  const Bytes materialized{1, 0, 0, 0, 0, 0, 0, 0, 3, 1, 2, 3};  // u64(sender), varint(3), body
+  const Hash256 reference = hmac_sha256(keys.session_key(one, far).view(),
+                                        BytesView(materialized.data(), materialized.size()));
+  EXPECT_TRUE(std::equal(far_tag.begin(), far_tag.end(), reference.bytes.begin()));
+}
+
 TEST(Authenticator, MultiPartTagEqualsSinglePartTag) {
   KeyRegistry keys(55);
   Bytes body(96);
