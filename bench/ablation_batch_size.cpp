@@ -29,7 +29,7 @@ int main() {
   std::printf("%8s %14s %14s %12s %14s\n", "batch", "mean lat(s)", "p95 lat(s)", "sim time(s)",
               "committed/s");
   for (const std::size_t batch : {1u, 4u, 8u, 16u, 32u, 64u, 128u}) {
-    sim::ExperimentOptions options = sim::default_options();
+    sim::ScenarioSpec options = sim::default_options();
     options.batch.size = batch;
     // The ceiling moves with the close size: blocks are exactly the batch
     // the close policy formed (see header comment).

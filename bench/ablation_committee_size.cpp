@@ -13,7 +13,7 @@ int main() {
   std::printf("Ablation A2: committee size cap at %zu nodes\n", kNodes);
   std::printf("%6s %6s %14s %14s %4s\n", "max", "cmte", "mean lat(s)", "KB/tx", "f");
   for (const std::size_t cap : {4u, 10u, 20u, 40u, 70u}) {
-    sim::ExperimentOptions options = sim::default_options();
+    sim::ScenarioSpec options = sim::default_options();
     options.workload.txs_per_client = 6;
     options.committee.max = cap;
     options.committee.min = std::min<std::size_t>(4, cap);

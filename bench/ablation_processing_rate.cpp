@@ -13,7 +13,7 @@ int main() {
   std::printf("Ablation A4: processing rate s at n = %zu (light load)\n", kNodes);
   std::printf("%10s %14s %16s\n", "s(msg/s)", "mean lat(s)", "lat x s (~const)");
   for (const double rate : {40.0, 80.0, 160.0, 320.0, 640.0}) {
-    sim::ExperimentOptions options = sim::default_options();
+    sim::ScenarioSpec options = sim::default_options();
     options.net.processing_rate_msgs_per_sec = rate;
     options.workload.txs_per_client = 1;  // no backlog: pure O(n/s) regime
     options.workload.period = Duration::seconds(5);

@@ -141,7 +141,7 @@ ScaleResult run_spec(const sim::ScenarioSpec& spec) {
 }
 
 ScaleResult run_point(const ScalePoint& point) {
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec options = sim::default_options();
   if (point.batch_close > 1) {
     options.batch.size = point.batch_close;
     // The engine's per-block ceiling must not clip a batch the close
@@ -238,7 +238,7 @@ double plane_budget_seconds() {
 /// endpoints, batched pipeline. Aggregate peak = devices * rate = 1000
 /// req/s over a 60 s generation window.
 sim::ScenarioSpec plane_scenario() {
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec options = sim::default_options();
   options.batch.size = 32;
   sim::ScenarioSpec spec = sim::latency_scenario(sim::ProtocolKind::Pbft, 20, options);
   spec.clients = 8;

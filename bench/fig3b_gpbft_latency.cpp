@@ -9,7 +9,7 @@
 int main() {
   using namespace gpbft;
   const std::size_t runs = bench::runs_per_point();
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec options = sim::default_options();
 
   std::printf("Fig. 3b: G-PBFT consensus latency, %zu runs per point (max committee %zu)\n",
               runs, options.committee.max);

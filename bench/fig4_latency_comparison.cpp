@@ -6,7 +6,7 @@
 
 int main() {
   using namespace gpbft;
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec options = sim::default_options();
 
   std::printf("Fig. 4: average consensus latency comparison (seconds)\n");
   std::printf("%6s %12s %12s %8s\n", "nodes", "PBFT(s)", "G-PBFT(s)", "ratio");

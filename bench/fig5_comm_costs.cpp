@@ -12,7 +12,7 @@
 
 int main() {
   using namespace gpbft;
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec options = sim::default_options();
 
   std::printf("Fig. 5a: PBFT communication costs per transaction\n");
   std::printf("%6s %14s %14s\n", "nodes", "consensus(KB)", "total(KB)");

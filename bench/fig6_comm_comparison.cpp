@@ -4,7 +4,7 @@
 
 int main() {
   using namespace gpbft;
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec options = sim::default_options();
 
   std::printf("Fig. 6: communication cost comparison, single transaction (consensus KB)\n");
   std::printf("%6s %14s %14s %8s\n", "nodes", "PBFT(KB)", "G-PBFT(KB)", "ratio");

@@ -18,7 +18,7 @@ int main() {
   using namespace ::gpbft::sim;
   constexpr std::size_t kNodes = 202;
 
-  ExperimentOptions options = default_options();
+  ScenarioSpec options = default_options();
 
   std::printf("Table III: experimental results when number of nodes is %zu\n\n", kNodes);
 

@@ -17,7 +17,7 @@
 
 int main() {
   using namespace gpbft;
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec options = sim::default_options();
   options.workload.txs_per_client = 6;
 
   // --- measured rows ---------------------------------------------------------
@@ -42,7 +42,7 @@ int main() {
               pbft_cost.consensus_kb, "~2 MAC/msg");
 
   // dBFT
-  sim::ExperimentOptions dbft_options = options;
+  sim::ScenarioSpec dbft_options = options;
   dbft_options.workload.txs_per_client = 3;  // 15 s pacing: keep runs bounded
   const sim::ExperimentResult dbft40 = sim::run_dbft_latency(40, dbft_options);
   const sim::ExperimentResult dbft202 = sim::run_dbft_latency(202, dbft_options);
@@ -54,9 +54,9 @@ int main() {
               "~2 MAC/msg");
 
   // PoW
-  sim::ExperimentOptions pow_options = options;
+  sim::ScenarioSpec pow_options = options;
   pow_options.workload.txs_per_client = 2;
-  pow_options.hard_deadline = Duration::seconds(4000);
+  pow_options.deadline = Duration::seconds(4000);
   const sim::ExperimentResult pow40 = sim::run_pow_latency(40, pow_options);
   const sim::ExperimentResult pow202 = sim::run_pow_latency(202, pow_options);
   bench::append_json_record("table4.pow.40", pow40, pow_options.seed);

@@ -17,14 +17,14 @@ int main() {
   using namespace gpbft;
   constexpr std::size_t kNodes = 30;
 
-  sim::ExperimentOptions options = sim::default_options();
+  sim::ScenarioSpec options = sim::default_options();
   options.workload.txs_per_client = 2;
   options.workload.period = Duration::seconds(4);
   options.committee.max = 10;
   options.dbft.block_interval = Duration::seconds(15);
   options.pow.block_interval = Duration::seconds(10);
   options.pow.confirmations = 3;
-  options.hard_deadline = Duration::seconds(3000);
+  options.deadline = Duration::seconds(3000);
 
   std::printf("IoT workload on %zu nodes: %llu devices x %llu transactions each\n\n", kNodes,
               static_cast<unsigned long long>(kNodes),

@@ -13,7 +13,10 @@ Validates that
     thread-name metadata covers every tid that emits events;
   - METRICS_JSONL is one JSON object per line, each with a metric "name",
     a "node" id and a "kind" in {counter, gauge, histogram}, sorted by
-    (name, node) within each kind block the exporter writes;
+    (name, node) within each kind block the exporter writes, and its
+    network counters conserve messages: the per-type rows sum to the
+    per-sender rows (net.msgs.<TYPE> to net.msgs_sent, net.bytes.<TYPE> to
+    net.bytes_sent), and the per-type rejections to net.msgs_rejected;
   - each --profile PROFILE_JSON (gpbft_cli profile --profile-out) is a
     {"profiler": {"sites": N, "tree": ...}} document whose tree nodes all
     carry name/calls/wall_ns/self_ns/children with self_ns <= wall_ns;
@@ -112,7 +115,28 @@ def check_metrics(path: str) -> None:
         block = [(r["name"], r["node"]) for r in rows if r["kind"] == kind]
         if block != sorted(block):
             fail(f"{path}: {kind} rows are not sorted by (name, node)")
+    check_net_conservation(path, rows)
     print(f"check_trace: {path}: {len(rows)} metric rows")
+
+
+# (per-type family prefix, the family it must sum to)
+NET_CONSERVATION = (
+    ("net.msgs.", "net.msgs_sent"),
+    ("net.bytes.", "net.bytes_sent"),
+    ("net.msgs_rejected.", "net.msgs_rejected"),
+)
+
+
+def check_net_conservation(path: str, rows: list) -> None:
+    """Each send is one net.msgs.<TYPE> and one sender's net.msgs_sent, and
+    each rejection one net.msgs_rejected.<TYPE> and one net.msgs_rejected,
+    so the families' sums must agree."""
+    counters = [r for r in rows if r["kind"] == "counter"]
+    for prefix, family in NET_CONSERVATION:
+        by_type = sum(r["value"] for r in counters if r["name"].startswith(prefix))
+        total = sum(r["value"] for r in counters if r["name"] == family)
+        if by_type != total:
+            fail(f"{path}: {prefix}<TYPE> rows sum to {by_type}, {family} rows to {total}")
 
 
 PROFILE_NODE_FIELDS = {"name": str, "calls": int, "wall_ns": int, "self_ns": int,

@@ -65,8 +65,9 @@ ctest --test-dir "${BUILD_DIR}" -L tier1 -j "${JOBS}" --output-on-failure --no-t
 # COMMITTEE-QUALITY / ERA-CONVERGENCE violation or liveness miss — and its
 # stdout, trace and metrics must hash to their `scenario/` and `chaos/`
 # lines in the manifest: fault plans, attack and tamper streams all replay
-# from the file's seed. The fault-free telemetry smoke run is also
-# schema-checked.
+# from the file's seed. The fault-free telemetry smoke run and the tamper
+# storm (the one with wire rejections) are also schema-checked, including
+# check_trace.py's network conservation sums.
 GOLDEN_DIR="${BUILD_DIR}/goldens-ci"
 rm -rf "${GOLDEN_DIR}"
 mkdir -p "${GOLDEN_DIR}/scenario" "${GOLDEN_DIR}/chaos"
@@ -83,8 +84,10 @@ done
 outputs+=(chaos/restart-campaign.stdout)
 check_goldens "${GOLDEN_DIR}" "${outputs[@]}"
 if command -v python3 >/dev/null 2>&1; then
-  python3 scripts/check_trace.py "${GOLDEN_DIR}/scenario/telemetry_smoke.trace.json" \
-    "${GOLDEN_DIR}/scenario/telemetry_smoke.metrics.jsonl"
+  for sc in telemetry_smoke tamper_storm; do
+    python3 scripts/check_trace.py "${GOLDEN_DIR}/scenario/${sc}.trace.json" \
+      "${GOLDEN_DIR}/scenario/${sc}.metrics.jsonl"
+  done
 else
   echo "ci: python3 not found; skipping telemetry schema check"
 fi

@@ -14,45 +14,66 @@ Network::Network(Simulator& sim, NetConfig config)
 
 void Network::set_telemetry(obs::Telemetry& telemetry) {
   telemetry_ = &telemetry;
-  // Cached handles point into the previous telemetry's registry.
-  tel_dropped_ = nullptr;
-  tel_duplicated_ = nullptr;
-  tel_tampered_ = nullptr;
-  tel_rejected_ = nullptr;
+  // The histogram lives in the previous telemetry's registry, and the site
+  // names came from its message namer.
   tel_recv_stall_ = nullptr;
-  type_handles_.clear();
-  for (auto& [id, peer] : peers_) peer.handles = NodeHandles{};
+  deliver_sites_.clear();
 }
 
 void Network::reset_stats() {
   stats_.reset();
-  // The stat pointers in the handle caches aimed into the maps the reset
-  // just destroyed; the telemetry rows survive but re-resolve cheaply.
-  type_handles_.clear();
-  for (auto& [id, peer] : peers_) peer.handles = NodeHandles{};
+  for (auto& [id, peer] : peers_) peer.traffic = NodeTraffic{};
 }
 
-Network::TypeHandles& Network::type_handles(MessageType type) {
+NodeTraffic Network::traffic_of(NodeId id) const {
+  const auto it = peers_.find(id);
+  return it == peers_.end() ? NodeTraffic{} : it->second.traffic;
+}
+
+TypeTraffic& Network::type_traffic(MessageType type) {
   // Message types are small consecutive constants (pbft::msg_type, PoW and
-  // dBFT gossip kinds), so a dense vector replaces the ordered-map lookup
-  // the old per-send accounting paid twice per message.
-  if (type >= type_handles_.size()) type_handles_.resize(static_cast<std::size_t>(type) + 1);
-  TypeHandles& handles = type_handles_[type];
-  if (handles.stat_bytes == nullptr) handles.stat_bytes = &stats_.bytes_by_type[type];
-  return handles;
+  // dBFT gossip kinds), so a dense vector indexed by type suffices.
+  if (type >= stats_.by_type.size()) stats_.by_type.resize(static_cast<std::size_t>(type) + 1);
+  return stats_.by_type[type];
 }
 
-Network::NodeHandles& Network::node_handles(Peer& peer, NodeId id) {
-  if (peer.handles.traffic == nullptr) peer.handles.traffic = &stats_.per_node[id];
-  return peer.handles;
+obs::Profiler::SiteId Network::deliver_site(MessageType type) {
+  if (type >= deliver_sites_.size()) {
+    deliver_sites_.resize(static_cast<std::size_t>(type) + 1, obs::Profiler::kNoSite);
+  }
+  obs::Profiler::SiteId& site = deliver_sites_[type];
+  if (site == obs::Profiler::kNoSite) {
+    site = obs::Profiler::instance().register_site("net.deliver." +
+                                                   telemetry_->message_name(type));
+  }
+  return site;
 }
 
-void Network::resolve_node_telemetry(NodeHandles& handles, NodeId id) {
+void Network::publish_metrics() {
+  if (!telemetry_->enabled()) return;
   obs::Registry& reg = telemetry_->metrics();
-  handles.msgs_sent = &reg.counter("net.msgs_sent", id);
-  handles.bytes_sent = &reg.counter("net.bytes_sent", id);
-  handles.msgs_received = &reg.counter("net.msgs_received", id);
-  handles.bytes_received = &reg.counter("net.bytes_received", id);
+  const auto set = [&reg](const std::string& name, std::uint64_t count) {
+    if (count > 0) reg.counter(name).value = count;
+  };
+  set("net.msgs_dropped", stats_.dropped_messages);
+  set("net.msgs_duplicated", stats_.duplicated_messages);
+  set("net.msgs_tampered", stats_.tampered_messages);
+  set("net.msgs_rejected", stats_.rejected_messages);
+  for (std::size_t type = 0; type < stats_.by_type.size(); ++type) {
+    const TypeTraffic& traffic = stats_.by_type[type];
+    const std::string name = telemetry_->message_name(static_cast<std::uint32_t>(type));
+    set("net.msgs." + name, traffic.messages);
+    set("net.bytes." + name, traffic.bytes);
+    set("net.msgs_rejected." + name, traffic.rejected);
+  }
+  for (const auto& [id, peer] : peers_) {
+    const NodeTraffic& traffic = peer.traffic;
+    if (traffic.messages_sent == 0 && traffic.messages_received == 0) continue;
+    reg.counter("net.msgs_sent", id).value = traffic.messages_sent;
+    reg.counter("net.bytes_sent", id).value = traffic.bytes_sent;
+    reg.counter("net.msgs_received", id).value = traffic.messages_received;
+    reg.counter("net.bytes_received", id).value = traffic.bytes_received;
+  }
 }
 
 void Network::attach(INetNode* node) {
@@ -88,40 +109,9 @@ bool Network::partitioned_apart(const Peer& sender, NodeId to) const {
   return sender.partition_group != (it == peers_.end() ? 0 : it->second.partition_group);
 }
 
-void Network::note_dropped() {
-  stats_.dropped_messages += 1;
-  if (telemetry_->enabled()) {
-    if (tel_dropped_ == nullptr) tel_dropped_ = &telemetry_->metrics().counter("net.msgs_dropped");
-    tel_dropped_->add();
-  }
-}
-
 void Network::note_rejected(MessageType type) {
   stats_.rejected_messages += 1;
-  TypeHandles& by_type = type_handles(type);
-  if (by_type.stat_rejected == nullptr) by_type.stat_rejected = &stats_.rejected_by_type[type];
-  *by_type.stat_rejected += 1;
-  if (telemetry_->enabled()) {
-    if (tel_rejected_ == nullptr) {
-      tel_rejected_ = &telemetry_->metrics().counter("net.msgs_rejected");
-    }
-    tel_rejected_->add();
-    if (by_type.rejected == nullptr) {
-      by_type.rejected = &telemetry_->metrics().counter("net.msgs_rejected." +
-                                                        telemetry_->message_name(type));
-    }
-    by_type.rejected->add();
-  }
-}
-
-void Network::note_tampered() {
-  stats_.tampered_messages += 1;
-  if (telemetry_->enabled()) {
-    if (tel_tampered_ == nullptr) {
-      tel_tampered_ = &telemetry_->metrics().counter("net.msgs_tampered");
-    }
-    tel_tampered_->add();
-  }
+  type_traffic(type).rejected += 1;
 }
 
 void Network::set_tamper(const TamperRule& rule) {
@@ -231,7 +221,7 @@ void Network::apply_tamper(Envelope& envelope, std::size_t& size) {
   }
   if (family == 5 && replay_log_.empty()) family = 0;  // no history yet
 
-  note_tampered();
+  stats_.tampered_messages += 1;
   const Duration ghost_jitter =
       config_.jitter.ns > 0
           ? Duration{static_cast<std::int64_t>(
@@ -294,29 +284,16 @@ void Network::send(Envelope envelope) {
 
   stats_.total_messages += 1;
   stats_.total_bytes += size;
-  TypeHandles& by_type = type_handles(envelope.type);
-  *by_type.stat_bytes += size;
-  NodeHandles& sender = node_handles(source, envelope.from);
-  sender.traffic->messages_sent += 1;
-  sender.traffic->bytes_sent += size;
-  if (telemetry_->enabled()) {
-    if (by_type.msgs == nullptr) {
-      obs::Registry& reg = telemetry_->metrics();
-      const std::string name = telemetry_->message_name(envelope.type);
-      by_type.msgs = &reg.counter("net.msgs." + name);
-      by_type.bytes = &reg.counter("net.bytes." + name);
-    }
-    by_type.msgs->add();
-    by_type.bytes->add(size);
-    if (sender.msgs_sent == nullptr) resolve_node_telemetry(sender, envelope.from);
-    sender.msgs_sent->add();
-    sender.bytes_sent->add(size);
-  }
+  TypeTraffic& by_type = type_traffic(envelope.type);
+  by_type.messages += 1;
+  by_type.bytes += size;
+  source.traffic.messages_sent += 1;
+  source.traffic.bytes_sent += size;
 
-  // Fault decisions are drawn before (and regardless of) the blocked and
-  // partition checks, all from the dedicated fault stream: toggling any
-  // fault knob never changes which draws the main stream sees, so faulty
-  // and clean runs remain comparable seed-for-seed.
+  // Fault decisions are drawn before (and regardless of) the partition
+  // check, all from the dedicated fault stream: toggling any fault knob
+  // never changes which draws the main stream sees, so faulty and clean
+  // runs remain comparable seed-for-seed.
   const LinkFault* fault = link_fault(envelope.from, envelope.to);
   const bool dropped = fault_rng_.chance(config_.drop_rate) ||
                        (fault != nullptr && fault_rng_.chance(fault->loss));
@@ -329,9 +306,8 @@ void Network::send(Envelope envelope) {
   };
   const Duration first_reorder = reorder_delay();
 
-  const bool blocked = blocked_links_.contains({envelope.from.value, envelope.to.value});
-  if (blocked || partitioned_apart(source, envelope.to) || dropped) {
-    note_dropped();
+  if (partitioned_apart(source, envelope.to) || dropped) {
+    stats_.dropped_messages += 1;
     return;
   }
 
@@ -357,12 +333,6 @@ void Network::send(Envelope envelope) {
 
   if (duplicated) {
     stats_.duplicated_messages += 1;
-    if (telemetry_->enabled()) {
-      if (tel_duplicated_ == nullptr) {
-        tel_duplicated_ = &telemetry_->metrics().counter("net.msgs_duplicated");
-      }
-      tel_duplicated_->add();
-    }
     // The ghost copy takes its own path through the reorder window; its
     // jitter comes from the fault stream (it only exists because of the
     // fault rule). It shares the payload buffer with the original.
@@ -403,7 +373,7 @@ void Network::on_arrival(std::uint32_t slot) {
   Peer* const receiver = live_peer(delivery.envelope.to);
   if (receiver == nullptr) {
     deliveries_.take(slot);  // the message is lost
-    note_dropped();
+    stats_.dropped_messages += 1;
     return;
   }
 
@@ -432,30 +402,17 @@ void Network::on_arrival(std::uint32_t slot) {
 }
 
 void Network::deliver(const Envelope& envelope, std::size_t size) {
-  const NodeId to = envelope.to;
-  Peer* const peer = live_peer(to);
+  Peer* const peer = live_peer(envelope.to);
   if (peer == nullptr) {
     // The receiver died (or was torn down) before delivery: the message
     // is lost with it.
-    note_dropped();
+    stats_.dropped_messages += 1;
     return;
   }
-  NodeHandles& receiver = node_handles(*peer, to);
-  receiver.traffic->messages_received += 1;
-  receiver.traffic->bytes_received += size;
-  if (telemetry_->enabled()) {
-    if (receiver.msgs_received == nullptr) resolve_node_telemetry(receiver, to);
-    receiver.msgs_received->add();
-    receiver.bytes_received->add(size);
-  }
-  // Per-event-type attribution: the whole handler invocation is accounted
-  // to one "net.deliver.<TYPE>" site, resolved once per message type.
-  TypeHandles& by_type = type_handles(envelope.type);
-  if (by_type.deliver_site == obs::Profiler::kNoSite) {
-    by_type.deliver_site = obs::Profiler::instance().register_site(
-        "net.deliver." + telemetry_->message_name(envelope.type));
-  }
-  obs::ScopedProbe deliver_probe(by_type.deliver_site);
+  peer->traffic.messages_received += 1;
+  peer->traffic.bytes_received += size;
+  // The whole handler invocation is accounted to its type's deliver site.
+  obs::ScopedProbe deliver_probe(deliver_site(envelope.type));
   peer->node->handle(envelope);
 }
 
@@ -509,14 +466,6 @@ void Network::partition(const std::vector<std::vector<NodeId>>& groups) {
 void Network::heal_partition() {
   for (auto& [id, peer] : peers_) peer.partition_group = 0;
   partitioned_ = false;
-}
-
-void Network::block_link(NodeId from, NodeId to) {
-  blocked_links_.insert({from.value, to.value});
-}
-
-void Network::unblock_link(NodeId from, NodeId to) {
-  blocked_links_.erase({from.value, to.value});
 }
 
 void Network::set_link_fault(NodeId from, NodeId to, const LinkFault& fault) {

@@ -13,6 +13,10 @@
 // once n nodes broadcast O(n) messages each. Byte counters feed the
 // communication-cost experiments (Figs. 5-6, Table III).
 //
+// Every count is kept once: per run in NetStats, per node in that node's
+// Peer record. The `net.*` metric rows are not bumped per message;
+// publish_metrics() writes them from these counts at export.
+//
 // Each message costs two simulator events: its arrival, which folds it into
 // the receiver's busy-until, and its done event, which hands it to the
 // receiver's handler. The envelope waits between send and handler in one
@@ -37,7 +41,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -143,6 +146,17 @@ struct NodeTraffic {
   std::uint64_t messages_received{0};
   std::uint64_t bytes_sent{0};
   std::uint64_t bytes_received{0};
+
+  friend bool operator==(const NodeTraffic&, const NodeTraffic&) = default;
+};
+
+/// One message type's sends, their bytes, and its wire-layer rejections.
+struct TypeTraffic {
+  std::uint64_t messages{0};
+  std::uint64_t bytes{0};
+  std::uint64_t rejected{0};
+
+  friend bool operator==(const TypeTraffic&, const TypeTraffic&) = default;
 };
 
 struct NetStats {
@@ -155,15 +169,19 @@ struct NetStats {
   /// Genuine envelopes the tamper rule re-delivered out of its history.
   std::uint64_t replayed_messages{0};
   /// Envelopes a receiver refused at the wire-decode layer (bad seal,
-  /// undecodable body, unknown type). Mirrors dropped_messages: NetStats
-  /// and the `net.msgs_rejected` telemetry always move together.
+  /// undecodable body, unknown type).
   std::uint64_t rejected_messages{0};
-  std::unordered_map<NodeId, NodeTraffic> per_node;
-  std::map<MessageType, std::uint64_t> bytes_by_type;
-  std::map<MessageType, std::uint64_t> rejected_by_type;
+  /// Indexed by MessageType, up to the largest type sent or rejected.
+  std::vector<TypeTraffic> by_type;
 
+  /// The counts of one type; zero for a type never sent or rejected.
+  [[nodiscard]] TypeTraffic of_type(MessageType type) const {
+    return type < by_type.size() ? by_type[type] : TypeTraffic{};
+  }
   [[nodiscard]] double total_kilobytes() const { return static_cast<double>(total_bytes) / 1024.0; }
   void reset() { *this = NetStats{}; }
+
+  friend bool operator==(const NetStats&, const NetStats&) = default;
 };
 
 class Network final : private EventTarget {
@@ -210,11 +228,8 @@ class Network final : private EventTarget {
   void partition(const std::vector<std::vector<NodeId>>& groups);
   void heal_partition();
 
-  /// Adds a one-way rule dropping all traffic from `from` to `to`.
-  void block_link(NodeId from, NodeId to);
-  void unblock_link(NodeId from, NodeId to);
-
-  /// Installs (replaces) a one-way per-link fault rule.
+  /// Installs (replaces) a one-way per-link fault rule. `loss = 1.0` blocks
+  /// the link.
   void set_link_fault(NodeId from, NodeId to, const LinkFault& fault);
   void clear_link_fault(NodeId from, NodeId to);
   /// Rule on a link, or nullptr when the link is clean.
@@ -235,23 +250,34 @@ class Network final : private EventTarget {
 
   // --- accounting ----------------------------------------------------------
   [[nodiscard]] const NetStats& stats() const { return stats_; }
+  /// One node's traffic; zero for a node that never sent or received.
+  [[nodiscard]] NodeTraffic traffic_of(NodeId id) const;
+  /// Zeroes NetStats and every node's traffic, and so also what
+  /// publish_metrics() reports.
   void reset_stats();
 
   /// One wire-layer rejection, wherever it happens (seal/open failure,
   /// undecodable body, unknown message type, malformed fixed-size payload).
   /// Called by receive paths in all four stacks; keyed by the envelope's
-  /// claimed type. NetStats and the `net.msgs_rejected` telemetry counters
-  /// (total + per-type) always move together — the reject-side mirror of
-  /// note_dropped's drop accounting.
+  /// claimed type.
   void note_rejected(MessageType type);
 
   /// Telemetry sink shared by every layer that holds a Network reference
   /// (protocol nodes reach the deployment's registry through here without
   /// any constructor changes). Defaults to the process-wide disabled
-  /// instance, so bare-Network tests pay one branch per message and
-  /// nothing else. The telemetry must outlive the network.
+  /// instance. The telemetry must outlive the network.
   void set_telemetry(obs::Telemetry& telemetry);
   [[nodiscard]] obs::Telemetry& telemetry() { return *telemetry_; }
+
+  /// Sets (never adds) the `net.*` counter rows to the counts:
+  /// `net.{msgs,bytes}.<TYPE>`, each node's
+  /// `net.{msgs,bytes}_{sent,received}`, `net.msgs_dropped`,
+  /// `net.msgs_duplicated`, `net.msgs_tampered`, `net.msgs_rejected` and
+  /// `net.msgs_rejected.<TYPE>`. A row is made only for a count above zero,
+  /// and a node's four rows once it sent or received. Does nothing while
+  /// metrics are off. Deployment::finalize_telemetry() calls it; a registry
+  /// read before then holds no `net.*` counter.
+  void publish_metrics();
 
   [[nodiscard]] Simulator& simulator() { return sim_; }
   [[nodiscard]] const NetConfig& config() const { return config_; }
@@ -280,10 +306,8 @@ class Network final : private EventTarget {
   /// invariant (tampered tips byte-identical to clean tips with MACs on)
   /// exact rather than probabilistic.
   void deliver(const Envelope& envelope, std::size_t size);
-  /// One drop, wherever it happens (send-time fault, receiver down at
-  /// arrival or at processing-done): NetStats and the `net.msgs_dropped`
-  /// counter always move together.
-  void note_dropped();
+  /// The NetStats entry of `type`, growing the per-type vector to reach it.
+  [[nodiscard]] TypeTraffic& type_traffic(MessageType type);
 
   /// Applies the active tamper rule to an in-flight envelope. Replace mode
   /// mutates `envelope`/`size` in place (the mutant continues down the
@@ -295,34 +319,9 @@ class Network final : private EventTarget {
   /// Builds the mutated envelope for the drawn family (never replay).
   [[nodiscard]] Envelope mutate_envelope(const Envelope& original, const TamperRule& rule,
                                          int family);
-  void note_tampered();
-
-  /// Cached handles so the per-message hot path resolves each accounting
-  /// slot once — the NetStats map entries and the telemetry registry rows
-  /// (pointers into std::map / std::unordered_map values are stable).
-  /// Telemetry rows resolve lazily and only while telemetry is enabled, so
-  /// a disabled run never creates registry entries. Both caches are cleared
-  /// by reset_stats() and set_telemetry().
-  struct TypeHandles {
-    std::uint64_t* stat_bytes{nullptr};     // into stats_.bytes_by_type
-    std::uint64_t* stat_rejected{nullptr};  // into stats_.rejected_by_type
-    obs::Counter* msgs{nullptr};
-    obs::Counter* bytes{nullptr};
-    obs::Counter* rejected{nullptr};
-    /// Profiler site "net.deliver.<TYPE>" — per-event-type wall-clock
-    /// attribution, resolved once per type like the counters above.
-    obs::Profiler::SiteId deliver_site{obs::Profiler::kNoSite};
-  };
-  struct NodeHandles {
-    NodeTraffic* traffic{nullptr};  // into stats_.per_node
-    obs::Counter* msgs_sent{nullptr};
-    obs::Counter* bytes_sent{nullptr};
-    obs::Counter* msgs_received{nullptr};
-    obs::Counter* bytes_received{nullptr};
-  };
-  [[nodiscard]] TypeHandles& type_handles(MessageType type);
-  [[nodiscard]] NodeHandles& node_handles(Peer& peer, NodeId id);
-  void resolve_node_telemetry(NodeHandles& handles, NodeId id);
+  /// Profiler site "net.deliver.<TYPE>", registered on the type's first
+  /// delivery: per-event-type wall-clock attribution.
+  [[nodiscard]] obs::Profiler::SiteId deliver_site(MessageType type);
 
   /// One message from send to its handler. Its arrival and done events
   /// fire in order, and the done event delivers exactly this message. That
@@ -343,12 +342,12 @@ class Network final : private EventTarget {
   /// valid. Lifecycle:
   ///   - attach sets `node` and resets `busy_until` to now;
   ///   - detach clears `node`, `rate_override` and `brownout`; the crash
-  ///     flag, partition group and handles stay (queued done events still
+  ///     flag, partition group and traffic stay (queued done events still
   ///     fire and drop), so a node restarted while crashed or cut off stays
   ///     so;
   ///   - recover clears `crashed` and resets `busy_until`;
   ///   - partition assigns every record's group, heal_partition zeroes it;
-  ///   - reset_stats and set_telemetry clear `handles`.
+  ///   - reset_stats zeroes `traffic`.
   struct Peer {
     INetNode* node{nullptr};  // null while detached
     TimePoint busy_until;     // the serial processor's horizon
@@ -356,7 +355,7 @@ class Network final : private EventTarget {
     double brownout{1.0};       // rate divisor; 1 means none
     bool crashed{false};
     int partition_group{0};
-    NodeHandles handles;
+    NodeTraffic traffic;
   };
 
   Simulator& sim_;
@@ -366,7 +365,6 @@ class Network final : private EventTarget {
   std::unordered_map<NodeId, Peer> peers_;
   Slab<Delivery> deliveries_;  // in-flight messages
   bool partitioned_{false};
-  std::set<std::pair<std::uint64_t, std::uint64_t>> blocked_links_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, LinkFault> link_faults_;
   std::optional<TamperRule> tamper_;
   /// Genuine envelopes seen while a rule with a replay family was active;
@@ -376,12 +374,10 @@ class Network final : private EventTarget {
   NetStats stats_;
 
   obs::Telemetry* telemetry_{&obs::Telemetry::noop()};
-  obs::Counter* tel_dropped_{nullptr};
-  obs::Counter* tel_duplicated_{nullptr};
-  obs::Counter* tel_tampered_{nullptr};
-  obs::Counter* tel_rejected_{nullptr};
+  /// `net.recv_stall_seconds`, resolved on first use while metrics are on;
+  /// the one row the network observes per message, having no NetStats twin.
   obs::Histogram* tel_recv_stall_{nullptr};
-  std::vector<TypeHandles> type_handles_;  // dense, indexed by MessageType
+  std::vector<obs::Profiler::SiteId> deliver_sites_;  // indexed by MessageType
 };
 
 }  // namespace gpbft::net

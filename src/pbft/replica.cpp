@@ -954,7 +954,6 @@ void Replica::enter_new_view(ViewId view, const std::vector<PrePrepare>& repropo
   view_ = view;
   in_view_change_ = false;
   view_changes_.erase(view_changes_.begin(), view_changes_.upper_bound(view));
-  ++completed_view_changes_;
   telemetry().count("pbft.view_changes_completed", id_);
   telemetry().instant("view_change.complete", "pbft", id_, {{"view", std::to_string(view_)}});
 

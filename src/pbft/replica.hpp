@@ -70,7 +70,6 @@ class Replica : public net::INetNode {
   [[nodiscard]] const std::vector<NodeId>& committee() const { return committee_; }
   [[nodiscard]] bool is_primary() const { return primary_of(view_) == id_; }
   [[nodiscard]] std::size_t faults_tolerated() const { return (committee_.size() - 1) / 3; }
-  [[nodiscard]] std::uint64_t completed_view_changes() const { return completed_view_changes_; }
   [[nodiscard]] std::size_t mempool_size() const { return mempool_.size(); }
   [[nodiscard]] SeqNum stable_checkpoint() const { return stable_seq_; }
   /// Per-client last-executed-request bookkeeping (reply cache fast path).
@@ -349,8 +348,6 @@ class Replica : public net::INetNode {
   FaultMode fault_mode_{FaultMode::None};
   ExecutedCallback executed_cb_;
   PersistCallback persist_cb_;
-
-  std::uint64_t completed_view_changes_{0};
 
   /// Lifetime token for scheduled timers: the simulator cannot cancel
   /// events, so every timer lambda holds a weak_ptr to this and becomes a

@@ -94,6 +94,7 @@ void Deployment::inject_disk_fault(NodeId id, DiskFaultKind kind) {
 
 void Deployment::finalize_telemetry() {
   if (!telemetry_.enabled()) return;
+  network_.publish_metrics();
   obs::Registry& reg = telemetry_.metrics();
   reg.gauge("sim.end_seconds").set(sim_.now().to_seconds());
   reg.gauge("sim.events_processed").set(static_cast<double>(sim_.events_processed()));
@@ -187,15 +188,8 @@ void Deployment::schedule_workload(const WorkloadSpec& workload, LatencyRecorder
     plane_->start(recorder, std::move(on_submit), workload_alive_);
     return;
   }
-  WorkloadConfig config;
-  config.period = workload.period;
-  config.payload_bytes = workload.payload_bytes;
-  config.fee = workload.fee;
-  config.start = workload.start;
-  config.stagger = workload.stagger;
-  config.count = workload.txs_per_client;
   for (std::size_t i = 0; i < clients_.size(); ++i) {
-    sim::schedule_workload(sim_, *clients_[i], placement_.position(i), config, i, recorder,
+    sim::schedule_workload(sim_, *clients_[i], placement_.position(i), workload, i, recorder,
                            on_submit, workload_alive_);
   }
 }

@@ -159,7 +159,8 @@ class Deployment {
   /// `telemetry().set_trace_enabled(true)` before start() to also record
   /// causal traces, and finalize_telemetry() before exporting.
   [[nodiscard]] obs::Telemetry& telemetry() { return telemetry_; }
-  /// Copies end-of-run gauges (simulator queue high-water mark, events
+  /// Writes the network's `net.*` counter rows (Network::publish_metrics),
+  /// copies end-of-run gauges (simulator queue high-water mark, events
   /// processed, committee size) into the registry and labels trace rows.
   void finalize_telemetry();
 

@@ -7,27 +7,27 @@
 
 namespace gpbft::sim {
 
-ExperimentOptions default_options() {
-  ExperimentOptions options;
+ScenarioSpec default_options() {
+  ScenarioSpec spec;
   // Loss-free measurement runs: retransmission off so REQUEST traffic
   // matches the paper's testbed (retries are for faulty networks).
-  options.workload.client_retries = false;
-  options.engine.batch_size = 32;
+  spec.workload.client_retries = false;
+  spec.engine.batch_size = 32;
   // Large sweeps skip recomputing HMAC tags (bytes unchanged); see
   // pbft::PbftConfig::compute_macs.
-  options.engine.compute_macs = false;
+  spec.engine.compute_macs = false;
   // Under the saturating workload of the latency experiments, requests can
   // legitimately queue for hundreds of simulated seconds (that queueing is
   // the measurement); the timeout must not fire view changes meanwhile.
-  options.engine.request_timeout = options.hard_deadline;
-  options.committee.era_period = Duration::seconds(30);
+  spec.engine.request_timeout = spec.deadline;
+  spec.committee.era_period = Duration::seconds(30);
   // Promotion machinery parameters: reports every 10 s, Algorithm 1 window
   // of one era period, at least 2 reports; the 72 h stationarity rule is
   // scaled into simulation range so candidate promotion is observable.
-  options.geo.window = options.committee.era_period;
-  options.geo.min_reports = 2;
-  options.geo.promotion_threshold = Duration::seconds(20);
-  return options;
+  spec.geo.window = spec.committee.era_period;
+  spec.geo.min_reports = 2;
+  spec.geo.promotion_threshold = Duration::seconds(20);
+  return spec;
 }
 
 double consensus_kilobytes(const net::NetStats& stats) {
@@ -35,8 +35,7 @@ double consensus_kilobytes(const net::NetStats& stats) {
   for (const auto type :
        {pbft::msg_type::kClientRequest, pbft::msg_type::kPrePrepare, pbft::msg_type::kPrepare,
         pbft::msg_type::kCommit, pbft::msg_type::kReply}) {
-    const auto it = stats.bytes_by_type.find(type);
-    if (it != stats.bytes_by_type.end()) bytes += it->second;
+    bytes += stats.of_type(type).bytes;
   }
   return static_cast<double>(bytes) / 1024.0;
 }
@@ -44,26 +43,15 @@ double consensus_kilobytes(const net::NetStats& stats) {
 namespace {
 
 ScenarioSpec scenario_for(ProtocolKind protocol, std::size_t nodes, std::size_t clients,
-                          const ExperimentOptions& options) {
-  ScenarioSpec spec;
+                          ScenarioSpec spec) {
   spec.protocol = protocol;
-  spec.seed = options.seed;
   spec.nodes = nodes;
   spec.clients = clients;
-  spec.deadline = options.hard_deadline;
-  spec.workload = options.workload;
-  spec.engine = options.engine;
-  spec.batch = options.batch;
-  spec.net = options.net;
-  spec.committee = options.committee;
-  spec.geo = options.geo;
-  spec.dbft = options.dbft;
-  spec.pow = options.pow;
   if (protocol == ProtocolKind::Gpbft) {
     // Steady state of the paper's Fig. 3b: all eligible nodes join until
     // the maximum; the genesis roster holds them directly so the
     // measurement is of the steady committee (era switches still run).
-    spec.committee.initial = std::min(nodes, options.committee.max);
+    spec.committee.initial = std::min(nodes, spec.committee.max);
   }
   return spec;
 }
@@ -109,16 +97,16 @@ ExperimentResult finish_result(Deployment& deployment, const LatencyRecorder& re
 }
 
 ScenarioSpec latency_scenario(ProtocolKind protocol, std::size_t nodes,
-                              const ExperimentOptions& options) {
+                              const ScenarioSpec& base) {
   // One proposing device per node (§V-B).
-  return scenario_for(protocol, nodes, nodes, options);
+  return scenario_for(protocol, nodes, nodes, base);
 }
 
 // --- latency experiments ------------------------------------------------------------
 
 ExperimentResult run_latency(ProtocolKind protocol, std::size_t nodes,
-                             const ExperimentOptions& options) {
-  const ScenarioSpec spec = latency_scenario(protocol, nodes, options);
+                             const ScenarioSpec& base) {
+  const ScenarioSpec spec = latency_scenario(protocol, nodes, base);
   const std::unique_ptr<Deployment> deployment = make_deployment(spec);
   deployment->start();
 
@@ -130,20 +118,20 @@ ExperimentResult run_latency(ProtocolKind protocol, std::size_t nodes,
   return finish_result(*deployment, recorder);
 }
 
-ExperimentResult run_pbft_latency(std::size_t nodes, const ExperimentOptions& options) {
-  return run_latency(ProtocolKind::Pbft, nodes, options);
+ExperimentResult run_pbft_latency(std::size_t nodes, const ScenarioSpec& base) {
+  return run_latency(ProtocolKind::Pbft, nodes, base);
 }
 
-ExperimentResult run_gpbft_latency(std::size_t nodes, const ExperimentOptions& options) {
-  return run_latency(ProtocolKind::Gpbft, nodes, options);
+ExperimentResult run_gpbft_latency(std::size_t nodes, const ScenarioSpec& base) {
+  return run_latency(ProtocolKind::Gpbft, nodes, base);
 }
 
-ExperimentResult run_dbft_latency(std::size_t nodes, const ExperimentOptions& options) {
-  return run_latency(ProtocolKind::Dbft, nodes, options);
+ExperimentResult run_dbft_latency(std::size_t nodes, const ScenarioSpec& base) {
+  return run_latency(ProtocolKind::Dbft, nodes, base);
 }
 
-ExperimentResult run_pow_latency(std::size_t nodes, const ExperimentOptions& options) {
-  return run_latency(ProtocolKind::Pow, nodes, options);
+ExperimentResult run_pow_latency(std::size_t nodes, const ScenarioSpec& base) {
+  return run_latency(ProtocolKind::Pow, nodes, base);
 }
 
 // --- communication-cost experiments ---------------------------------------------------
@@ -152,8 +140,8 @@ namespace {
 
 /// One client proposing exactly one transaction.
 ExperimentResult run_single_tx(ProtocolKind protocol, std::size_t nodes,
-                               const ExperimentOptions& options) {
-  ScenarioSpec spec = scenario_for(protocol, nodes, 1, options);
+                               const ScenarioSpec& base) {
+  ScenarioSpec spec = scenario_for(protocol, nodes, 1, base);
   spec.workload.txs_per_client = 1;
   const std::unique_ptr<Deployment> cluster = make_deployment(spec);
   cluster->start();
@@ -179,12 +167,12 @@ ExperimentResult run_single_tx(ProtocolKind protocol, std::size_t nodes,
 
 }  // namespace
 
-ExperimentResult run_pbft_single_tx(std::size_t nodes, const ExperimentOptions& options) {
-  return run_single_tx(ProtocolKind::Pbft, nodes, options);
+ExperimentResult run_pbft_single_tx(std::size_t nodes, const ScenarioSpec& base) {
+  return run_single_tx(ProtocolKind::Pbft, nodes, base);
 }
 
-ExperimentResult run_gpbft_single_tx(std::size_t nodes, const ExperimentOptions& options) {
-  return run_single_tx(ProtocolKind::Gpbft, nodes, options);
+ExperimentResult run_gpbft_single_tx(std::size_t nodes, const ScenarioSpec& base) {
+  return run_single_tx(ProtocolKind::Gpbft, nodes, base);
 }
 
 }  // namespace gpbft::sim

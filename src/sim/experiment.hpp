@@ -25,41 +25,13 @@
 
 namespace gpbft::sim {
 
-/// Experiment calibration, decomposed into the same spec pieces a
-/// ScenarioSpec carries. latency_scenario() translates options into the
-/// spec the deployment factory consumes.
-struct ExperimentOptions {
-  std::uint64_t seed{1};
+/// The calibrated run description every bench starts from (single source
+/// of truth; see DESIGN.md §4). A runner sets protocol, nodes and clients.
+[[nodiscard]] ScenarioSpec default_options();
 
-  /// Workload (§V-B: constant-frequency proposals per node). Measurement
-  /// runs keep client_retries off — loss-free testbed semantics.
-  WorkloadSpec workload;
-
-  /// PBFT engine shared by the PBFT / G-PBFT / dBFT deployments.
-  EngineSpec engine;
-
-  /// Consensus batching (batch.size=1 keeps the unbatched seed behaviour).
-  BatchSpec batch;
-
-  /// Network model (the paper's s = processing_rate, §IV-B).
-  net::NetConfig net;
-
-  /// G-PBFT committee bounds (§V-A: min 4, max 40) and era cadence.
-  CommitteeSpec committee;
-
-  /// Geographic-promotion machinery, scaled into simulation range.
-  GeoSpec geo;
-
-  // Simulation guard rail.
-  Duration hard_deadline = Duration::seconds(4000);
-
-  // Baseline protocols (Table IV rows).
-  DbftSpec dbft;
-  PowSpec pow;
-};
-
-/// Calibrated defaults shared by every bench (single source of truth).
-[[nodiscard]] ExperimentOptions default_options();
+/// The former name of ScenarioSpec, kept only because perfbench/driver.cpp
+/// still uses it; delete it together with that use (ROADMAP item 3).
+using ExperimentOptions = ScenarioSpec;
 
 /// Per-phase consensus time, read back from the telemetry registry's
 /// pbft.phase.* histograms (summed seconds over all executed blocks on all
@@ -111,51 +83,50 @@ struct ExperimentResult {
 [[nodiscard]] ExperimentResult finish_result(Deployment& deployment,
                                              const LatencyRecorder& recorder);
 
-/// The ScenarioSpec a latency experiment deploys: `nodes` protocol nodes,
-/// one proposing client per node, calibrated engine/net/committee pieces.
-/// (G-PBFT seeds the genesis roster at min(nodes, committee.max): the
-/// paper's Fig. 3b steady state, with era switches still running.)
+/// The ScenarioSpec a latency experiment deploys: `base` with `nodes`
+/// protocol nodes and one proposing client per node. (G-PBFT seeds the
+/// genesis roster at min(nodes, committee.max): the paper's Fig. 3b steady
+/// state, with era switches still running.)
 [[nodiscard]] ScenarioSpec latency_scenario(ProtocolKind protocol, std::size_t nodes,
-                                            const ExperimentOptions& options);
+                                            const ScenarioSpec& base);
 
 // --- latency (Figs. 3a, 3b, 4; Tables III-IV) ---------------------------------------
 
 /// Runs the constant-frequency workload against the protocol's deployment
 /// and measures per-transaction consensus latency.
 [[nodiscard]] ExperimentResult run_latency(ProtocolKind protocol, std::size_t nodes,
-                                           const ExperimentOptions& options);
+                                           const ScenarioSpec& base);
 
 [[nodiscard]] ExperimentResult run_pbft_latency(std::size_t nodes,
-                                                const ExperimentOptions& options);
+                                                const ScenarioSpec& base);
 [[nodiscard]] ExperimentResult run_gpbft_latency(std::size_t nodes,
-                                                 const ExperimentOptions& options);
+                                                 const ScenarioSpec& base);
 /// dBFT: min(nodes, dbft.delegates) genesis delegates, NEO-style pacing.
 [[nodiscard]] ExperimentResult run_dbft_latency(std::size_t nodes,
-                                                const ExperimentOptions& options);
+                                                const ScenarioSpec& base);
 /// PoW: a transaction counts once it reaches pow.confirmations depth on any
 /// miner's best chain. hashes_computed reports total mining work.
 [[nodiscard]] ExperimentResult run_pow_latency(std::size_t nodes,
-                                               const ExperimentOptions& options);
+                                               const ScenarioSpec& base);
 
 // --- communication cost (Figs. 5a, 5b, 6; Table III) -------------------------------
 
 [[nodiscard]] ExperimentResult run_pbft_single_tx(std::size_t nodes,
-                                                  const ExperimentOptions& options);
+                                                  const ScenarioSpec& base);
 [[nodiscard]] ExperimentResult run_gpbft_single_tx(std::size_t nodes,
-                                                   const ExperimentOptions& options);
+                                                   const ScenarioSpec& base);
 
 /// Repeats a runner over `runs` seeds and merges all per-transaction
 /// latency samples into one distribution (Fig. 3 draws boxplots over ten
 /// runs per node count). Byte costs are averaged across runs.
 template <typename Runner>
 [[nodiscard]] ExperimentResult repeat_runs(Runner&& runner, std::size_t nodes,
-                                           const ExperimentOptions& base_options,
-                                           std::size_t runs) {
+                                           const ScenarioSpec& base, std::size_t runs) {
   ExperimentResult merged{};
   for (std::size_t r = 0; r < runs; ++r) {
-    ExperimentOptions options = base_options;
-    options.seed = base_options.seed * 7919 + r + 1;
-    ExperimentResult result = runner(nodes, options);
+    ScenarioSpec spec = base;
+    spec.seed = base.seed * 7919 + r + 1;
+    ExperimentResult result = runner(nodes, spec);
     merged.nodes = result.nodes;
     merged.committee = result.committee;
     merged.latency_samples.insert(merged.latency_samples.end(), result.latency_samples.begin(),

@@ -54,10 +54,11 @@ enum class ArrivalProcess { Constant, Poisson, Burst, Diurnal };
 /// Parses "constant" / "poisson" / "burst" / "diurnal".
 [[nodiscard]] Result<ArrivalProcess> arrival_from_name(const std::string& name);
 
-/// Constant-frequency client workload (§V-B: every device proposes at a
-/// fixed rate). Mirrors WorkloadConfig plus the client-retransmission
-/// switch: measurement runs disable retries so REQUEST traffic matches the
-/// paper's loss-free testbed; chaos runs keep them on.
+/// Client workload (§V-B: every device proposes at a fixed rate). The
+/// PerClient fields drive sim::schedule_workload; `client_retries` is the
+/// client-retransmission switch: measurement runs disable retries so
+/// REQUEST traffic matches the paper's loss-free testbed; chaos runs keep
+/// them on.
 struct WorkloadSpec {
   std::uint64_t txs_per_client{12};
   Duration period = Duration::seconds(5);

@@ -26,7 +26,7 @@ namespace {
 struct WorkloadDriver {
   pbft::Client* client{nullptr};
   geo::GeoPoint location;
-  WorkloadConfig config;
+  WorkloadSpec workload;
   std::uint64_t client_index{0};
   RequestId next_request{1};
   std::uint64_t submitted{0};
@@ -41,22 +41,22 @@ struct WorkloadDriver {
 // whole submission stream.
 void step(const std::shared_ptr<WorkloadDriver>& driver, net::Simulator& sim) {
   if (driver->gated && driver->alive.expired()) return;  // deployment stopped
-  if (driver->submitted >= driver->config.count) return;
+  if (driver->submitted >= driver->workload.txs_per_client) return;
   const ledger::Transaction tx =
       make_workload_tx(driver->client->id(), driver->next_request++, driver->location, sim.now(),
-                       driver->config.payload_bytes, driver->config.fee, driver->client_index);
+                       driver->workload.payload_bytes, driver->workload.fee, driver->client_index);
   if (driver->on_submit) driver->on_submit(tx);
   driver->client->submit(tx);
   ++driver->submitted;
-  if (driver->submitted < driver->config.count) {
-    sim.schedule(driver->config.period, [driver, &sim]() { step(driver, sim); });
+  if (driver->submitted < driver->workload.txs_per_client) {
+    sim.schedule(driver->workload.period, [driver, &sim]() { step(driver, sim); });
   }
 }
 
 }  // namespace
 
 void schedule_workload(net::Simulator& sim, pbft::Client& client, const geo::GeoPoint& location,
-                       const WorkloadConfig& config, std::uint64_t client_index,
+                       const WorkloadSpec& workload, std::uint64_t client_index,
                        LatencyRecorder* recorder,
                        std::function<void(const ledger::Transaction&)> on_submit,
                        std::shared_ptr<const bool> alive) {
@@ -70,7 +70,7 @@ void schedule_workload(net::Simulator& sim, pbft::Client& client, const geo::Geo
   auto driver = std::make_shared<WorkloadDriver>();
   driver->client = &client;
   driver->location = location;
-  driver->config = config;
+  driver->workload = workload;
   driver->client_index = client_index;
   driver->on_submit = std::move(on_submit);
   if (alive != nullptr) {
@@ -78,8 +78,8 @@ void schedule_workload(net::Simulator& sim, pbft::Client& client, const geo::Geo
     driver->alive = alive;
   }
 
-  const TimePoint first =
-      TimePoint{config.start.ns + config.stagger.ns * static_cast<std::int64_t>(client_index)};
+  const TimePoint first = TimePoint{workload.start.ns +
+                                    workload.stagger.ns * static_cast<std::int64_t>(client_index)};
   sim.schedule_at(first, [driver, &sim]() { step(driver, sim); });
 }
 

@@ -389,9 +389,9 @@ TEST(Endorser, ChainsConsistentAcrossCommittee) {
   GpbftCluster cluster(fast_spec(8, 4));
   cluster.start();
   LatencyRecorder recorder;
-  WorkloadConfig workload;
+  WorkloadSpec workload;
   workload.period = Duration::seconds(2);
-  workload.count = 10;
+  workload.txs_per_client = 10;
   schedule_workload(cluster.simulator(), cluster.client(0), cluster.placement().position(0),
                     workload, 0, &recorder);
   cluster.run_for(Duration::seconds(45));

@@ -8,20 +8,20 @@
 namespace gpbft::sim {
 namespace {
 
-ExperimentOptions quick_options() {
-  ExperimentOptions options = default_options();
+ScenarioSpec quick_options() {
+  ScenarioSpec options = default_options();
   options.workload.txs_per_client = 3;
   options.workload.period = Duration::seconds(2);
   options.committee.max = 10;  // small cap so the effect shows at small n
   options.committee.min = 4;
   options.committee.era_period = Duration::seconds(15);
   options.geo.window = options.committee.era_period;
-  options.hard_deadline = Duration::seconds(600);
+  options.deadline = Duration::seconds(600);
   return options;
 }
 
 TEST(Integration, GpbftCommitteeCapsAtMaximum) {
-  const ExperimentOptions options = quick_options();
+  const ScenarioSpec options = quick_options();
   EXPECT_EQ(run_gpbft_latency(6, options).committee, 6u);
   EXPECT_EQ(run_gpbft_latency(10, options).committee, 10u);
   EXPECT_EQ(run_gpbft_latency(25, options).committee, 10u);  // capped
@@ -30,7 +30,7 @@ TEST(Integration, GpbftCommitteeCapsAtMaximum) {
 TEST(Integration, SmallNetworksBehaveAlike) {
   // Below the cap, G-PBFT *is* PBFT over the same committee (Fig. 3b:
   // "the consensus latency increases just like that in the PBFT").
-  ExperimentOptions options = quick_options();
+  ScenarioSpec options = quick_options();
   const ExperimentResult pbft = run_pbft_latency(7, options);
   const ExperimentResult gpbft = run_gpbft_latency(7, options);
   ASSERT_EQ(pbft.committed, pbft.expected);
@@ -42,7 +42,7 @@ TEST(Integration, SmallNetworksBehaveAlike) {
 }
 
 TEST(Integration, GpbftLatencyFlatBeyondCap) {
-  ExperimentOptions options = quick_options();
+  ScenarioSpec options = quick_options();
   const ExperimentResult at_cap = run_gpbft_latency(10, options);
   const ExperimentResult beyond = run_gpbft_latency(30, options);
   ASSERT_EQ(beyond.committed, beyond.expected);
@@ -52,7 +52,7 @@ TEST(Integration, GpbftLatencyFlatBeyondCap) {
 }
 
 TEST(Integration, PbftLatencyGrowsWithNetwork) {
-  ExperimentOptions options = quick_options();
+  ScenarioSpec options = quick_options();
   const ExperimentResult small = run_pbft_latency(7, options);
   const ExperimentResult large = run_pbft_latency(28, options);
   ASSERT_EQ(small.committed, small.expected);
@@ -62,7 +62,7 @@ TEST(Integration, PbftLatencyGrowsWithNetwork) {
 
 TEST(Integration, GpbftBeatsPbftBeyondCap) {
   // The headline claim at miniature scale.
-  ExperimentOptions options = quick_options();
+  ScenarioSpec options = quick_options();
   const ExperimentResult pbft = run_pbft_latency(30, options);
   const ExperimentResult gpbft = run_gpbft_latency(30, options);
   ASSERT_EQ(gpbft.committed, gpbft.expected);
@@ -70,7 +70,7 @@ TEST(Integration, GpbftBeatsPbftBeyondCap) {
 }
 
 TEST(Integration, CommCostFlatForGpbftGrowingForPbft) {
-  ExperimentOptions options = quick_options();
+  ScenarioSpec options = quick_options();
   const ExperimentResult pbft_small = run_pbft_single_tx(8, options);
   const ExperimentResult pbft_large = run_pbft_single_tx(32, options);
   const ExperimentResult gpbft_small = run_gpbft_single_tx(8, options);
@@ -88,7 +88,7 @@ TEST(Integration, CommCostQuadraticFactorMatchesTheory) {
   // §IV-C: cost reduction ~ c^2/n^2. With n = 32, c = 10 the predicted
   // ratio is ~9.8%; allow generous tolerance for client traffic and the
   // small-committee constant terms.
-  ExperimentOptions options = quick_options();
+  ScenarioSpec options = quick_options();
   const ExperimentResult pbft = run_pbft_single_tx(32, options);
   const ExperimentResult gpbft = run_gpbft_single_tx(32, options);
   const double ratio = gpbft.consensus_kb / pbft.consensus_kb;
@@ -99,7 +99,7 @@ TEST(Integration, CommCostQuadraticFactorMatchesTheory) {
 
 TEST(Integration, AllTransactionsCommitUnderChurnLoad) {
   // Era switches during a loaded run never lose transactions.
-  ExperimentOptions options = quick_options();
+  ScenarioSpec options = quick_options();
   options.committee.era_period = Duration::seconds(8);
   options.geo.window = options.committee.era_period;
   options.workload.txs_per_client = 4;
@@ -108,7 +108,7 @@ TEST(Integration, AllTransactionsCommitUnderChurnLoad) {
 }
 
 TEST(Integration, DbftCommitsWithBlockPacingLatency) {
-  ExperimentOptions options = quick_options();
+  ScenarioSpec options = quick_options();
   options.workload.txs_per_client = 2;
   options.dbft.block_interval = Duration::seconds(5);
   const ExperimentResult result = run_dbft_latency(10, options);
@@ -120,11 +120,11 @@ TEST(Integration, DbftCommitsWithBlockPacingLatency) {
 }
 
 TEST(Integration, PowConfirmsWithProbabilisticLatency) {
-  ExperimentOptions options = quick_options();
+  ScenarioSpec options = quick_options();
   options.workload.txs_per_client = 1;
   options.pow.block_interval = Duration::seconds(5);
   options.pow.confirmations = 2;
-  options.hard_deadline = Duration::seconds(2000);
+  options.deadline = Duration::seconds(2000);
   const ExperimentResult result = run_pow_latency(8, options);
   EXPECT_EQ(result.committed, result.expected);
   // Multiple block intervals to confirmation, and real hash work spent.
@@ -133,12 +133,12 @@ TEST(Integration, PowConfirmsWithProbabilisticLatency) {
 }
 
 TEST(Integration, GpbftFasterThanBothBaselines) {
-  ExperimentOptions options = quick_options();
+  ScenarioSpec options = quick_options();
   options.workload.txs_per_client = 2;
   options.pow.block_interval = Duration::seconds(5);
   options.pow.confirmations = 2;
   options.dbft.block_interval = Duration::seconds(5);
-  options.hard_deadline = Duration::seconds(2000);
+  options.deadline = Duration::seconds(2000);
 
   const double gpbft = run_gpbft_latency(12, options).latency.mean;
   const double dbft = run_dbft_latency(12, options).latency.mean;
@@ -150,9 +150,9 @@ TEST(Integration, GpbftFasterThanBothBaselines) {
 TEST(Integration, ProcessingRateScalesLatency) {
   // §IV-B: consensus time ~ O(n/s). Halving s should roughly double the
   // queue-free consensus latency.
-  ExperimentOptions options = quick_options();
+  ScenarioSpec options = quick_options();
   options.workload.txs_per_client = 1;
-  ExperimentOptions slow = options;
+  ScenarioSpec slow = options;
   slow.net.processing_rate_msgs_per_sec = options.net.processing_rate_msgs_per_sec / 2;
   const ExperimentResult fast_run = run_pbft_latency(10, options);
   const ExperimentResult slow_run = run_pbft_latency(10, slow);

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <functional>
+#include <map>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -214,11 +217,13 @@ TEST(Network, AccountsBytesPerNodeAndType) {
   const NetStats& stats = network.stats();
   EXPECT_EQ(stats.total_messages, 2u);
   EXPECT_EQ(stats.total_bytes, 10u + 20u + 2 * Envelope::kHeaderBytes);
-  EXPECT_EQ(stats.bytes_by_type.at(5), 10u + Envelope::kHeaderBytes);
-  EXPECT_EQ(stats.bytes_by_type.at(6), 20u + Envelope::kHeaderBytes);
-  EXPECT_EQ(stats.per_node.at(NodeId{1}).messages_sent, 2u);
-  EXPECT_EQ(stats.per_node.at(NodeId{2}).messages_received, 2u);
-  EXPECT_EQ(stats.per_node.at(NodeId{2}).bytes_received, stats.total_bytes);
+  EXPECT_EQ(stats.of_type(5), (TypeTraffic{.messages = 1, .bytes = 10u + Envelope::kHeaderBytes}));
+  EXPECT_EQ(stats.of_type(6), (TypeTraffic{.messages = 1, .bytes = 20u + Envelope::kHeaderBytes}));
+  EXPECT_EQ(stats.of_type(7), TypeTraffic{});
+  EXPECT_EQ(network.traffic_of(NodeId{1}).messages_sent, 2u);
+  EXPECT_EQ(network.traffic_of(NodeId{2}).messages_received, 2u);
+  EXPECT_EQ(network.traffic_of(NodeId{2}).bytes_received, stats.total_bytes);
+  EXPECT_EQ(network.traffic_of(NodeId{9}), NodeTraffic{});
 }
 
 TEST(Network, BroadcastSkipsSelf) {
@@ -303,26 +308,6 @@ TEST(Network, PartitionSeparatesGroups) {
   EXPECT_EQ(c.received.size(), 1u);
 }
 
-TEST(Network, BlockedLinkIsOneWay) {
-  Simulator sim(1);
-  Network network(sim, quiet_config());
-  RecordingNode a(NodeId{1}), b(NodeId{2});
-  network.attach(&a);
-  network.attach(&b);
-
-  network.block_link(NodeId{1}, NodeId{2});
-  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{1}});
-  network.send(Envelope{NodeId{2}, NodeId{1}, 1, Bytes{1}});
-  sim.run();
-  EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(a.received.size(), 1u);
-
-  network.unblock_link(NodeId{1}, NodeId{2});
-  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{1}});
-  sim.run();
-  EXPECT_EQ(b.received.size(), 1u);
-}
-
 TEST(Network, DetachedNodeCountsAsDrop) {
   Simulator sim(1);
   Network network(sim, quiet_config());
@@ -343,8 +328,9 @@ TEST(Network, ResetStatsClears) {
   sim.run();
   EXPECT_GT(network.stats().total_bytes, 0u);
   network.reset_stats();
-  EXPECT_EQ(network.stats().total_bytes, 0u);
-  EXPECT_TRUE(network.stats().per_node.empty());
+  EXPECT_EQ(network.stats(), NetStats{});
+  EXPECT_EQ(network.traffic_of(NodeId{1}), NodeTraffic{});
+  EXPECT_EQ(network.traffic_of(NodeId{2}), NodeTraffic{});
 }
 
 // --- per-link fault rules ------------------------------------------------------------
@@ -374,9 +360,11 @@ TEST(Network, LinkFaultLossDropsOnlyThatLink) {
     network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{1}});
     network.send(Envelope{NodeId{1}, NodeId{3}, 1, Bytes{1}});
   }
+  network.send(Envelope{NodeId{2}, NodeId{1}, 1, Bytes{1}});  // the rule is one-way
   sim.run();
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(c.received.size(), 5u);
+  EXPECT_EQ(a.received.size(), 1u);
   EXPECT_EQ(network.stats().dropped_messages, 5u);
 
   network.clear_link_fault(NodeId{1}, NodeId{2});
@@ -507,9 +495,9 @@ TEST(Network, RecoverResetsProcessingBacklog) {
 }
 
 TEST(Network, BlockedLinkDoesNotPerturbDropDecisionsElsewhere) {
-  // Fault decisions live on a dedicated RNG stream and are drawn before the
-  // blocked/partition checks, so toggling a block on one link must not
-  // change which messages the global drop rate kills on another.
+  // Fault decisions live on a dedicated RNG stream, and a loss-1 rule
+  // decides without a draw, so blocking one link must not change which
+  // messages the global drop rate kills on another.
   auto delivered_to_b = [](bool block_third_link) {
     Simulator sim(7);
     NetConfig config = quiet_config();
@@ -520,7 +508,7 @@ TEST(Network, BlockedLinkDoesNotPerturbDropDecisionsElsewhere) {
     network.attach(&a);
     network.attach(&b);
     network.attach(&c);
-    if (block_third_link) network.block_link(NodeId{1}, NodeId{3});
+    if (block_third_link) network.set_link_fault(NodeId{1}, NodeId{3}, LinkFault{.loss = 1.0});
     std::vector<std::uint8_t> order;
     struct Sink : INetNode {
       NodeId node_id;
@@ -565,53 +553,6 @@ TEST(Network, LinkFaultsDeterministicAcrossIdenticalRuns) {
   };
   EXPECT_EQ(run_once(5), run_once(5));
   EXPECT_NE(run_once(5), run_once(6));
-}
-
-TEST(Network, DropAccountingMatchesTelemetry) {
-  // Every drop path — send-time fault, receiver crashed at arrival,
-  // receiver crashed between arrival and processing-done, receiver
-  // detached — must move NetStats::dropped_messages and the
-  // `net.msgs_dropped` counter together. Delivery-time drops used to skip
-  // the counter, so metrics JSONL undercounted relative to NetStats.
-  Simulator sim(1);
-  Network network(sim, quiet_config());
-  obs::Telemetry telemetry;
-  network.set_telemetry(telemetry);
-  RecordingNode a(NodeId{1}), b(NodeId{2}), c(NodeId{3});
-  network.attach(&a);
-  network.attach(&b);
-  network.attach(&c);
-
-  // Two send-time drops.
-  network.set_drop_rate(1.0);
-  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{1}});
-  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{2}});
-  network.set_drop_rate(0.0);
-
-  // Receiver crashed before arrival: dropped at the arrival instant.
-  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{3}});
-  network.crash(NodeId{2});
-  sim.run();
-  network.recover(NodeId{2});
-
-  // Receiver crashes after arrival but before processing completes
-  // (arrival at 2 ms, done at 3 ms): dropped at the done instant.
-  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{4}});
-  sim.run_until(sim.now() + Duration::micros(2500));
-  network.crash(NodeId{2});
-  sim.run();
-  network.recover(NodeId{2});
-
-  // Receiver detached mid-flight.
-  network.send(Envelope{NodeId{1}, NodeId{3}, 1, Bytes{5}});
-  network.detach(NodeId{3});
-  sim.run();
-
-  EXPECT_EQ(network.stats().dropped_messages, 5u);
-  EXPECT_EQ(telemetry.metrics().counter_total("net.msgs_dropped"),
-            network.stats().dropped_messages);
-  EXPECT_TRUE(b.received.empty());
-  EXPECT_TRUE(c.received.empty());
 }
 
 TEST(Network, DetachClearsPerNodeDegradation) {
@@ -702,8 +643,8 @@ TEST(Network, DetachAndAttachKeepCrashFlagPartitionGroupCountsAndEarlyRate) {
 
   network.crash(NodeId{2});
   network.detach(NodeId{2});
-  EXPECT_EQ(network.stats().per_node.at(NodeId{2}).messages_received, 1u);
-  EXPECT_EQ(network.stats().per_node.at(NodeId{1}).messages_sent, 1u);
+  EXPECT_EQ(network.traffic_of(NodeId{2}).messages_received, 1u);
+  EXPECT_EQ(network.traffic_of(NodeId{1}).messages_sent, 1u);
   RecordingNode b_rebuilt(NodeId{2});
   network.attach(&b_rebuilt);
   EXPECT_TRUE(network.is_crashed(NodeId{2}));
@@ -729,7 +670,7 @@ TEST(Network, DetachAndAttachKeepCrashFlagPartitionGroupCountsAndEarlyRate) {
   network.send(Envelope{NodeId{1}, NodeId{3}, 1, Bytes{5}});
   sim.run();
   EXPECT_EQ(c_rebuilt.received.size(), 1u);
-  EXPECT_EQ(network.stats().per_node.at(NodeId{2}).messages_received, 3u);
+  EXPECT_EQ(network.traffic_of(NodeId{2}).messages_received, 3u);
 }
 
 TEST(Network, DuplicatedAndDroppedMessageLeavesNoGhost) {
@@ -837,7 +778,7 @@ TEST(Network, ReplaceModeMutatesTheDeliveredEnvelope) {
   ASSERT_EQ(b.received.size(), 1u);
   EXPECT_NE(b.received[0].payload, (Bytes{1, 2, 3, 4}));
   EXPECT_EQ(network.stats().tampered_messages, 1u);
-  EXPECT_EQ(network.stats().per_node.at(NodeId{2}).messages_received, 1u);
+  EXPECT_EQ(network.traffic_of(NodeId{2}).messages_received, 1u);
 }
 
 TEST(Network, InjectModeDeliversGhostAlongsideOriginal) {
@@ -858,7 +799,7 @@ TEST(Network, InjectModeDeliversGhostAlongsideOriginal) {
                       static_cast<int>(b.received[1].payload == Bytes{1, 2, 3, 4});
   EXPECT_EQ(genuine, 1);
   EXPECT_EQ(network.stats().tampered_messages, 1u);
-  EXPECT_EQ(network.stats().per_node.at(NodeId{2}).messages_received, 2u);
+  EXPECT_EQ(network.traffic_of(NodeId{2}).messages_received, 2u);
 }
 
 TEST(Network, ReplayRedeliversGenuineBytes) {
@@ -931,28 +872,116 @@ TEST(Network, TamperDeterministicAcrossIdenticalRuns) {
   EXPECT_LT(tampered, 40u);
 }
 
-TEST(Network, RejectionAccountingMatchesTelemetry) {
-  // note_rejected must move NetStats::rejected_messages, the per-type map,
-  // and the `net.msgs_rejected` telemetry counters (total + per-type) in
-  // lockstep — the reject-side mirror of drop accounting.
+/// Every `net.*` counter row of a registry, as (name, node) -> value.
+std::map<std::pair<std::string, std::uint64_t>, std::uint64_t> net_counter_rows(
+    const obs::Registry& registry) {
+  std::map<std::pair<std::string, std::uint64_t>, std::uint64_t> rows;
+  const std::string prefix = "{\"kind\":\"counter\",\"name\":\"";
+  std::istringstream lines(registry.to_jsonl());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(prefix + "net.", 0) != 0) continue;
+    const std::size_t name_end = line.find('"', prefix.size());
+    unsigned long long node = 0;
+    unsigned long long value = 0;
+    EXPECT_EQ(std::sscanf(line.c_str() + name_end, "\",\"node\":%llu,\"value\":%llu}", &node,
+                          &value),
+              2)
+        << line;
+    rows[{line.substr(prefix.size(), name_end - prefix.size()), node}] = value;
+  }
+  return rows;
+}
+
+TEST(Network, PublishedMetricsEqualTheCounts) {
+  // The network keeps one set of counts; publish_metrics() writes the
+  // `net.*` rows from it and nothing else writes them.
   Simulator sim(1);
   Network network(sim, quiet_config());
   obs::Telemetry telemetry;
   network.set_telemetry(telemetry);
+  RecordingNode a(NodeId{1}), b(NodeId{2}), c(NodeId{3});
+  network.attach(&a);
+  network.attach(&b);
+  network.attach(&c);
 
-  network.note_rejected(3);
-  network.note_rejected(3);
-  network.note_rejected(4);
+  // Two senders, two types.
+  network.send(Envelope{NodeId{1}, NodeId{2}, 5, Bytes(10, 0)});
+  network.send(Envelope{NodeId{3}, NodeId{2}, 6, Bytes(20, 0)});
+  // A send-time drop on a lost link.
+  network.set_link_fault(NodeId{1}, NodeId{3}, LinkFault{.loss = 1.0});
+  network.send(Envelope{NodeId{1}, NodeId{3}, 5, Bytes{1}});
+  network.clear_link_fault(NodeId{1}, NodeId{3});
+  // A duplicate: two deliveries of one send.
+  network.set_link_fault(NodeId{3}, NodeId{1}, LinkFault{.duplicate = 1.0});
+  network.send(Envelope{NodeId{3}, NodeId{1}, 6, Bytes{2}});
+  network.clear_link_fault(NodeId{3}, NodeId{1});
+  // A Replace-mode tamper: the mutant is delivered in the original's place.
+  network.set_tamper(bitflip_only_rule(TamperRule::Mode::Replace));
+  network.send(Envelope{NodeId{1}, NodeId{2}, 5, Bytes{1, 2, 3, 4}});
+  network.clear_tamper();
+  sim.run();
 
-  EXPECT_EQ(network.stats().rejected_messages, 3u);
-  EXPECT_EQ(network.stats().rejected_by_type.at(3), 2u);
-  EXPECT_EQ(network.stats().rejected_by_type.at(4), 1u);
-  EXPECT_EQ(telemetry.metrics().counter_total("net.msgs_rejected"),
-            network.stats().rejected_messages);
-  EXPECT_EQ(telemetry.metrics().counter_total("net.msgs_rejected." + telemetry.message_name(3)),
-            2u);
-  EXPECT_EQ(telemetry.metrics().counter_total("net.msgs_rejected." + telemetry.message_name(4)),
-            1u);
+  // Receiver crashed before arrival: dropped at the arrival instant.
+  network.send(Envelope{NodeId{1}, NodeId{2}, 5, Bytes{3}});
+  network.crash(NodeId{2});
+  sim.run();
+  network.recover(NodeId{2});
+  // Receiver crashes after arrival (2 ms) but before processing is done
+  // (3 ms): dropped at the done instant.
+  network.send(Envelope{NodeId{1}, NodeId{2}, 6, Bytes{4}});
+  sim.run_until(sim.now() + Duration::micros(2500));
+  network.crash(NodeId{2});
+  sim.run();
+  network.recover(NodeId{2});
+
+  // Rejections, two of them of a type nobody sent.
+  network.note_rejected(9);
+  network.note_rejected(9);
+  network.note_rejected(5);
+
+  const NetStats& stats = network.stats();
+  EXPECT_EQ(stats.total_messages, 7u);
+  EXPECT_EQ(stats.dropped_messages, 3u);
+  EXPECT_EQ(stats.duplicated_messages, 1u);
+  EXPECT_EQ(stats.tampered_messages, 1u);
+  EXPECT_EQ(stats.rejected_messages, 3u);
+  EXPECT_EQ(stats.of_type(5).messages, 4u);
+  EXPECT_EQ(stats.of_type(5).rejected, 1u);
+  EXPECT_EQ(stats.of_type(6).messages, 3u);
+  EXPECT_EQ(stats.of_type(9), (TypeTraffic{.rejected = 2}));
+  EXPECT_EQ(network.traffic_of(NodeId{1}).messages_sent, 5u);
+  EXPECT_EQ(network.traffic_of(NodeId{1}).messages_received, 2u);
+  EXPECT_EQ(network.traffic_of(NodeId{2}).messages_received, 3u);
+  EXPECT_EQ(network.traffic_of(NodeId{3}).messages_sent, 2u);
+
+  EXPECT_TRUE(net_counter_rows(telemetry.metrics()).empty());
+  network.publish_metrics();
+
+  std::map<std::pair<std::string, std::uint64_t>, std::uint64_t> expected = {
+      {{"net.msgs_dropped", 0}, stats.dropped_messages},
+      {{"net.msgs_duplicated", 0}, stats.duplicated_messages},
+      {{"net.msgs_tampered", 0}, stats.tampered_messages},
+      {{"net.msgs_rejected", 0}, stats.rejected_messages},
+      {{"net.msgs_rejected." + telemetry.message_name(5), 0}, stats.of_type(5).rejected},
+      {{"net.msgs_rejected." + telemetry.message_name(9), 0}, stats.of_type(9).rejected},
+  };
+  for (const MessageType type : {5, 6}) {
+    expected[{"net.msgs." + telemetry.message_name(type), 0}] = stats.of_type(type).messages;
+    expected[{"net.bytes." + telemetry.message_name(type), 0}] = stats.of_type(type).bytes;
+  }
+  for (const NodeId id : {NodeId{1}, NodeId{2}, NodeId{3}}) {
+    const NodeTraffic traffic = network.traffic_of(id);
+    expected[{"net.msgs_sent", id.value}] = traffic.messages_sent;
+    expected[{"net.bytes_sent", id.value}] = traffic.bytes_sent;
+    expected[{"net.msgs_received", id.value}] = traffic.messages_received;
+    expected[{"net.bytes_received", id.value}] = traffic.bytes_received;
+  }
+  EXPECT_EQ(net_counter_rows(telemetry.metrics()), expected);
+  EXPECT_EQ(telemetry.metrics().find_counter("net.msgs." + telemetry.message_name(9)), nullptr);
+
+  const std::string published = telemetry.metrics().to_jsonl();
+  network.publish_metrics();
+  EXPECT_EQ(telemetry.metrics().to_jsonl(), published);
 }
 
 // --- event core -------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -268,6 +269,8 @@ struct RunArtifacts {
   std::string metrics;
   std::string trace;
   std::vector<crypto::Hash256> block_hashes;
+  net::NetStats stats;
+  std::vector<net::NodeTraffic> traffic;  // nodes, then clients
 };
 
 RunArtifacts run_once(bool telemetry_enabled) {
@@ -290,6 +293,13 @@ RunArtifacts run_once(bool telemetry_enabled) {
   for (Height h = 0; h <= chain.height(); ++h) {
     artifacts.block_hashes.push_back(chain.at(h).hash());
   }
+  artifacts.stats = deployment->stats();
+  for (std::uint64_t id = 1; id <= spec.nodes; ++id) {
+    artifacts.traffic.push_back(deployment->network().traffic_of(NodeId{id}));
+  }
+  for (std::size_t i = 0; i < deployment->client_count(); ++i) {
+    artifacts.traffic.push_back(deployment->network().traffic_of(deployment->client(i).id()));
+  }
   return artifacts;
 }
 
@@ -308,6 +318,23 @@ TEST(ObsDeterminism, DisablingTelemetryLeavesChainsUnchanged) {
   const RunArtifacts without = run_once(/*telemetry_enabled=*/false);
   ASSERT_FALSE(with.block_hashes.empty());
   EXPECT_EQ(with.block_hashes, without.block_hashes);
+  // The network counts the same with metrics off: they are its own, and
+  // only the export reads them.
+  EXPECT_GT(with.stats.total_messages, 0u);
+  EXPECT_EQ(with.stats, without.stats);
+  EXPECT_EQ(with.traffic, without.traffic);
+  EXPECT_NE(with.traffic.front(), net::NodeTraffic{});
+}
+
+/// Sum of every counter row whose name starts with `prefix`.
+std::uint64_t counter_prefix_sum(const obs::Registry& reg, const std::string& prefix) {
+  const std::string head = "{\"kind\":\"counter\",\"name\":\"" + prefix;
+  std::uint64_t sum = 0;
+  std::istringstream lines(reg.to_jsonl());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind(head, 0) == 0) sum += std::stoull(line.substr(line.rfind(':') + 1));
+  }
+  return sum;
 }
 
 TEST(ObsDeployment, RegistryCarriesProtocolAndNetworkFamilies) {
@@ -332,6 +359,10 @@ TEST(ObsDeployment, RegistryCarriesProtocolAndNetworkFamilies) {
   const obs::Histogram latency = reg.histogram_total("client.request_seconds");
   EXPECT_EQ(latency.count, deployment->committed_count());
   ASSERT_NE(reg.find_counter("net.msgs_sent", NodeId{1}), nullptr);
+  // Each send is in exactly one per-type row.
+  EXPECT_EQ(counter_prefix_sum(reg, "net.msgs."), deployment->stats().total_messages);
+  EXPECT_EQ(counter_prefix_sum(reg, "net.bytes."), deployment->stats().total_bytes);
+  EXPECT_EQ(reg.counter_total("net.msgs_sent"), deployment->stats().total_messages);
 }
 
 // --- satellite: invariant monitor reads tallies from the registry --------------

@@ -170,7 +170,10 @@ TEST(PbftReplica, ViewChangeOnCrashedPrimary) {
 
   EXPECT_EQ(cluster.client(0).committed_count(), 1u);
   EXPECT_GE(cluster.replica(1).view(), 1u);
-  EXPECT_GE(cluster.replica(1).completed_view_changes(), 1u);
+  const obs::Counter* completed = cluster.telemetry().metrics().find_counter(
+      "pbft.view_changes_completed", cluster.replica(1).id());
+  ASSERT_NE(completed, nullptr);
+  EXPECT_GE(completed->value, 1u);
   EXPECT_EQ(cluster.replica(1).chain().height(), 1u);
   EXPECT_EQ(cluster.replica(2).chain().tip().hash(), cluster.replica(1).chain().tip().hash());
 }
@@ -369,7 +372,8 @@ TEST(PbftReplica, ReplyCacheAnswersRetransmissions) {
   const ledger::Transaction tx = tx_from(cluster, 0, 1);
   // Block all replica->client links so the first round of replies is lost.
   for (std::size_t i = 0; i < 4; ++i) {
-    cluster.network().block_link(cluster.replica(i).id(), cluster.client(0).id());
+    cluster.network().set_link_fault(cluster.replica(i).id(), cluster.client(0).id(),
+                                     net::LinkFault{.loss = 1.0});
   }
   cluster.client(0).submit(tx);
   cluster.run_for(Duration::seconds(5));
@@ -377,7 +381,7 @@ TEST(PbftReplica, ReplyCacheAnswersRetransmissions) {
   ASSERT_EQ(cluster.client(0).committed_count(), 0u);  // ...but unseen
 
   for (std::size_t i = 0; i < 4; ++i) {
-    cluster.network().unblock_link(cluster.replica(i).id(), cluster.client(0).id());
+    cluster.network().clear_link_fault(cluster.replica(i).id(), cluster.client(0).id());
   }
   cluster.client(0).submit(tx);  // retransmission
   cluster.run_for(Duration::seconds(5));
@@ -393,12 +397,13 @@ TEST(PbftReplica, ClientRetransmitsAutomatically) {
 
   // Lose the entire first submission (all links client->replicas blocked).
   for (std::size_t i = 0; i < 4; ++i) {
-    cluster.network().block_link(cluster.client(0).id(), cluster.replica(i).id());
+    cluster.network().set_link_fault(cluster.client(0).id(), cluster.replica(i).id(),
+                                     net::LinkFault{.loss = 1.0});
   }
   cluster.client(0).submit(tx_from(cluster, 0, 1));
   cluster.run_for(Duration::seconds(2));
   for (std::size_t i = 0; i < 4; ++i) {
-    cluster.network().unblock_link(cluster.client(0).id(), cluster.replica(i).id());
+    cluster.network().clear_link_fault(cluster.client(0).id(), cluster.replica(i).id());
   }
   // No manual resubmission: the retry tick must deliver it.
   cluster.run_for(Duration::seconds(15));
@@ -528,7 +533,7 @@ TEST(PbftReplica, StashedCommitsCountForTheirSealedSender) {
   }
   // Past the first tick (request_timeout / 4), which runs the sync check.
   cluster.run_for(cluster.spec().engine.request_timeout / 4 + Duration::millis(500));
-  EXPECT_EQ(cluster.network().stats().bytes_by_type.count(pbft::msg_type::kSyncRequest), 0u);
+  EXPECT_EQ(cluster.network().stats().of_type(pbft::msg_type::kSyncRequest).messages, 0u);
 }
 
 TEST(PbftReplica, ClientCountsRepliesBySealedSender) {

@@ -114,7 +114,8 @@ TEST(PerfParity, FaultyNetworkRunIsBitIdentical) {
   // rewrote the hot path: delivery-time drops (receiver crashed/detached
   // between send and processing) used to bump NetStats::dropped_messages
   // but not the `net.msgs_dropped` counter, so the old snapshot undercounts
-  // drops. Network.DropAccountingMatchesTelemetry pins the two paths equal.
+  // drops. The counter is now written from NetStats at export, and
+  // Network.PublishedMetricsEqualTheCounts pins every drop point.
   EXPECT_EQ(metrics_sha, goldens::pinned("parity/pbft-faulty.metrics"));
   EXPECT_EQ(trace_sha, goldens::pinned("parity/pbft-faulty.trace"));
 }

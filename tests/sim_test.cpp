@@ -125,9 +125,9 @@ TEST(Workload, SubmitsExactlyCountTransactions) {
   cluster.start();
 
   LatencyRecorder recorder;
-  WorkloadConfig workload;
+  WorkloadSpec workload;
   workload.period = Duration::seconds(1);
-  workload.count = 5;
+  workload.txs_per_client = 5;
   schedule_workload(cluster.simulator(), cluster.client(0), cluster.placement().position(0),
                     workload, 0, &recorder);
   cluster.run_for(Duration::seconds(30));
@@ -138,7 +138,7 @@ TEST(Workload, SubmitsExactlyCountTransactions) {
 }
 
 TEST(Workload, StaggerSeparatesClients) {
-  WorkloadConfig config;
+  WorkloadSpec config;
   config.stagger = Duration::millis(25);
   // Client 0 starts at config.start, client 10 starts 250 ms later: encoded
   // in schedule_workload; verify indirectly through distinct first-commit
@@ -263,17 +263,18 @@ TEST(Mobility, StopHaltsDrivers) {
 
 TEST(Experiment, ConsensusBytesExcludeGeoTraffic) {
   net::NetStats stats;
-  stats.bytes_by_type[pbft::msg_type::kPrepare] = 2048;
-  stats.bytes_by_type[pbft::msg_type::kGeoReport] = 4096;  // excluded
-  stats.bytes_by_type[pbft::msg_type::kCommit] = 1024;
+  stats.by_type.resize(pbft::msg_type::kGeoReport + 1);
+  stats.by_type[pbft::msg_type::kPrepare].bytes = 2048;
+  stats.by_type[pbft::msg_type::kGeoReport].bytes = 4096;  // excluded
+  stats.by_type[pbft::msg_type::kCommit].bytes = 1024;
   EXPECT_DOUBLE_EQ(consensus_kilobytes(stats), 3.0);
 }
 
 TEST(Experiment, RepeatRunsMergesSamples) {
-  ExperimentOptions options = default_options();
+  ScenarioSpec options = default_options();
   options.workload.txs_per_client = 1;
   options.workload.period = Duration::seconds(1);
-  options.hard_deadline = Duration::seconds(120);
+  options.deadline = Duration::seconds(120);
   const ExperimentResult merged = repeat_runs(run_pbft_latency, 4, options, 3);
   EXPECT_EQ(merged.committed, merged.expected);
   EXPECT_EQ(merged.latency_samples.size(), 3u * 4u);  // 3 runs x 4 clients x 1 tx
@@ -281,10 +282,10 @@ TEST(Experiment, RepeatRunsMergesSamples) {
 }
 
 TEST(Experiment, DeterministicForSameSeed) {
-  ExperimentOptions options = default_options();
+  ScenarioSpec options = default_options();
   options.workload.txs_per_client = 2;
   options.workload.period = Duration::seconds(1);
-  options.hard_deadline = Duration::seconds(120);
+  options.deadline = Duration::seconds(120);
   options.seed = 99;
   const ExperimentResult a = run_pbft_latency(4, options);
   const ExperimentResult b = run_pbft_latency(4, options);

@@ -6,12 +6,12 @@
 namespace gpbft::sim {
 namespace {
 
-ExperimentOptions small_options() {
-  ExperimentOptions options = default_options();
+ScenarioSpec small_options() {
+  ScenarioSpec options = default_options();
   options.workload.txs_per_client = 2;
   options.workload.period = Duration::seconds(1);
   options.engine.compute_macs = true;
-  options.hard_deadline = Duration::seconds(300);
+  options.deadline = Duration::seconds(300);
   return options;
 }
 

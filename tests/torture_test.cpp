@@ -37,7 +37,7 @@ void expect_prefix_consistency(PbftCluster& cluster) {
   }
 }
 
-void schedule_monitored_workload(PbftCluster& cluster, const WorkloadConfig& workload,
+void schedule_monitored_workload(PbftCluster& cluster, const WorkloadSpec& workload,
                                  InvariantMonitor& monitor) {
   for (std::size_t i = 0; i < cluster.client_count(); ++i) {
     schedule_workload(cluster.simulator(), cluster.client(i), cluster.placement().position(i),
@@ -65,9 +65,9 @@ TEST_P(PbftTorture, RandomCrashRecoverScheduleNeverDiverges) {
   cluster.watch(monitor);
   cluster.start();
 
-  WorkloadConfig workload;
+  WorkloadSpec workload;
   workload.period = Duration::seconds(2);
-  workload.count = 15;
+  workload.txs_per_client = 15;
   schedule_monitored_workload(cluster, workload, monitor);
 
   // Crash-only intensity profile: one decision round every 5 simulated
@@ -90,18 +90,18 @@ TEST_P(PbftTorture, RandomCrashRecoverScheduleNeverDiverges) {
   // Everyone has recovered by all_healed_at(): liveness must return.
   const TimePoint deadline{std::max(horizon.ns, plan.all_healed_at().ns) +
                            Duration::seconds(600).ns};
-  cluster.run_until_committed(workload.count, deadline);
+  cluster.run_until_committed(workload.txs_per_client, deadline);
 
   std::uint64_t committed = 0;
   for (std::size_t i = 0; i < cluster.client_count(); ++i) {
     committed += cluster.client(i).committed_count();
   }
-  monitor.check_bounded_liveness(committed, workload.count * cluster.client_count(),
+  monitor.check_bounded_liveness(committed, workload.txs_per_client * cluster.client_count(),
                                  plan.all_healed_at(), Duration::seconds(600));
 
   EXPECT_TRUE(monitor.clean()) << monitor.report();
   EXPECT_GT(monitor.blocks_checked(), 0u);
-  EXPECT_EQ(committed, workload.count * cluster.client_count());
+  EXPECT_EQ(committed, workload.txs_per_client * cluster.client_count());
   expect_prefix_consistency(cluster);
 
   // VALIDITY backstop: every committed transaction was a workload submission
@@ -161,12 +161,12 @@ TEST_P(ByzantineTorture, FByzantineReplicasCannotBreakSafety) {
                    monitor.note_fault(event.describe());
                  }});
 
-  WorkloadConfig workload;
+  WorkloadSpec workload;
   workload.period = Duration::seconds(3);
-  workload.count = 8;
+  workload.txs_per_client = 8;
   schedule_monitored_workload(cluster, workload, monitor);
 
-  cluster.run_until_committed(workload.count, TimePoint{Duration::seconds(600).ns});
+  cluster.run_until_committed(workload.txs_per_client, TimePoint{Duration::seconds(600).ns});
 
   // SAFETY among honest replicas, regardless of what the Byzantine pair did:
   // the monitor checked agreement + validity at every honest execution.
@@ -191,7 +191,7 @@ TEST_P(ByzantineTorture, FByzantineReplicasCannotBreakSafety) {
   for (std::size_t i = 0; i < cluster.client_count(); ++i) {
     committed += cluster.client(i).committed_count();
   }
-  EXPECT_EQ(committed, workload.count * cluster.client_count());
+  EXPECT_EQ(committed, workload.txs_per_client * cluster.client_count());
   EXPECT_GT(max_height, 0u);
 }
 
@@ -223,9 +223,9 @@ TEST_P(GpbftTorture, ChurnPlusFaultsKeepCommitteeChainsConsistent) {
   cluster.watch(monitor);
   cluster.start();
 
-  WorkloadConfig workload;
+  WorkloadSpec workload;
   workload.period = Duration::seconds(3);
-  workload.count = 10;
+  workload.txs_per_client = 10;
   for (std::size_t i = 0; i < cluster.client_count(); ++i) {
     schedule_workload(cluster.simulator(), cluster.client(i), cluster.placement().position(i),
                       workload, i, nullptr,
@@ -248,7 +248,7 @@ TEST_P(GpbftTorture, ChurnPlusFaultsKeepCommitteeChainsConsistent) {
   cluster.endorser(moved).set_location(new_home);
   cluster.area().place(cluster.endorser(moved).id(), new_home);
 
-  cluster.run_until_committed(workload.count, TimePoint{Duration::seconds(600).ns});
+  cluster.run_until_committed(workload.txs_per_client, TimePoint{Duration::seconds(600).ns});
 
   // The monitor checked committee agreement, era-roster consistency, and
   // validity at every executed block.
@@ -273,7 +273,7 @@ TEST_P(GpbftTorture, ChurnPlusFaultsKeepCommitteeChainsConsistent) {
   for (std::size_t i = 0; i < cluster.client_count(); ++i) {
     committed += cluster.client(i).committed_count();
   }
-  EXPECT_EQ(committed, workload.count * cluster.client_count());
+  EXPECT_EQ(committed, workload.txs_per_client * cluster.client_count());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GpbftTorture, ::testing::Values(7, 17, 27, 37, 47, 57));

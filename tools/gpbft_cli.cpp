@@ -75,7 +75,7 @@ struct CliOptions {
   std::vector<std::size_t> nodes = {40};
   std::size_t runs = 1;
   bool csv = false;
-  sim::ExperimentOptions experiment = sim::default_options();
+  sim::ScenarioSpec experiment = sim::default_options();
   std::string intensity = "all";  // chaos: light|medium|heavy|all
   std::size_t seeds = 10;         // chaos: seeds per (protocol, intensity)
   double restart_chance = 0.0;    // chaos: crash-restart-from-disk chance per step
@@ -478,7 +478,7 @@ int main(int argc, char** argv) {
   // sweep: repeated seeded runs per node count, merged distributions.
   for (const std::size_t nodes : options.nodes) {
     const sim::ExperimentResult merged = sim::repeat_runs(
-        [&options](std::size_t n, const sim::ExperimentOptions& experiment) {
+        [&options](std::size_t n, const sim::ScenarioSpec& experiment) {
           CliOptions point = options;
           point.experiment = experiment;
           return run_latency(point, n);
