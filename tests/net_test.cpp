@@ -308,6 +308,27 @@ TEST(Network, PartitionSeparatesGroups) {
   EXPECT_EQ(c.received.size(), 1u);
 }
 
+TEST(Network, BlockedLinkIsOneWay) {
+  // A link is blocked by a loss-1 rule on it; the reverse link is untouched.
+  Simulator sim(1);
+  Network network(sim, quiet_config());
+  RecordingNode a(NodeId{1}), b(NodeId{2});
+  network.attach(&a);
+  network.attach(&b);
+
+  network.set_link_fault(NodeId{1}, NodeId{2}, LinkFault{.loss = 1.0});
+  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{1}});
+  network.send(Envelope{NodeId{2}, NodeId{1}, 1, Bytes{1}});
+  sim.run();
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_EQ(a.received.size(), 1u);
+
+  network.clear_link_fault(NodeId{1}, NodeId{2});
+  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{1}});
+  sim.run();
+  EXPECT_EQ(b.received.size(), 1u);
+}
+
 TEST(Network, DetachedNodeCountsAsDrop) {
   Simulator sim(1);
   Network network(sim, quiet_config());
@@ -360,11 +381,9 @@ TEST(Network, LinkFaultLossDropsOnlyThatLink) {
     network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{1}});
     network.send(Envelope{NodeId{1}, NodeId{3}, 1, Bytes{1}});
   }
-  network.send(Envelope{NodeId{2}, NodeId{1}, 1, Bytes{1}});  // the rule is one-way
   sim.run();
   EXPECT_TRUE(b.received.empty());
   EXPECT_EQ(c.received.size(), 5u);
-  EXPECT_EQ(a.received.size(), 1u);
   EXPECT_EQ(network.stats().dropped_messages, 5u);
 
   network.clear_link_fault(NodeId{1}, NodeId{2});
@@ -553,6 +572,54 @@ TEST(Network, LinkFaultsDeterministicAcrossIdenticalRuns) {
   };
   EXPECT_EQ(run_once(5), run_once(5));
   EXPECT_NE(run_once(5), run_once(6));
+}
+
+TEST(Network, DropAccountingMatchesTelemetry) {
+  // Every drop path — send-time fault, receiver crashed at arrival,
+  // receiver crashed between arrival and processing-done, receiver
+  // detached — moves NetStats::dropped_messages, and the exported
+  // `net.msgs_dropped` row is that one count.
+  Simulator sim(1);
+  Network network(sim, quiet_config());
+  obs::Telemetry telemetry;
+  network.set_telemetry(telemetry);
+  RecordingNode a(NodeId{1}), b(NodeId{2}), c(NodeId{3});
+  network.attach(&a);
+  network.attach(&b);
+  network.attach(&c);
+
+  // Two send-time drops.
+  network.set_drop_rate(1.0);
+  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{1}});
+  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{2}});
+  network.set_drop_rate(0.0);
+
+  // Receiver crashed before arrival: dropped at the arrival instant.
+  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{3}});
+  network.crash(NodeId{2});
+  sim.run();
+  network.recover(NodeId{2});
+
+  // Receiver crashes after arrival but before processing completes
+  // (arrival at 2 ms, done at 3 ms): dropped at the done instant.
+  network.send(Envelope{NodeId{1}, NodeId{2}, 1, Bytes{4}});
+  sim.run_until(sim.now() + Duration::micros(2500));
+  network.crash(NodeId{2});
+  sim.run();
+  network.recover(NodeId{2});
+
+  // Receiver detached mid-flight.
+  network.send(Envelope{NodeId{1}, NodeId{3}, 1, Bytes{5}});
+  network.detach(NodeId{3});
+  sim.run();
+
+  EXPECT_EQ(network.stats().dropped_messages, 5u);
+  EXPECT_EQ(telemetry.metrics().find_counter("net.msgs_dropped"), nullptr);
+  network.publish_metrics();
+  EXPECT_EQ(telemetry.metrics().counter_total("net.msgs_dropped"),
+            network.stats().dropped_messages);
+  EXPECT_TRUE(b.received.empty());
+  EXPECT_TRUE(c.received.empty());
 }
 
 TEST(Network, DetachClearsPerNodeDegradation) {
@@ -870,6 +937,32 @@ TEST(Network, TamperDeterministicAcrossIdenticalRuns) {
   const auto tampered = std::get<1>(run_once(5));
   EXPECT_GT(tampered, 0u);
   EXPECT_LT(tampered, 40u);
+}
+
+TEST(Network, RejectionAccountingMatchesTelemetry) {
+  // note_rejected moves NetStats::rejected_messages and the per-type count,
+  // and the exported `net.msgs_rejected` rows (total + per-type) are those
+  // counts — the reject-side mirror of drop accounting.
+  Simulator sim(1);
+  Network network(sim, quiet_config());
+  obs::Telemetry telemetry;
+  network.set_telemetry(telemetry);
+
+  network.note_rejected(3);
+  network.note_rejected(3);
+  network.note_rejected(4);
+
+  EXPECT_EQ(network.stats().rejected_messages, 3u);
+  EXPECT_EQ(network.stats().of_type(3).rejected, 2u);
+  EXPECT_EQ(network.stats().of_type(4).rejected, 1u);
+  EXPECT_EQ(telemetry.metrics().find_counter("net.msgs_rejected"), nullptr);
+  network.publish_metrics();
+  EXPECT_EQ(telemetry.metrics().counter_total("net.msgs_rejected"),
+            network.stats().rejected_messages);
+  EXPECT_EQ(telemetry.metrics().counter_total("net.msgs_rejected." + telemetry.message_name(3)),
+            2u);
+  EXPECT_EQ(telemetry.metrics().counter_total("net.msgs_rejected." + telemetry.message_name(4)),
+            1u);
 }
 
 /// Every `net.*` counter row of a registry, as (name, node) -> value.
