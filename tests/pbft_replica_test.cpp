@@ -561,6 +561,98 @@ TEST(PbftReplica, ClientCountsRepliesBySealedSender) {
   EXPECT_EQ(cluster.client(0).committed_count(), 0u);
 }
 
+// Votes count only for senders on the receiver's roster. A client holds keys
+// like any node and can seal any message type, so in each test below the
+// clients' votes would complete a certificate if a sender outside the
+// committee were counted.
+
+TEST(PbftReplica, VotesFromNonMembersDoNotCertifyABlock) {
+  // Replica 1 alone gets replica 0's proposal; with replicas 2 and 3
+  // silent its PREPARE and COMMIT are the only member votes. The two
+  // clients' PREPAREs and COMMITs for the digest must not reach 2f = 2 and
+  // 2f+1 = 3 with it.
+  PbftCluster cluster(small_cluster(4, 2));
+  cluster.start();
+  cluster.set_fault_mode(cluster.replica(2).id(), pbft::FaultMode::Silent);
+  cluster.set_fault_mode(cluster.replica(3).id(), pbft::FaultMode::Silent);
+  pbft::PrePrepare proposal;
+  proposal.view = 0;
+  proposal.seq = 1;
+  proposal.block = ledger::build_block(cluster.replica(1).chain().tip().header,
+                                       {tx_from(cluster, 0, 1)}, 0, 0, 1,
+                                       cluster.simulator().now(), cluster.replica(0).id());
+  proposal.digest = proposal.block.hash();
+  const NodeId target = cluster.replica(1).id();
+  send_sealed(cluster, cluster.replica(0).id(), target, pbft::msg_type::kPrePrepare,
+              proposal.encode());
+  for (std::size_t c = 0; c < cluster.client_count(); ++c) {
+    const NodeId client = cluster.client(c).id();
+    pbft::Prepare prepare;
+    prepare.view = 0;
+    prepare.seq = 1;
+    prepare.digest = proposal.digest;
+    prepare.replica = client;
+    send_sealed(cluster, client, target, pbft::msg_type::kPrepare, prepare.encode());
+    pbft::Commit commit;
+    commit.view = 0;
+    commit.seq = 1;
+    commit.digest = proposal.digest;
+    commit.replica = client;
+    send_sealed(cluster, client, target, pbft::msg_type::kCommit, commit.encode());
+  }
+  cluster.run_for(Duration::seconds(2));
+  EXPECT_EQ(cluster.telemetry().metrics().counter_total("pbft.preprepares_accepted"), 1u);
+  EXPECT_EQ(cluster.replica(1).chain().height(), 0u);
+}
+
+TEST(PbftReplica, ClientRefusesRepliesFromNonMembers) {
+  // f+1 = 2 REPLYs commit a request. Replica 3's is one; client 1's must
+  // not be the second.
+  PbftCluster cluster(small_cluster(4, 2));
+  cluster.start();
+  for (std::size_t i = 0; i < cluster.replica_count(); ++i) {
+    cluster.set_fault_mode(cluster.replica(i).id(), pbft::FaultMode::Silent);
+  }
+  const ledger::Transaction tx = tx_from(cluster, 0, 1);
+  cluster.client(0).submit(tx);
+  cluster.run_for(Duration::seconds(1));
+  for (const NodeId sender : {cluster.replica(3).id(), cluster.client(1).id()}) {
+    pbft::Reply reply;
+    reply.view = 0;
+    reply.replica = sender;
+    reply.tx_digest = tx.digest();
+    reply.height = 9;
+    send_sealed(cluster, sender, cluster.client(0).id(), pbft::msg_type::kReply, reply.encode());
+  }
+  cluster.run_for(Duration::seconds(1));
+  EXPECT_EQ(cluster.client(0).committed_count(), 0u);
+}
+
+TEST(PbftReplica, ViewChangesFromNonMembersDoNotMoveTheView) {
+  // f+1 = 2 VIEW-CHANGEs for view 1 make replica 1, its primary, join, and
+  // with its own they would be the 2f+1 = 3 a NEW-VIEW needs. Two clients'
+  // VIEW-CHANGEs are neither.
+  PbftCluster cluster(small_cluster(4, 2));
+  cluster.start();
+  for (const std::size_t i : {0u, 2u, 3u}) {
+    cluster.set_fault_mode(cluster.replica(i).id(), pbft::FaultMode::Silent);
+  }
+  ASSERT_EQ(cluster.replica(1).primary_of(1), cluster.replica(1).id());
+  for (std::size_t c = 0; c < cluster.client_count(); ++c) {
+    const NodeId client = cluster.client(c).id();
+    pbft::ViewChangeMsg view_change;
+    view_change.new_view = 1;
+    view_change.replica = client;
+    send_sealed(cluster, client, cluster.replica(1).id(), pbft::msg_type::kViewChange,
+                view_change.encode());
+  }
+  cluster.run_for(Duration::seconds(1));
+  const net::NetStats& stats = cluster.network().stats();
+  EXPECT_EQ(stats.of_type(pbft::msg_type::kViewChange).messages, 2u);
+  EXPECT_EQ(stats.of_type(pbft::msg_type::kNewView).messages, 0u);
+  EXPECT_EQ(cluster.replica(1).view(), 0u);
+}
+
 TEST(PbftReplica, RetransmittedRequestsExecuteOnce) {
   // Clients that retry after 20 ms re-send requests that are in a mempool,
   // in a proposal or already executed, so every REQUEST dedup path runs:
