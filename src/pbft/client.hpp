@@ -16,6 +16,7 @@
 #include "net/network.hpp"
 #include "pbft/config.hpp"
 #include "pbft/messages.hpp"
+#include "pbft/quorum.hpp"
 
 namespace gpbft::pbft {
 
@@ -66,24 +67,22 @@ class Client : public net::INetNode {
 
  private:
   struct Pending {
+    explicit Pending(const std::vector<NodeId>& roster) : votes(roster) {}
+
     TimePoint submitted_at;
     TimePoint last_sent_at;
     TimePoint next_retry_at;     // backoff deadline for the next resend
     std::uint32_t attempts{0};   // resends so far (drives the backoff)
     ledger::Transaction transaction;  // kept for retransmission
-    // votes per sealed sender (never the body's replica field): height
-    // claimed; commit at f+1 matching heights.
-    std::unordered_map<std::uint64_t, Height> votes;  // sender id -> height
+    // Heights claimed by sealed senders (never the body's replica field);
+    // commit at f+1 for one height.
+    Quorum<Height> votes;
   };
 
   void send_request(const ledger::Transaction& tx);
   void arm_retry_tick();
   void on_retry_tick();
   [[nodiscard]] Duration backoff_delay(std::uint32_t attempt);
-
-  [[nodiscard]] std::size_t reply_quorum() const {
-    return (committee_.size() - 1) / 3 + 1;  // f + 1
-  }
 
   NodeId id_;
   std::vector<NodeId> committee_;
