@@ -130,7 +130,6 @@ void Delegate::maybe_reelect(Height height) {
 }
 
 void Delegate::publish_block(const ledger::Block& block) {
-  const Bytes encoded = block.encode();
   std::vector<NodeId> targets;
   targets.reserve(observers_.size());
   for (NodeId observer : observers_) {
@@ -140,30 +139,21 @@ void Delegate::publish_block(const ledger::Block& block) {
     }
     targets.push_back(observer);
   }
-  send_to_each(targets, kPublishedBlock, BytesView(encoded.data(), encoded.size()));
+  send_to_each(targets, PublishedBlock{block});
 }
 
-void Delegate::handle_extra(const net::Envelope& envelope) {
+void Delegate::handle_extra(const net::Envelope& envelope, BytesView body) {
   GPBFT_PROFILE_SCOPE("dbft.delegate.handle");
-  if (envelope.type != kPublishedBlock) {
-    Replica::handle_extra(envelope);
+  if (envelope.type != PublishedBlock::kType) {
+    Replica::handle_extra(envelope, body);
     return;
   }
-  auto body = pbft::open_view(keys(), envelope.from, id(), envelope.type,
-                              envelope.payload.view(), /*compute_macs=*/false);
-  if (!body) {
-    network().note_rejected(envelope.type);
-    return;
-  }
-  auto block = ledger::Block::decode(body.value());
-  if (!block) {
-    network().note_rejected(envelope.type);
-    return;
-  }
+  auto published = decode_or_reject<PublishedBlock>(body);
+  if (!published) return;
 
-  const Height incoming = block.value().header.height;
+  const Height incoming = published->block.header.height;
   if (incoming == chain().height() + 1) {
-    if (auto adopted = adopt_chain_suffix({std::move(block.value())}); !adopted) {
+    if (auto adopted = adopt_chain_suffix({std::move(published->block)}); !adopted) {
       log_debug(id().str() + ": published block rejected: " + adopted.error());
     }
   } else if (incoming > chain().height() + 1) {
@@ -171,8 +161,7 @@ void Delegate::handle_extra(const net::Envelope& envelope) {
     pbft::SyncRequest request;
     request.from_height = chain().height() + 1;
     request.requester = id();
-    const Bytes req = request.encode();
-    send_to(envelope.from, pbft::msg_type::kSyncRequest, BytesView(req.data(), req.size()));
+    send_to(envelope.from, request);
   }
 }
 

@@ -32,6 +32,14 @@ namespace gpbft::dbft {
 /// 1-10, G-PBFT 20-22, PoW 40, dBFT 41).
 inline constexpr net::MessageType kPublishedBlock = 41;
 
+/// The body of a published block: the block itself, in its own layout.
+struct PublishedBlock {
+  static constexpr net::MessageType kType = kPublishedBlock;
+  ledger::Block block;
+
+  static auto fields(auto& m) { return serde::fields(m.block); }
+};
+
 struct DbftConfig {
   pbft::PbftConfig pbft;
   /// Block production cadence (NEO: ~15 s).
@@ -76,7 +84,7 @@ class Delegate : public pbft::Replica {
 
  protected:
   void on_executed(const ledger::Block& block) override;
-  void handle_extra(const net::Envelope& envelope) override;
+  void handle_extra(const net::Envelope& envelope, BytesView body) override;
   /// Pacing gate: a proposal may only happen one block interval after the
   /// previous block.
   [[nodiscard]] bool ready_to_propose() const override {

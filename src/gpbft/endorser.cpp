@@ -104,11 +104,9 @@ void Endorser::send_geo_report() {
           ledger::make_geo_report_tx(id(), next_request_id_++, report);
       // The report must reach the primary to be ordered: broadcast it to the
       // committee like any client request (and enqueue locally when active).
-      const pbft::ClientRequest request{tx};
-      const Bytes body = request.encode();
       const std::vector<NodeId>& targets =
           role_ == Role::Active ? committee() : known_committee_;
-      send_to_each(targets, pbft::msg_type::kClientRequest, BytesView(body.data(), body.size()));
+      send_to_each(targets, pbft::ClientRequest{tx});
       if (role_ == Role::Active) accept_request(tx);
       continue;
     }
@@ -118,11 +116,10 @@ void Endorser::send_geo_report() {
     msg.latitude = location_.latitude;
     msg.longitude = location_.longitude;
     msg.reported_at = now();
-    const Bytes body = msg.encode();
 
     const std::vector<NodeId>& targets =
         role_ == Role::Active ? committee() : known_committee_;
-    send_to_each(targets, pbft::msg_type::kGeoReport, BytesView(body.data(), body.size()));
+    send_to_each(targets, msg);
     // Record the self-report locally (an endorser supervises itself too).
     if (role_ == Role::Active) process_geo_report(id(), msg);
   }
@@ -187,8 +184,7 @@ void Endorser::initiate_era_switch() {
   pbft::EraHaltMsg halt;
   halt.closing_era = era_;
   halt.sender = id();
-  const Bytes body = halt.encode();
-  broadcast_committee(pbft::msg_type::kEraHalt, BytesView(body.data(), body.size()));
+  send_to_each(committee(), halt);
 
   // Let in-flight instances land, then elect and propose the new roster.
   schedule_protected(config_.halt_settle, [this, closing = era_]() {
@@ -323,9 +319,7 @@ void Endorser::cancel_era_switch() {
   launch.config.endorsers = producer_order_;
   launch.config_height = chain().height();
   launch.sender = id();
-  const Bytes launch_body = launch.encode();
-  broadcast_committee(pbft::msg_type::kEraLaunch,
-                      BytesView(launch_body.data(), launch_body.size()));
+  send_to_each(committee(), launch);
 }
 
 void Endorser::record_block_geo(const ledger::Block& block) {
@@ -421,10 +415,7 @@ void Endorser::apply_era_config(const ledger::EraConfig& config, Height config_h
       launch.config_height = config_height;
       launch.sender = id();
       for (Height h = 1; h <= chain().height(); ++h) launch.blocks.push_back(chain().at(h));
-      const Bytes body = launch.encode();
-      for (NodeId newcomer : newcomers) {
-        send_to(newcomer, pbft::msg_type::kEraLaunch, BytesView(body.data(), body.size()));
-      }
+      send_to_each(newcomers, launch);
     }
   }
 
@@ -435,41 +426,23 @@ void Endorser::apply_era_config(const ledger::EraConfig& config, Height config_h
 
 // --- extra message handling -----------------------------------------------------
 
-void Endorser::handle_extra(const net::Envelope& envelope) {
+void Endorser::handle_extra(const net::Envelope& envelope, BytesView body) {
   GPBFT_PROFILE_SCOPE("gpbft.endorser.handle");
-  // The base class already verified the seal; re-open without verification
-  // to extract the body (cheap: just framing).
-  auto body = pbft::open_view(keys(), envelope.from, id(), envelope.type,
-                              envelope.payload.view(), /*compute_macs=*/false);
-  if (!body) {
-    network().note_rejected(envelope.type);
-    return;
-  }
-  const BytesView view = body.value();
-
   switch (envelope.type) {
-    case pbft::msg_type::kGeoReport: {
-      auto m = pbft::GeoReportMsg::decode(view);
-      if (!m) {
-        network().note_rejected(envelope.type);
-        return;
-      }
+    case pbft::GeoReportMsg::kType: {
+      auto m = decode_or_reject<pbft::GeoReportMsg>(body);
+      if (!m) return;
       if (role_ != Role::Active) return;  // only endorsers keep election tables
-      process_geo_report(envelope.from, m.value());
+      process_geo_report(envelope.from, *m);
       break;
     }
-    case pbft::msg_type::kEraHalt: {
-      auto m = pbft::EraHaltMsg::decode(view);
-      if (!m) {
-        network().note_rejected(envelope.type);
-        return;
-      }
+    case pbft::EraHaltMsg::kType: {
+      auto m = decode_or_reject<pbft::EraHaltMsg>(body);
+      if (!m) return;
       if (role_ != Role::Active) return;
       // Only the current lead may halt the committee, under its own seal.
       const NodeId lead = primary_of(this->view());
-      if (envelope.from != lead || m.value().sender != lead || m.value().closing_era != era_) {
-        return;
-      }
+      if (envelope.from != lead || m->sender != lead || m->closing_era != era_) return;
       switch_in_progress_ = true;
       switch_started_ = now();
       set_halted(true);
@@ -482,13 +455,10 @@ void Endorser::handle_extra(const net::Envelope& envelope) {
       });
       break;
     }
-    case pbft::msg_type::kEraLaunch: {
-      auto m = pbft::EraLaunchMsg::decode(view);
-      if (!m) {
-        network().note_rejected(envelope.type);
-        return;
-      }
-      const pbft::EraLaunchMsg& launch = m.value();
+    case pbft::EraLaunchMsg::kType: {
+      auto m = decode_or_reject<pbft::EraLaunchMsg>(body);
+      if (!m) return;
+      const pbft::EraLaunchMsg& launch = *m;
       if (launch.config.era == era_) {
         // Cancelled switch: membership unchanged, just resume. Only the lead
         // that halted the committee may resume it, under its own seal, as
@@ -522,7 +492,7 @@ void Endorser::handle_extra(const net::Envelope& envelope) {
       break;
     }
     default:
-      Replica::handle_extra(envelope);
+      Replica::handle_extra(envelope, body);
       break;
   }
 }

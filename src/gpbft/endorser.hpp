@@ -90,7 +90,7 @@ class Endorser : public pbft::Replica {
  protected:
   [[nodiscard]] EraId current_era() const override { return era_; }
   void on_executed(const ledger::Block& block) override;
-  void handle_extra(const net::Envelope& envelope) override;
+  void handle_extra(const net::Envelope& envelope, BytesView body) override;
   void on_view_changed(ViewId previous, ViewId current) override;
 
  private:

@@ -25,8 +25,14 @@ struct BlockHeader {
   TimePoint timestamp;
   NodeId producer;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<BlockHeader> decode(BytesView data);
+  static auto fields(auto& m) {
+    return serde::fields(m.height, m.prev_hash, m.merkle_root, m.era, m.view, m.seq, m.timestamp,
+                         m.producer);
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<BlockHeader> decode(BytesView data) {
+    return serde::decode<BlockHeader>(data);
+  }
 
   friend bool operator==(const BlockHeader&, const BlockHeader&) = default;
 };
@@ -35,8 +41,12 @@ struct Block {
   BlockHeader header;
   std::vector<Transaction> transactions;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<Block> decode(BytesView data);
+  static auto fields(auto& m) {
+    return serde::fields(serde::framed(m.header),
+                         serde::list<1'000'000, serde::Framed>(m.transactions));
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<Block> decode(BytesView data) { return serde::decode<Block>(data); }
 
   /// Hash of the header (the merkle_root already commits to the body).
   [[nodiscard]] crypto::Hash256 hash() const;

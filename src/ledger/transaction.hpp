@@ -23,6 +23,7 @@
 #include "crypto/address.hpp"
 #include "crypto/sha256.hpp"
 #include "geo/geopoint.hpp"
+#include "serde/codec.hpp"
 
 namespace gpbft::ledger {
 
@@ -47,6 +48,8 @@ struct ReputationScore {
   std::int64_t score{0};
   bool quarantined{false};
 
+  static auto fields(auto& m) { return serde::fields(m.device, m.score, m.quarantined); }
+
   friend bool operator==(const ReputationScore&, const ReputationScore&) = default;
 };
 
@@ -55,8 +58,9 @@ struct EraConfig {
   std::vector<NodeId> endorsers;
   std::vector<std::string> cells;  // parallel to `endorsers`; may be empty
   /// Reputation snapshot, ascending by device id. Empty when reputation is
-  /// disabled — and then not encoded at all, keeping the wire format (and
-  /// every golden hash) identical to the pre-reputation one.
+  /// disabled — and then not encoded at all (Transaction's tail), keeping
+  /// the wire format (and every golden hash) identical to the
+  /// pre-reputation one.
   std::vector<ReputationScore> scores;
 
   friend bool operator==(const EraConfig&, const EraConfig&) = default;
@@ -74,8 +78,21 @@ struct Transaction {
   // Geographic information trailer (§III-B2): appended to the body.
   geo::GeoReport geo;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<Transaction> decode(BytesView data);
+  /// The wire layout (serde/codec.hpp). The geographic trailer closes the
+  /// body, longitude first (§III-B2); the reputation scores follow it only
+  /// when there are any.
+  static auto fields(auto& m) {
+    return serde::fields(serde::byte_enum<TxKind::Config>(m.kind), m.sender, m.sender_address,
+                         m.request_id, m.payload, m.fee, m.era_config.era,
+                         serde::list<100'000>(m.era_config.endorsers),
+                         serde::list<100'000, serde::Text<64>>(m.era_config.cells),
+                         m.geo.point.longitude, m.geo.point.latitude, m.geo.timestamp,
+                         serde::tail<100'000>(m.era_config.scores));
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<Transaction> decode(BytesView data) {
+    return serde::decode<Transaction>(data);
+  }
 
   /// SHA-256 over the encoding; identifies the transaction everywhere
   /// (mempool dedup, PBFT request digests, Merkle leaves). Every call

@@ -86,28 +86,7 @@ Duration Client::backoff_delay(std::uint32_t attempt) {
 }
 
 void Client::send_request(const ledger::Transaction& tx) {
-  ClientRequest request{tx};
-  const Bytes body = request.encode();
-  if (!compute_macs_) {
-    // Receiver-independent seal: one buffer, refcounted across the roster.
-    const net::Payload payload{
-        seal(keys_, id_, NodeId{0}, msg_type::kClientRequest, BytesView(body.data(), body.size()),
-             false)};
-    for (NodeId endorser : committee_) {
-      network_.send(net::Envelope{id_, endorser, msg_type::kClientRequest, payload});
-    }
-    return;
-  }
-  for (NodeId endorser : committee_) {
-    net::Envelope envelope;
-    envelope.from = id_;
-    envelope.to = endorser;
-    envelope.type = msg_type::kClientRequest;
-    envelope.payload =
-        seal(keys_, id_, endorser, msg_type::kClientRequest,
-             BytesView(body.data(), body.size()), compute_macs_);
-    network_.send(std::move(envelope));
-  }
+  send_sealed(network_, keys_, id_, committee_, ClientRequest{tx}, compute_macs_);
 }
 
 void Client::submit(const ledger::Transaction& tx) {

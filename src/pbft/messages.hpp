@@ -6,12 +6,18 @@
 // the simulated wire include realistic authentication overhead.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/result.hpp"
 #include "crypto/authenticator.hpp"
 #include "ledger/block.hpp"
 #include "net/message.hpp"
+#include "serde/codec.hpp"
+
+namespace gpbft::net {
+class Network;
+}  // namespace gpbft::net
 
 namespace gpbft::pbft {
 
@@ -37,62 +43,90 @@ inline constexpr net::MessageType kEraLaunch = 22;
 [[nodiscard]] const char* message_type_name(net::MessageType type);
 
 // --- bodies -----------------------------------------------------------------
+//
+// Each body declares its wire layout once, as a field list (serde/codec.hpp),
+// and each sealed body names its MessageType as kType, so it is sent with
+// send_sealed() and decoded by type in one step.
 
 struct ClientRequest {
+  static constexpr net::MessageType kType = msg_type::kClientRequest;
   ledger::Transaction transaction;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<ClientRequest> decode(BytesView data);
+  static auto fields(auto& m) { return serde::fields(m.transaction); }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<ClientRequest> decode(BytesView data) {
+    return serde::decode<ClientRequest>(data);
+  }
 };
 
 struct PrePrepare {
+  static constexpr net::MessageType kType = msg_type::kPrePrepare;
   ViewId view{0};
   SeqNum seq{0};
   crypto::Hash256 digest;  // hash of the proposed block
   ledger::Block block;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<PrePrepare> decode(BytesView data);
+  static auto fields(auto& m) {
+    return serde::fields(m.view, m.seq, m.digest, serde::framed(m.block));
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<PrePrepare> decode(BytesView data) {
+    return serde::decode<PrePrepare>(data);
+  }
 };
 
 struct Prepare {
+  static constexpr net::MessageType kType = msg_type::kPrepare;
   ViewId view{0};
   SeqNum seq{0};
   crypto::Hash256 digest;
   NodeId replica;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<Prepare> decode(BytesView data);
+  static auto fields(auto& m) { return serde::fields(m.view, m.seq, m.digest, m.replica); }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<Prepare> decode(BytesView data) {
+    return serde::decode<Prepare>(data);
+  }
 };
 
 struct Commit {
+  static constexpr net::MessageType kType = msg_type::kCommit;
   ViewId view{0};
   SeqNum seq{0};
   crypto::Hash256 digest;
   NodeId replica;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<Commit> decode(BytesView data);
+  static auto fields(auto& m) { return serde::fields(m.view, m.seq, m.digest, m.replica); }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<Commit> decode(BytesView data) {
+    return serde::decode<Commit>(data);
+  }
 };
 
 /// Reply sent to the transaction's sender once its block executes.
 struct Reply {
+  static constexpr net::MessageType kType = msg_type::kReply;
   ViewId view{0};
   NodeId replica;
   crypto::Hash256 tx_digest;
   Height height{0};  // chain height at which the transaction landed
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<Reply> decode(BytesView data);
+  static auto fields(auto& m) { return serde::fields(m.view, m.replica, m.tx_digest, m.height); }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<Reply> decode(BytesView data) { return serde::decode<Reply>(data); }
 };
 
 struct CheckpointMsg {
+  static constexpr net::MessageType kType = msg_type::kCheckpoint;
   SeqNum seq{0};
   crypto::Hash256 chain_digest;  // hash of the chain tip at that checkpoint
   NodeId replica;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<CheckpointMsg> decode(BytesView data);
+  static auto fields(auto& m) { return serde::fields(m.seq, m.chain_digest, m.replica); }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<CheckpointMsg> decode(BytesView data) {
+    return serde::decode<CheckpointMsg>(data);
+  }
 };
 
 /// Proof that an instance prepared in some view (carried in VIEW-CHANGE).
@@ -102,28 +136,47 @@ struct PreparedProof {
   crypto::Hash256 digest;
   ledger::Block block;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<PreparedProof> decode(BytesView data);
+  static auto fields(auto& m) {
+    return serde::fields(m.view, m.seq, m.digest, serde::framed(m.block));
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<PreparedProof> decode(BytesView data) {
+    return serde::decode<PreparedProof>(data);
+  }
 };
 
 struct ViewChangeMsg {
+  static constexpr net::MessageType kType = msg_type::kViewChange;
   ViewId new_view{0};
   SeqNum last_executed{0};
   std::vector<PreparedProof> prepared;
   NodeId replica;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<ViewChangeMsg> decode(BytesView data);
+  static auto fields(auto& m) {
+    return serde::fields(m.new_view, m.last_executed,
+                         serde::list<10'000, serde::Framed>(m.prepared), m.replica);
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<ViewChangeMsg> decode(BytesView data) {
+    return serde::decode<ViewChangeMsg>(data);
+  }
 };
 
 struct NewViewMsg {
+  static constexpr net::MessageType kType = msg_type::kNewView;
   ViewId new_view{0};
   std::vector<ViewChangeMsg> proofs;       // the 2f+1 view-change certificate
   std::vector<PrePrepare> preprepares;     // re-proposals for prepared instances
   NodeId primary;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<NewViewMsg> decode(BytesView data);
+  static auto fields(auto& m) {
+    return serde::fields(m.new_view, serde::list<10'000, serde::Framed>(m.proofs),
+                         serde::list<10'000, serde::Framed>(m.preprepares), m.primary);
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<NewViewMsg> decode(BytesView data) {
+    return serde::decode<NewViewMsg>(data);
+  }
 };
 
 /// Chain-sync: a replica that observes f+1 COMMITs for a height it cannot
@@ -132,45 +185,66 @@ struct NewViewMsg {
 /// blocks from a peer. Responses are validated against the chain's hash
 /// linkage and any locally held commit certificates before adoption.
 struct SyncRequest {
+  static constexpr net::MessageType kType = msg_type::kSyncRequest;
   Height from_height{0};
   NodeId requester;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<SyncRequest> decode(BytesView data);
+  static auto fields(auto& m) { return serde::fields(m.from_height, m.requester); }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<SyncRequest> decode(BytesView data) {
+    return serde::decode<SyncRequest>(data);
+  }
 };
 
 struct SyncResponse {
+  static constexpr net::MessageType kType = msg_type::kSyncResponse;
   std::vector<ledger::Block> blocks;
   NodeId responder;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<SyncResponse> decode(BytesView data);
+  static auto fields(auto& m) {
+    return serde::fields(serde::list<100'000, serde::Framed>(m.blocks), m.responder);
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<SyncResponse> decode(BytesView data) {
+    return serde::decode<SyncResponse>(data);
+  }
 };
 
 // --- G-PBFT bodies ----------------------------------------------------------
 
 /// Periodic location upload (§III-B3): the device's CSC cell and coordinates.
 struct GeoReportMsg {
+  static constexpr net::MessageType kType = msg_type::kGeoReport;
   NodeId device;
   double latitude{0};
   double longitude{0};
   TimePoint reported_at;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<GeoReportMsg> decode(BytesView data);
+  static auto fields(auto& m) {
+    return serde::fields(m.device, m.latitude, m.longitude, m.reported_at);
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<GeoReportMsg> decode(BytesView data) {
+    return serde::decode<GeoReportMsg>(data);
+  }
 };
 
 /// Era-switch control messages (§III-E): the lead endorser announces a halt,
 /// then — once the configuration block commits — the launch of the new era.
 struct EraHaltMsg {
+  static constexpr net::MessageType kType = msg_type::kEraHalt;
   EraId closing_era{0};
   NodeId sender;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<EraHaltMsg> decode(BytesView data);
+  static auto fields(auto& m) { return serde::fields(m.closing_era, m.sender); }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<EraHaltMsg> decode(BytesView data) {
+    return serde::decode<EraHaltMsg>(data);
+  }
 };
 
 struct EraLaunchMsg {
+  static constexpr net::MessageType kType = msg_type::kEraLaunch;
   ledger::EraConfig config;
   Height config_height{0};  // height of the block carrying the config tx
   NodeId sender;
@@ -180,8 +254,17 @@ struct EraLaunchMsg {
   /// bytes are accounted on the simulated wire like any other traffic.
   std::vector<ledger::Block> blocks;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<EraLaunchMsg> decode(BytesView data);
+  /// The config's roster and cells ride inline; its reputation scores do
+  /// not travel in a launch.
+  static auto fields(auto& m) {
+    return serde::fields(m.config.era, serde::list<100'000>(m.config.endorsers),
+                         serde::list<100'000, serde::Text<64>>(m.config.cells), m.config_height,
+                         m.sender, serde::list<1'000'000, serde::Framed>(m.blocks));
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<EraLaunchMsg> decode(BytesView data) {
+    return serde::decode<EraLaunchMsg>(data);
+  }
 };
 
 // --- sealing ----------------------------------------------------------------
@@ -206,5 +289,22 @@ struct EraLaunchMsg {
 [[nodiscard]] Result<BytesView> open_view(const crypto::KeyRegistry& keys, NodeId sender,
                                           NodeId receiver, net::MessageType type, BytesView sealed,
                                           bool compute_macs);
+
+namespace detail {
+void fan_out(net::Network& network, const crypto::KeyRegistry& keys, NodeId from,
+             std::span<const NodeId> peers, net::MessageType type, BytesView body,
+             bool compute_macs);
+}  // namespace detail
+
+/// The send path of every sealed body: encodes `msg` once and sends it from
+/// `from` to each of `peers` but `from` itself, in order, sealed for its
+/// receiver. With MACs off the seal is receiver-independent, so every
+/// envelope shares one sealed buffer; with MACs on each gets its own seal.
+template <typename Msg>
+void send_sealed(net::Network& network, const crypto::KeyRegistry& keys, NodeId from,
+                 std::span<const NodeId> peers, const Msg& msg, bool compute_macs) {
+  const Bytes body = serde::encode(msg);
+  detail::fan_out(network, keys, from, peers, Msg::kType, body, compute_macs);
+}
 
 }  // namespace gpbft::pbft

@@ -30,38 +30,6 @@ NodeId Replica::primary_of(ViewId view) const {
   return committee_[static_cast<std::size_t>(view % committee_.size())];
 }
 
-void Replica::send_to(NodeId to, net::MessageType type, BytesView body) {
-  if (to == id_) return;
-  net::Envelope envelope;
-  envelope.from = id_;
-  envelope.to = to;
-  envelope.type = type;
-  envelope.payload = seal(keys_, id_, to, type, body, config_.compute_macs);
-  network_.send(std::move(envelope));
-}
-
-void Replica::broadcast_committee(net::MessageType type, BytesView body) {
-  send_to_each(committee_, type, body);
-}
-
-void Replica::send_to_each(const std::vector<NodeId>& peers, net::MessageType type,
-                           BytesView body) {
-  if (config_.compute_macs) {
-    // Per-receiver MAC tags: every sealed payload differs, seal per peer.
-    for (NodeId peer : peers) send_to(peer, type, body);
-    return;
-  }
-  // MACs off: the seal is receiver-independent (zero tag), so one sealed
-  // buffer serves the whole fan-out — N refcount bumps instead of N seals
-  // and N payload copies. This is the broadcast hot path of every sweep
-  // (sim::default_options runs with compute_macs=false).
-  const net::Payload payload{seal(keys_, id_, NodeId{0}, type, body, /*compute_macs=*/false)};
-  for (NodeId peer : peers) {
-    if (peer == id_) continue;
-    network_.send(net::Envelope{id_, peer, type, payload});
-  }
-}
-
 void Replica::schedule_protected(Duration delay, std::function<void()> fn) {
   network_.simulator().schedule(
       delay, [alive = std::weak_ptr<bool>(alive_), fn = std::move(fn)]() {
@@ -89,104 +57,57 @@ void Replica::handle(const net::Envelope& envelope) {
   GPBFT_PROFILE_SCOPE("pbft.replica.handle");
   if (fault_mode_ == FaultMode::Silent) return;
 
-  const auto body = open_or_drop(envelope);
-  if (!body) return;  // seal failure
-  const BytesView view = body.value();
+  const auto opened = open_or_drop(envelope);
+  if (!opened) return;  // seal failure
+  const BytesView body = opened.value();
+  const NodeId from = envelope.from;
 
   // Wire-layer hardening: a body that opened but does not decode as its
   // claimed type is rejected, accounted, and otherwise ignored — reject,
   // don't crash (docs/protocol.md §12).
-  const auto reject = [this, &envelope] { network_.note_rejected(envelope.type); };
-
   switch (envelope.type) {
-    case msg_type::kClientRequest: {
-      if (auto m = ClientRequest::decode(view)) {
-        accept_request(std::move(m.value().transaction));
-      } else {
-        reject();
-      }
+    case ClientRequest::kType:
+      if (auto m = decode_or_reject<ClientRequest>(body)) accept_request(std::move(m->transaction));
       break;
-    }
-    case msg_type::kPrePrepare: {
-      if (auto m = PrePrepare::decode(view)) {
-        on_preprepare(envelope.from, std::move(m.value()));
-      } else {
-        reject();
-      }
+    case PrePrepare::kType:
+      if (auto m = decode_or_reject<PrePrepare>(body)) on_preprepare(from, std::move(*m));
       break;
-    }
-    case msg_type::kPrepare: {
-      if (auto m = Prepare::decode(view)) {
-        on_prepare(envelope.from, m.value());
-      } else {
-        reject();
-      }
+    case Prepare::kType:
+      if (auto m = decode_or_reject<Prepare>(body)) on_prepare(from, *m);
       break;
-    }
-    case msg_type::kCommit: {
-      if (auto m = Commit::decode(view)) {
-        on_commit(envelope.from, m.value());
-      } else {
-        reject();
-      }
+    case Commit::kType:
+      if (auto m = decode_or_reject<Commit>(body)) on_commit(from, *m);
       break;
-    }
-    case msg_type::kCheckpoint: {
-      if (auto m = CheckpointMsg::decode(view)) {
-        on_checkpoint(envelope.from, m.value());
-      } else {
-        reject();
-      }
+    case CheckpointMsg::kType:
+      if (auto m = decode_or_reject<CheckpointMsg>(body)) on_checkpoint(from, *m);
       break;
-    }
-    case msg_type::kViewChange: {
-      if (auto m = ViewChangeMsg::decode(view)) {
-        on_view_change(envelope.from, std::move(m.value()));
-      } else {
-        reject();
-      }
+    case ViewChangeMsg::kType:
+      if (auto m = decode_or_reject<ViewChangeMsg>(body)) on_view_change(from, std::move(*m));
       break;
-    }
-    case msg_type::kNewView: {
-      if (auto m = NewViewMsg::decode(view)) {
-        on_new_view(envelope.from, m.value());
-      } else {
-        reject();
-      }
+    case NewViewMsg::kType:
+      if (auto m = decode_or_reject<NewViewMsg>(body)) on_new_view(from, *m);
       break;
-    }
-    case msg_type::kReply: {
+    case Reply::kType:
       // Replicas do not track outstanding client requests, but they can
       // legitimately receive replies: an endorser that originated a config
       // transaction is that transaction's "client", so the reply cache
       // echoes replies at it. A well-formed reply is a protocol-level
       // no-op here; only a malformed one is a wire fault.
-      if (!Reply::decode(view)) reject();
+      (void)decode_or_reject<Reply>(body);
       break;
-    }
-    case msg_type::kSyncRequest: {
-      if (auto m = SyncRequest::decode(view)) {
-        on_sync_request(m.value());
-      } else {
-        reject();
-      }
+    case SyncRequest::kType:
+      if (auto m = decode_or_reject<SyncRequest>(body)) on_sync_request(*m);
       break;
-    }
-    case msg_type::kSyncResponse: {
-      if (auto m = SyncResponse::decode(view)) {
-        on_sync_response(m.value());
-      } else {
-        reject();
-      }
+    case SyncResponse::kType:
+      if (auto m = decode_or_reject<SyncResponse>(body)) on_sync_response(*m);
       break;
-    }
     default:
-      handle_extra(envelope);
+      handle_extra(envelope, body);
       break;
   }
 }
 
-void Replica::handle_extra(const net::Envelope& envelope) {
+void Replica::handle_extra(const net::Envelope& envelope, BytesView /*body*/) {
   log_debug(id_.str() + ": unknown message type " + std::to_string(envelope.type));
   network_.note_rejected(envelope.type);
 }
@@ -206,8 +127,7 @@ void Replica::accept_request(ledger::Transaction tx) {
     reply.replica = id_;
     reply.tx_digest = digest;
     reply.height = entry->last_height;
-    const Bytes body = reply.encode();
-    send_to(tx.sender, msg_type::kReply, BytesView(body.data(), body.size()));
+    send_to(tx.sender, reply);
     return;
   }
   if (const auto height = chain_.find_transaction(digest)) {
@@ -218,8 +138,7 @@ void Replica::accept_request(ledger::Transaction tx) {
     reply.replica = id_;
     reply.tx_digest = digest;
     reply.height = *height;
-    const Bytes body = reply.encode();
-    send_to(tx.sender, msg_type::kReply, BytesView(body.data(), body.size()));
+    send_to(tx.sender, reply);
     return;
   }
   if (!mempool_.add(std::move(tx), digest)) return;  // duplicate or full
@@ -325,15 +244,12 @@ void Replica::maybe_request_sync() {
   SyncRequest request;
   request.from_height = next;
   request.requester = id_;
-  const Bytes body = request.encode();
   // Ask the current primary plus one rotating alternate (the primary may be
   // the faulty party).
-  send_to(primary_of(view_), msg_type::kSyncRequest, BytesView(body.data(), body.size()));
+  send_to(primary_of(view_), request);
   const NodeId alternate =
       committee_[static_cast<std::size_t>((view_ + 1 + next) % committee_.size())];
-  if (alternate != primary_of(view_)) {
-    send_to(alternate, msg_type::kSyncRequest, BytesView(body.data(), body.size()));
-  }
+  if (alternate != primary_of(view_)) send_to(alternate, request);
 }
 
 void Replica::request_sync_from(NodeId peer) {
@@ -349,8 +265,7 @@ void Replica::send_sync_request(NodeId peer) {
   SyncRequest request;
   request.from_height = chain_.height() + 1;
   request.requester = id_;
-  const Bytes body = request.encode();
-  send_to(peer, msg_type::kSyncRequest, BytesView(body.data(), body.size()));
+  send_to(peer, request);
 }
 
 void Replica::begin_resync() {
@@ -383,8 +298,7 @@ void Replica::on_sync_request(const SyncRequest& msg) {
   response.responder = id_;
   const Height last = std::min(chain_.height(), msg.from_height + kMaxSyncBlocks - 1);
   for (Height h = msg.from_height; h <= last; ++h) response.blocks.push_back(chain_.at(h));
-  const Bytes body = response.encode();
-  send_to(msg.requester, msg_type::kSyncResponse, BytesView(body.data(), body.size()));
+  send_to(msg.requester, response);
 }
 
 void Replica::on_sync_response(const SyncResponse& msg) {
@@ -507,8 +421,7 @@ bool Replica::propose_batch(std::vector<ledger::Transaction> batch) {
                       {{"seq", std::to_string(seq)},
                        {"txs", std::to_string(instance.block->transactions().size())}});
 
-  const Bytes body = msg.encode();
-  broadcast_committee(msg_type::kPrePrepare, BytesView(body.data(), body.size()));
+  send_to_each(committee_, msg);
   // The primary's pre-prepare stands in for its prepare; backups' prepares
   // are counted against it in try_prepare.
   try_prepare(seq);
@@ -601,12 +514,10 @@ void Replica::send_prepare(SeqNum seq, Instance& instance) {
       Prepare sent = msg;
       if (flip) sent.digest.bytes[0] ^= 0xff;
       flip = !flip;
-      const Bytes body = sent.encode();
-      send_to(peer, msg_type::kPrepare, BytesView(body.data(), body.size()));
+      send_to(peer, sent);
     }
   } else {
-    const Bytes body = msg.encode();
-    broadcast_committee(msg_type::kPrepare, BytesView(body.data(), body.size()));
+    send_to_each(committee_, msg);
   }
 
   instance.prepare_votes.add(id_, instance.digest);
@@ -651,8 +562,7 @@ void Replica::send_commit(SeqNum seq, Instance& instance) {
   msg.seq = seq;
   msg.digest = instance.digest;
   msg.replica = id_;
-  const Bytes body = msg.encode();
-  broadcast_committee(msg_type::kCommit, BytesView(body.data(), body.size()));
+  send_to_each(committee_, msg);
 
   instance.commit_votes.add(id_, instance.digest);
   try_commit(seq);
@@ -740,8 +650,7 @@ void Replica::try_execute() {
       reply.replica = id_;
       reply.tx_digest = digest;
       reply.height = height;
-      const Bytes body = reply.encode();
-      send_to(tx.sender, msg_type::kReply, BytesView(body.data(), body.size()));
+      send_to(tx.sender, reply);
     }
 
     on_executed(block.block());
@@ -772,8 +681,7 @@ void Replica::maybe_checkpoint() {
   msg.seq = height;
   msg.chain_digest = chain_.tip().hash();
   msg.replica = id_;
-  const Bytes body = msg.encode();
-  broadcast_committee(msg_type::kCheckpoint, BytesView(body.data(), body.size()));
+  send_to_each(committee_, msg);
   on_checkpoint(id_, msg);
 }
 
@@ -829,8 +737,7 @@ void Replica::initiate_view_change() {
                       {{"pending_view", std::to_string(pending_view_)}});
 
   ViewChangeMsg msg = build_view_change(pending_view_);
-  const Bytes body = msg.encode();
-  broadcast_committee(msg_type::kViewChange, BytesView(body.data(), body.size()));
+  send_to_each(committee_, msg);
   on_view_change(id_, std::move(msg));
 }
 
@@ -862,8 +769,7 @@ void Replica::on_view_change(NodeId from, ViewChangeMsg msg) {
     in_view_change_ = true;
     view_change_started_ = now();
     ViewChangeMsg own = build_view_change(candidate);
-    const Bytes body = own.encode();
-    broadcast_committee(msg_type::kViewChange, BytesView(body.data(), body.size()));
+    send_to_each(committee_, own);
     votes.emplace(id_, std::move(own));
   }
 
@@ -897,8 +803,7 @@ void Replica::on_view_change(NodeId from, ViewChangeMsg msg) {
     new_view.preprepares.push_back(std::move(pp));
   }
 
-  const Bytes body = new_view.encode();
-  broadcast_committee(msg_type::kNewView, BytesView(body.data(), body.size()));
+  send_to_each(committee_, new_view);
   enter_new_view(candidate, new_view.preprepares);
 }
 

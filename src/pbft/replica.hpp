@@ -24,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "common/flat_map.hpp"
 #include "crypto/authenticator.hpp"
@@ -120,8 +121,9 @@ class Replica : public net::INetNode {
   [[nodiscard]] virtual EraId current_era() const { return 0; }
   /// Called after a block is appended and applied.
   virtual void on_executed(const ledger::Block& block);
-  /// Messages the base protocol does not know (geo reports, era control).
-  virtual void handle_extra(const net::Envelope& envelope);
+  /// Messages the base protocol does not know (geo reports, era control),
+  /// with the body handle() opened from the envelope's sealed payload.
+  virtual void handle_extra(const net::Envelope& envelope, BytesView body);
   /// Called when a view change completes; `previous` is the abandoned view
   /// (its primary failed to make progress — G-PBFT penalizes it, §III-B5).
   virtual void on_view_changed(ViewId previous, ViewId current);
@@ -139,13 +141,28 @@ class Replica : public net::INetNode {
   /// and no instance is in flight (used for configuration blocks).
   bool propose_batch(std::vector<ledger::Transaction> batch);
 
-  void send_to(NodeId to, net::MessageType type, BytesView body);
-  void broadcast_committee(net::MessageType type, BytesView body);
-  /// Fan-out to an arbitrary peer set (self is skipped). With MACs off the
-  /// sealed bytes are receiver-independent, so the body is sealed once and
-  /// every envelope refcounts the same buffer; with MACs on it falls back
-  /// to per-receiver seals. Subclasses use this for gossip loops.
-  void send_to_each(const std::vector<NodeId>& peers, net::MessageType type, BytesView body);
+  /// Sends `msg` sealed to `to`; nothing when `to` is this replica.
+  template <typename Msg>
+  void send_to(NodeId to, const Msg& msg) {
+    send_to_each(std::span<const NodeId>(&to, 1), msg);
+  }
+  /// Sends `msg` sealed to each of `peers` but this replica (send_sealed).
+  template <typename Msg>
+  void send_to_each(std::span<const NodeId> peers, const Msg& msg) {
+    send_sealed(network_, keys_, id_, peers, msg, config_.compute_macs);
+  }
+
+  /// Decodes an opened body as `Msg`; a body that does not decode as its
+  /// claimed type is accounted as rejected and yields nothing.
+  template <typename Msg>
+  [[nodiscard]] std::optional<Msg> decode_or_reject(BytesView body) {
+    auto msg = serde::decode<Msg>(body);
+    if (!msg) {
+      network_.note_rejected(Msg::kType);
+      return std::nullopt;
+    }
+    return std::move(msg.value());
+  }
 
   /// Schedules `fn` guarded by this replica's lifetime token: if the object
   /// is destroyed before the event fires (restart_node rebuilds a node from

@@ -4,91 +4,10 @@
 
 #include "crypto/merkle.hpp"
 #include "ledger/block.hpp"
-#include "serde/reader.hpp"
-#include "serde/writer.hpp"
 
 namespace gpbft::pow {
 
 // --- headers / blocks ---------------------------------------------------------
-
-Bytes PowBlockHeader::encode() const {
-  serde::Writer w;
-  w.u64(height);
-  w.raw(prev_hash.view());
-  w.raw(merkle_root.view());
-  w.u64(difficulty);
-  w.u64(nonce);
-  w.i64(timestamp.ns);
-  w.u64(miner.value);
-  return w.take();
-}
-
-Result<PowBlockHeader> PowBlockHeader::decode(BytesView data) {
-  serde::Reader r(data);
-  PowBlockHeader h;
-  auto height = r.u64();
-  if (!height) return make_error(height.error());
-  h.height = height.value();
-  auto prev = r.raw(32);
-  if (!prev) return make_error(prev.error());
-  std::copy(prev.value().begin(), prev.value().end(), h.prev_hash.bytes.begin());
-  auto root = r.raw(32);
-  if (!root) return make_error(root.error());
-  std::copy(root.value().begin(), root.value().end(), h.merkle_root.bytes.begin());
-  auto difficulty = r.u64();
-  if (!difficulty) return make_error(difficulty.error());
-  h.difficulty = difficulty.value();
-  auto nonce = r.u64();
-  if (!nonce) return make_error(nonce.error());
-  h.nonce = nonce.value();
-  auto ts = r.i64();
-  if (!ts) return make_error(ts.error());
-  h.timestamp = TimePoint{ts.value()};
-  auto miner = r.u64();
-  if (!miner) return make_error(miner.error());
-  h.miner = NodeId{miner.value()};
-  if (!r.exhausted()) return make_error("pow header: trailing bytes");
-  return h;
-}
-
-Bytes PowBlock::encode() const {
-  serde::Writer w;
-  const Bytes header_bytes = header.encode();
-  w.bytes(BytesView(header_bytes.data(), header_bytes.size()));
-  w.varint(transactions.size());
-  for (const ledger::Transaction& tx : transactions) {
-    const Bytes tx_bytes = tx.encode();
-    w.bytes(BytesView(tx_bytes.data(), tx_bytes.size()));
-  }
-  return w.take();
-}
-
-Result<PowBlock> PowBlock::decode(BytesView data) {
-  serde::Reader r(data);
-  PowBlock block;
-  auto header_bytes = r.bytes();
-  if (!header_bytes) return make_error(header_bytes.error());
-  auto header = PowBlockHeader::decode(
-      BytesView(header_bytes.value().data(), header_bytes.value().size()));
-  if (!header) return make_error(header.error());
-  block.header = header.value();
-  auto count = r.varint();
-  if (!count) return make_error(count.error());
-  if (count.value() > 1'000'000) return make_error("pow block: too many transactions");
-  if (count.value() > r.remaining()) {
-    return make_error("pow block: transaction count exceeds payload");
-  }
-  for (std::uint64_t i = 0; i < count.value(); ++i) {
-    auto tx_bytes = r.bytes();
-    if (!tx_bytes) return make_error(tx_bytes.error());
-    auto tx = ledger::Transaction::decode(
-        BytesView(tx_bytes.value().data(), tx_bytes.value().size()));
-    if (!tx) return make_error(tx.error());
-    block.transactions.push_back(std::move(tx.value()));
-  }
-  if (!r.exhausted()) return make_error("pow block: trailing bytes");
-  return block;
-}
 
 crypto::Hash256 PowBlock::hash() const {
   const Bytes encoded = header.encode();

@@ -43,8 +43,14 @@ struct PowBlockHeader {
   TimePoint timestamp;
   NodeId miner;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<PowBlockHeader> decode(BytesView data);
+  static auto fields(auto& m) {
+    return serde::fields(m.height, m.prev_hash, m.merkle_root, m.difficulty, m.nonce,
+                         m.timestamp, m.miner);
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<PowBlockHeader> decode(BytesView data) {
+    return serde::decode<PowBlockHeader>(data);
+  }
 
   friend bool operator==(const PowBlockHeader&, const PowBlockHeader&) = default;
 };
@@ -53,8 +59,14 @@ struct PowBlock {
   PowBlockHeader header;
   std::vector<ledger::Transaction> transactions;
 
-  [[nodiscard]] Bytes encode() const;
-  [[nodiscard]] static Result<PowBlock> decode(BytesView data);
+  static auto fields(auto& m) {
+    return serde::fields(serde::framed(m.header),
+                         serde::list<1'000'000, serde::Framed>(m.transactions));
+  }
+  [[nodiscard]] Bytes encode() const { return serde::encode(*this); }
+  [[nodiscard]] static Result<PowBlock> decode(BytesView data) {
+    return serde::decode<PowBlock>(data);
+  }
   [[nodiscard]] crypto::Hash256 hash() const;
   [[nodiscard]] crypto::Hash256 compute_merkle_root() const;
 

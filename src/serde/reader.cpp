@@ -70,39 +70,34 @@ Result<std::uint64_t> Reader::varint() {
   return v;
 }
 
-Result<Bytes> Reader::raw(std::size_t n) {
+Result<BytesView> Reader::raw(std::size_t n) {
   if (remaining() < n) return make_error("serde: truncated raw bytes");
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  const BytesView out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
-}
-
-Result<Bytes> Reader::bytes(std::size_t max_len) {
-  auto len = varint();
-  if (!len) return make_error(len.error());
-  if (len.value() > max_len) return make_error("serde: length exceeds limit");
-  // Clamp the declared length against what is actually left BEFORE any
-  // allocation sized from it: a tampered length prefix must never drive
-  // a reservation larger than the buffer it claims to describe.
-  if (len.value() > remaining()) return make_error("serde: declared length exceeds remaining bytes");
-  return raw(static_cast<std::size_t>(len.value()));
 }
 
 Result<BytesView> Reader::bytes_view(std::size_t max_len) {
   auto len = varint();
   if (!len) return make_error(len.error());
   if (len.value() > max_len) return make_error("serde: length exceeds limit");
+  // Check the declared length against what is actually left before anyone
+  // sizes an allocation from it: a tampered length prefix must never drive
+  // a reservation larger than the buffer it claims to describe.
   if (len.value() > remaining()) return make_error("serde: declared length exceeds remaining bytes");
-  const BytesView out = data_.subspan(pos_, static_cast<std::size_t>(len.value()));
-  pos_ += static_cast<std::size_t>(len.value());
-  return out;
+  return raw(static_cast<std::size_t>(len.value()));
+}
+
+Result<Bytes> Reader::bytes(std::size_t max_len) {
+  auto view = bytes_view(max_len);
+  if (!view) return make_error(view.error());
+  return Bytes(view.value().begin(), view.value().end());
 }
 
 Result<std::string> Reader::string(std::size_t max_len) {
-  auto data = bytes(max_len);
-  if (!data) return make_error(data.error());
-  return std::string(data.value().begin(), data.value().end());
+  auto view = bytes_view(max_len);
+  if (!view) return make_error(view.error());
+  return std::string(view.value().begin(), view.value().end());
 }
 
 }  // namespace gpbft::serde

@@ -26,14 +26,15 @@ class Reader {
   [[nodiscard]] Result<bool> boolean();
   [[nodiscard]] Result<std::uint64_t> varint();
 
-  /// Exactly n raw bytes (e.g. a fixed-width hash).
-  [[nodiscard]] Result<Bytes> raw(std::size_t n);
+  /// Exactly n raw bytes (e.g. a fixed-width hash), as a view into the
+  /// reader's underlying buffer — no copy. Valid only while the bytes
+  /// handed to the Reader's constructor live.
+  [[nodiscard]] Result<BytesView> raw(std::size_t n);
 
   /// varint length-prefixed byte string. `max_len` bounds attacker-supplied
   /// lengths before any allocation happens.
   [[nodiscard]] Result<Bytes> bytes(std::size_t max_len = kDefaultMaxLen);
-  /// As bytes(), but a view into the reader's underlying buffer — no copy.
-  /// Valid only while the bytes handed to the Reader's constructor live.
+  /// As bytes(), but a view like raw()'s.
   [[nodiscard]] Result<BytesView> bytes_view(std::size_t max_len = kDefaultMaxLen);
   [[nodiscard]] Result<std::string> string(std::size_t max_len = kDefaultMaxLen);
 

@@ -164,7 +164,7 @@ TEST(Serde, RawBeyondRemainingRejectedWithoutConsuming) {
   EXPECT_FALSE(r.raw(4).ok());
   auto ok = r.raw(3);  // the failed read must not have moved the cursor
   ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value(), (Bytes{1, 2, 3}));
+  EXPECT_EQ(Bytes(ok.value().begin(), ok.value().end()), (Bytes{1, 2, 3}));
 }
 
 // --- property: roundtrips over random payloads -----------------------------------
