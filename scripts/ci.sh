@@ -82,6 +82,13 @@ done
 "${BUILD_DIR}/tools/gpbft_cli" chaos --seeds 3 --restarts 0.25 --disk-faults 0.2 \
   --intensity medium >"${GOLDEN_DIR}/chaos/restart-campaign.stdout"
 outputs+=(chaos/restart-campaign.stdout)
+# The two examples that print election-table rows (Table II CSC strings)
+# are deterministic too; their stdout is pinned under `example/`.
+mkdir -p "${GOLDEN_DIR}/example"
+for ex in quickstart sensor_network; do
+  "${BUILD_DIR}/examples/${ex}" >"${GOLDEN_DIR}/example/${ex}.stdout"
+  outputs+=("example/${ex}.stdout")
+done
 check_goldens "${GOLDEN_DIR}" "${outputs[@]}"
 if command -v python3 >/dev/null 2>&1; then
   for sc in telemetry_smoke tamper_storm; do

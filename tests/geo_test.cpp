@@ -1,15 +1,19 @@
 // Geo substrate tests: GeoPoint/haversine, geohash vectors and properties,
-// Crypto-Spatial Coordinates, and the election table (Table II semantics).
+// Crypto-Spatial Coordinates, the election table (Table II semantics) and
+// the pinned digest of the strings all of them print.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 #include "common/rng.hpp"
 #include "crypto/address.hpp"
+#include "crypto/sha256.hpp"
 #include "geo/csc.hpp"
 #include "geo/election_table.hpp"
 #include "geo/geohash.hpp"
 #include "geo/geopoint.hpp"
+#include "goldens.hpp"
 
 namespace gpbft::geo {
 namespace {
@@ -324,6 +328,58 @@ TEST(ElectionTable, RenderContainsTimerColumn) {
   const std::string rendered = table.render(device);
   EXPECT_NE(rendered.find("Geographic Timer"), std::string::npos);
   EXPECT_NE(rendered.find("01:00:00"), std::string::npos);
+}
+
+// --- pinned strings ---------------------------------------------------------------------
+
+/// A seeded sweep of points plus the edges where a bisection decides a bit:
+/// both poles, longitude -180, the origin, the ±45° and ±90° lines and the
+/// doubles just either side of some of them.
+std::vector<GeoPoint> sweep_points() {
+  std::vector<GeoPoint> points = {
+      {90, 0},      {-90, 0},     {90, -180},   {-90, -180},  {0, -180},     {0, 0},
+      {45, 90},     {-45, -90},   {45, -90},    {-45, 90},    {90, 90},      {-90, -90},
+      {22.5, 45},   {-22.5, -45}, {67.5, 135},  {-67.5, -135}, {0, 90},      {0, -90},
+      {45, 0},      {-45, 0},     {89.99999, 0}, {0, 179.9999}, {22.3964, 114.1095}};
+  for (const double edge : {45.0, -45.0, 22.5, 0.0}) {
+    points.push_back({std::nextafter(edge, -90.0), std::nextafter(edge * 2, -180.0)});
+    points.push_back({std::nextafter(edge, 90.0), std::nextafter(edge * 2, 180.0)});
+  }
+  points.push_back({std::nextafter(90.0, 0.0), std::nextafter(180.0, 0.0)});
+  points.push_back({std::nextafter(-90.0, 0.0), std::nextafter(-180.0, 0.0)});
+  Rng rng(2020);
+  for (int i = 0; i < 500; ++i) {
+    points.push_back({rng.uniform_real(-90, 90), rng.uniform_real(-180, 180)});
+  }
+  return points;
+}
+
+TEST(PinnedStrings, GeohashCscAndRenderMatchManifest) {
+  // Every geohash prefix, CSC string and rendered election-table row the
+  // sweep produces, hashed together: a change to how cells or CSCs are
+  // computed that moves any of these bytes fails here.
+  std::string text;
+  for (const GeoPoint& p : sweep_points()) {
+    for (int precision = 1; precision <= 12; ++precision) {
+      text += geohash_encode(p, precision) + "\n";
+    }
+    for (const std::uint64_t device : {1, 2, 7, 202}) {
+      text += csc_at(p, NodeId{device}).str() + "\n";
+    }
+  }
+  ElectionTable table;
+  const NodeId device{7};
+  const GeoPoint home{22.3964, 114.1095}, moved{22.3975, 114.1105};
+  for (int i = 0; i < 4; ++i) {
+    table.record(device, csc_at(home, device), TimePoint{Duration::minutes(40 * i).ns});
+  }
+  table.record(device, csc_at(moved, device), TimePoint{Duration::hours(3).ns});
+  table.record(device, csc_at(moved, device), TimePoint{Duration::hours(5).ns});
+  text += table.render(device);
+
+  const std::string digest = crypto::sha256(std::string_view(text)).hex();
+  EXPECT_EQ(digest, goldens::pinned("geo/csc-strings"))
+      << "actual line: " << digest << "  geo/csc-strings";
 }
 
 }  // namespace
