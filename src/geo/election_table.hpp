@@ -19,7 +19,9 @@
 
 namespace gpbft::geo {
 
-/// One row of the election table, as in Table II.
+/// One row of the election table, as in Table II. All integers: recording,
+/// copying and pruning rows allocates nothing once a device's history has
+/// reached its limit.
 struct ElectionEntry {
   Csc csc;
   TimePoint timestamp;
@@ -71,7 +73,7 @@ class ElectionTable {
   struct DeviceState {
     std::vector<ElectionEntry> history;
     TimePoint cell_since;   // when the current cell was first reported
-    std::string cell;       // current cell
+    GeoCell cell;           // current cell
     bool has_cell{false};
   };
 

@@ -1,59 +1,84 @@
 #include "geo/geohash.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cmath>
 
 namespace gpbft::geo {
 
 namespace {
-constexpr char kBase32[] = "0123456789bcdefghjkmnpqrstuvwxyz";
-
 int base32_value(char c) {
-  for (int i = 0; i < 32; ++i) {
-    if (kBase32[i] == c) return i;
+  const std::size_t i = kGeohashAlphabet.find(c);
+  return i == std::string_view::npos ? -1 : static_cast<int>(i);
+}
+
+/// Halves the longitude and latitude ranges in turn, longitude first, and
+/// hands each of the `bits` choices to `emit` (true: the upper half). Every
+/// midpoint is a short dyadic fraction, so each comparison is exact.
+template <typename Emit>
+void bisect(const GeoPoint& point, int bits, Emit&& emit) {
+  double lat_min = -90.0, lat_max = 90.0;
+  double lng_min = -180.0, lng_max = 180.0;
+  for (int bit = 0; bit < bits; ++bit) {
+    if (bit % 2 == 0) {
+      const double mid = (lng_min + lng_max) / 2;
+      const bool upper = point.longitude >= mid;
+      (upper ? lng_min : lng_max) = mid;
+      emit(upper);
+    } else {
+      const double mid = (lat_min + lat_max) / 2;
+      const bool upper = point.latitude >= mid;
+      (upper ? lat_min : lat_max) = mid;
+      emit(upper);
+    }
   }
-  return -1;
 }
 }  // namespace
 
-std::string geohash_encode(const GeoPoint& point, int precision) {
-  precision = std::max(1, std::min(precision, 22));
-  double lat_min = -90.0, lat_max = 90.0;
-  double lng_min = -180.0, lng_max = 180.0;
+GeoCell GeoCell::of(const GeoPoint& point, int precision) {
+  precision = std::clamp(precision, 1, kMaxPrecision);
+  std::uint64_t bits = 0;
+  bisect(point, 5 * precision, [&](bool upper) { bits = (bits << 1) | (upper ? 1 : 0); });
+  return GeoCell((bits << (64 - 5 * precision)) | static_cast<std::uint64_t>(precision));
+}
 
+std::optional<GeoCell> GeoCell::parse(std::string_view hash) {
+  if (hash.size() > static_cast<std::size_t>(kMaxPrecision)) return std::nullopt;
+  std::uint64_t word = hash.size();
+  for (std::size_t i = 0; i < hash.size(); ++i) {
+    const int value = base32_value(hash[i]);
+    if (value < 0) return std::nullopt;
+    word |= static_cast<std::uint64_t>(value) << (59 - 5 * i);
+  }
+  return GeoCell(word);
+}
+
+std::array<char, GeoCell::kMaxPrecision> GeoCell::digits() const {
+  std::array<char, kMaxPrecision> out{};
+  for (int i = 0; i < precision(); ++i) {
+    out[static_cast<std::size_t>(i)] = kGeohashAlphabet[(word_ >> (59 - 5 * i)) & 0x1f];
+  }
+  return out;
+}
+
+std::string GeoCell::str() const {
+  const auto chars = digits();
+  return std::string(chars.data(), static_cast<std::size_t>(precision()));
+}
+
+std::string geohash_encode(const GeoPoint& point, int precision) {
+  precision = std::clamp(precision, 1, 22);
   std::string hash;
   hash.reserve(static_cast<std::size_t>(precision));
-  int bit = 0;
   int current = 0;
-  bool even_bit = true;  // even bits encode longitude
-
-  while (static_cast<int>(hash.size()) < precision) {
-    if (even_bit) {
-      const double mid = (lng_min + lng_max) / 2;
-      if (point.longitude >= mid) {
-        current = (current << 1) | 1;
-        lng_min = mid;
-      } else {
-        current <<= 1;
-        lng_max = mid;
-      }
-    } else {
-      const double mid = (lat_min + lat_max) / 2;
-      if (point.latitude >= mid) {
-        current = (current << 1) | 1;
-        lat_min = mid;
-      } else {
-        current <<= 1;
-        lat_max = mid;
-      }
-    }
-    even_bit = !even_bit;
-    if (++bit == 5) {
-      hash.push_back(kBase32[current]);
-      bit = 0;
+  int count = 0;
+  bisect(point, 5 * precision, [&](bool upper) {
+    current = (current << 1) | (upper ? 1 : 0);
+    if (++count == 5) {
+      hash.push_back(kGeohashAlphabet[static_cast<std::size_t>(current)]);
       current = 0;
+      count = 0;
     }
-  }
+  });
   return hash;
 }
 
@@ -136,7 +161,7 @@ std::optional<std::vector<std::string>> geohash_neighbors(const std::string& has
 }
 
 CellSize geohash_cell_size(int precision) {
-  precision = std::max(1, std::min(precision, 22));
+  precision = std::clamp(precision, 1, 22);
   const int total_bits = precision * 5;
   const int lng_bits = (total_bits + 1) / 2;
   const int lat_bits = total_bits / 2;

@@ -19,16 +19,12 @@ const char* verdict_name(ReportVerdict verdict) {
   return "?";
 }
 
-SybilFilter::SybilFilter(std::string area_prefix, const AreaRegistry* registry)
-    : area_prefix_(std::move(area_prefix)), registry_(registry) {}
+SybilFilter::SybilFilter(std::string_view area_prefix, const AreaRegistry* registry)
+    : area_(geo::GeoCell::parse(area_prefix)), registry_(registry) {}
 
-ReportVerdict SybilFilter::check(NodeId device, const geo::GeoPoint& claim,
+ReportVerdict SybilFilter::check(NodeId device, const geo::GeoPoint& claim, geo::GeoCell cell,
                                  TimePoint reported_at) {
-  const std::string cell = geo::geohash_encode(claim);
-
-  if (!area_prefix_.empty() &&
-      (cell.size() < area_prefix_.size() ||
-       cell.compare(0, area_prefix_.size(), area_prefix_) != 0)) {
+  if (!area_ || !cell.within(*area_)) {
     flagged_.insert(device);
     return ReportVerdict::OutsideArea;
   }
@@ -41,14 +37,13 @@ ReportVerdict SybilFilter::check(NodeId device, const geo::GeoPoint& claim,
   // Two *different* nodes claiming one cell at the same instant cannot both
   // be real (§IV-A1); flag both, since an honest observer cannot tell which
   // of the two actually occupies the spot.
-  const auto it = last_claim_.find(cell);
-  if (it != last_claim_.end() && it->second.device != device &&
-      it->second.at == reported_at) {
+  const auto [last, first_claim] = last_claim_.try_emplace(cell.word());
+  if (!first_claim && last->device != device && last->at == reported_at) {
     flagged_.insert(device);
-    flagged_.insert(it->second.device);
+    flagged_.insert(last->device);
     return ReportVerdict::DuplicateLocation;
   }
-  last_claim_[cell] = CellClaim{device, reported_at};
+  *last = CellClaim{device, reported_at};
   return ReportVerdict::Accepted;
 }
 

@@ -17,12 +17,13 @@
 #pragma once
 
 #include <optional>
-#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
-#include "geo/csc.hpp"
+#include "geo/geohash.hpp"
 #include "geo/geopoint.hpp"
 
 namespace gpbft::gpbft {
@@ -61,25 +62,34 @@ enum class ReportVerdict {
 /// Stateful per-endorser filter applied to incoming geo reports.
 class SybilFilter {
  public:
-  SybilFilter(std::string area_prefix, const AreaRegistry* registry);
+  /// `area_prefix` is the deployment area's geohash, parsed once here: the
+  /// empty one is the whole world, and one that names no cell (longer than
+  /// 12 digits, or malformed) contains no claim.
+  SybilFilter(std::string_view area_prefix, const AreaRegistry* registry);
 
-  /// Checks one report; on DuplicateLocation both the new claimer and the
-  /// previous claimer of the cell are flagged (neither can be trusted).
-  [[nodiscard]] ReportVerdict check(NodeId device, const geo::GeoPoint& claim,
+  /// Checks one report of `claim`, whose CSC cell (kCscPrecision digits) is
+  /// `cell`; on DuplicateLocation both the new claimer and the previous
+  /// claimer of the cell are flagged (neither can be trusted).
+  [[nodiscard]] ReportVerdict check(NodeId device, const geo::GeoPoint& claim, geo::GeoCell cell,
                                     TimePoint reported_at);
+  /// As above, computing the claim's cell.
+  [[nodiscard]] ReportVerdict check(NodeId device, const geo::GeoPoint& claim,
+                                    TimePoint reported_at) {
+    return check(device, claim, geo::GeoCell::of(claim), reported_at);
+  }
 
   [[nodiscard]] bool is_flagged(NodeId device) const { return flagged_.contains(device); }
   void unflag(NodeId device) { flagged_.erase(device); }
 
  private:
-  std::string area_prefix_;
-  const AreaRegistry* registry_;  // may be null: oracle checks disabled
+  std::optional<geo::GeoCell> area_;  // nullopt: the prefix named no cell
+  const AreaRegistry* registry_;      // may be null: oracle checks disabled
 
   struct CellClaim {
     NodeId device;
     TimePoint at;
   };
-  std::unordered_map<std::string, CellClaim> last_claim_;  // cell -> last claimer
+  FlatMap<std::uint64_t, CellClaim, MixHash> last_claim_;  // cell word -> last claimer
   std::unordered_set<NodeId> flagged_;
 };
 

@@ -32,10 +32,10 @@ ElectionOutcome run_geographic_authentication(const geo::ElectionTable& table,
     if (valid && enrolled != nullptr) {
       // Enrolled-location check (see header): every report must come from
       // the cell the endorser was elected at.
-      const auto it = enrolled->find(v);
-      if (it != enrolled->end()) {
+      if (const std::string* text = enrolled->find(v)) {
+        const std::optional<geo::GeoCell> home = geo::GeoCell::parse(*text);
         for (const geo::ElectionEntry& report : reports) {
-          if (report.csc.cell() != it->second) {
+          if (!home || report.csc.cell() != *home) {
             valid = false;
             break;
           }

@@ -21,9 +21,9 @@
 
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "geo/election_table.hpp"
 #include "geo/reputation.hpp"
 #include "gpbft/area_registry.hpp"
@@ -44,7 +44,9 @@ struct ElectionOutcome {
 
 /// Enrolled locations: geohash cell per endorser, taken from the chain's
 /// configuration transactions (genesis locations + each promotion's cell).
-using EnrolledCells = std::unordered_map<NodeId, std::string>;
+/// Kept as the text the block carried, so the next configuration block
+/// carries it back unchanged, even where it names no cell.
+using EnrolledCells = FlatMap<NodeId, std::string>;
 
 /// Pure Algorithm 1 over an election table snapshot.
 ///
@@ -55,6 +57,8 @@ using EnrolledCells = std::unordered_map<NodeId, std::string>;
 /// changes, it will be kicked out"). When `enrolled` provides the cell an
 /// endorser was elected at (carried on chain, §III-C), any window report
 /// from a different cell demotes it regardless of when the move happened.
+/// An enrolled text that is no 12-digit cell (empty, malformed, another
+/// precision) matches no report.
 [[nodiscard]] ElectionOutcome run_geographic_authentication(
     const geo::ElectionTable& table, const std::vector<NodeId>& endorsers,
     const std::vector<NodeId>& candidates, TimePoint now, const ElectionParams& params,

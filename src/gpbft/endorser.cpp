@@ -9,11 +9,12 @@
 namespace gpbft::gpbft {
 
 namespace {
-ledger::EraConfig genesis_config(const ledger::Block& genesis) {
+const ledger::EraConfig& genesis_config(const ledger::Block& genesis) {
+  static const ledger::EraConfig kNone;
   for (const ledger::Transaction& tx : genesis.transactions) {
     if (tx.kind == ledger::TxKind::Config) return tx.era_config;
   }
-  return {};
+  return kNone;
 }
 
 std::vector<NodeId> genesis_roster(const ledger::Block& genesis) {
@@ -130,7 +131,8 @@ void Endorser::process_geo_report(NodeId from, const pbft::GeoReportMsg& msg) {
   const geo::GeoPoint point{msg.latitude, msg.longitude};
   if (!point.valid()) return;
 
-  const ReportVerdict verdict = filter_.check(msg.device, point, msg.reported_at);
+  const geo::GeoCell cell = geo::GeoCell::of(point);
+  const ReportVerdict verdict = filter_.check(msg.device, point, cell, msg.reported_at);
   if (verdict != ReportVerdict::Accepted) {
     log_debug(id().str() + ": rejected geo report from " + msg.device.str() + " (" +
               verdict_name(verdict) + ")");
@@ -141,7 +143,7 @@ void Endorser::process_geo_report(NodeId from, const pbft::GeoReportMsg& msg) {
     }
     return;
   }
-  record_geo(msg.device, point, msg.reported_at);
+  record_geo(msg.device, cell, msg.reported_at);
 
   const auto& roster = committee();
   if (std::find(roster.begin(), roster.end(), msg.device) == roster.end()) {
@@ -149,8 +151,13 @@ void Endorser::process_geo_report(NodeId from, const pbft::GeoReportMsg& msg) {
   }
 }
 
-void Endorser::record_geo(NodeId device, const geo::GeoPoint& point, TimePoint at) {
-  const geo::Csc csc(point, addresses_.of(device));
+void Endorser::record_geo(NodeId device, geo::GeoCell cell, TimePoint at) {
+  // A CSC's suffix depends only on its cell and the device's fixed address,
+  // so a device that stays put reuses its latest entry's CSC: no SHA-256.
+  const std::optional<geo::ElectionEntry> latest = table_.latest(device);
+  const geo::Csc csc = latest && latest->csc.cell() == cell
+                           ? latest->csc
+                           : geo::Csc(cell, addresses_.of(device));
   table_.record(device, csc, at);
 }
 
@@ -264,11 +271,10 @@ void Endorser::initiate_era_switch() {
     // promotions enroll at the cell they qualified from.
     next.cells.reserve(next.endorsers.size());
     for (const NodeId member : next.endorsers) {
-      const auto it = enrolled_cells_.find(member);
-      if (it != enrolled_cells_.end()) {
-        next.cells.push_back(it->second);
+      if (const std::string* cell = enrolled_cells_.find(member)) {
+        next.cells.push_back(*cell);
       } else if (const auto latest = table_.latest(member)) {
-        next.cells.push_back(latest->csc.cell());
+        next.cells.push_back(latest->csc.cell().str());
       } else {
         next.cells.push_back("");
       }
@@ -330,9 +336,11 @@ void Endorser::record_block_geo(const ledger::Block& block) {
   for (const ledger::Transaction& tx : block.transactions) {
     if (tx.kind != ledger::TxKind::Normal) continue;
     if (!tx.geo.point.valid() || tx.geo.point == geo::GeoPoint{}) continue;
-    const ReportVerdict verdict = filter_.check(tx.sender, tx.geo.point, tx.geo.timestamp);
+    const geo::GeoCell cell = geo::GeoCell::of(tx.geo.point);
+    const ReportVerdict verdict =
+        filter_.check(tx.sender, tx.geo.point, cell, tx.geo.timestamp);
     if (verdict != ReportVerdict::Accepted) continue;
-    record_geo(tx.sender, tx.geo.point, tx.geo.timestamp);
+    record_geo(tx.sender, cell, tx.geo.timestamp);
     // On-chain location reports are candidate applications (§III-D).
     if (ledger::is_geo_report_tx(tx)) {
       const auto& roster = committee();

@@ -103,7 +103,7 @@ class Endorser : public pbft::Replica {
   void propose_config(const ledger::Transaction& tx, int attempt);
   void process_geo_report(NodeId from, const pbft::GeoReportMsg& msg);
   void apply_era_config(const ledger::EraConfig& config, Height config_height);
-  void record_geo(NodeId device, const geo::GeoPoint& point, TimePoint at);
+  void record_geo(NodeId device, geo::GeoCell cell, TimePoint at);
   void record_block_geo(const ledger::Block& block);
   /// Era-switch behaviour audit: missed-heartbeat strikes for silent
   /// members, Sybil-rate strikes for report floods (run by the lead; the

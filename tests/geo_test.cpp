@@ -194,10 +194,9 @@ TEST(Csc, DifferentPlacesDifferentCells) {
 TEST(Csc, HierarchicalWithin) {
   const GeoPoint p{22.3964, 114.1095};
   const Csc csc(p, crypto::address_for_node(NodeId{1}));
-  const std::string area = geohash_encode(p, 5);
-  EXPECT_TRUE(csc.within(area));
-  EXPECT_FALSE(csc.within("zzzzz"));
-  EXPECT_TRUE(csc.within(""));  // the whole world
+  EXPECT_TRUE(csc.cell().within(GeoCell::of(p, 5)));
+  EXPECT_FALSE(csc.cell().within(*GeoCell::parse("zzzzz")));
+  EXPECT_TRUE(csc.cell().within(GeoCell{}));  // the whole world
 }
 
 TEST(Csc, StableForSameInputs) {

@@ -282,7 +282,8 @@ TEST(Algorithm1, EnrolledCellCatchesOldMove) {
   EXPECT_TRUE(naive.demoted.empty());
 
   // With the chain-recorded enrolled cell: demoted.
-  EnrolledCells enrolled{{NodeId{1}, geohash_encode(home)}};
+  EnrolledCells enrolled;
+  enrolled[NodeId{1}] = geohash_encode(home);
   const auto checked =
       run_geographic_authentication(fx.table, {NodeId{1}}, {}, now, fx.params, &enrolled);
   ASSERT_EQ(checked.demoted.size(), 1u);
@@ -294,7 +295,8 @@ TEST(Algorithm1, EnrolledCellMatchingEndorserStays) {
   const GeoPoint home{22.3964, 114.1095};
   const TimePoint now{Duration::seconds(500).ns};
   fx.stationary_reports(NodeId{1}, home, now, 5);
-  EnrolledCells enrolled{{NodeId{1}, geohash_encode(home)}};
+  EnrolledCells enrolled;
+  enrolled[NodeId{1}] = geohash_encode(home);
   const auto outcome =
       run_geographic_authentication(fx.table, {NodeId{1}}, {}, now, fx.params, &enrolled);
   EXPECT_TRUE(outcome.demoted.empty());
