@@ -353,6 +353,58 @@ std::vector<GeoPoint> sweep_points() {
   return points;
 }
 
+// --- GeoCell, against the strings -------------------------------------------------------
+
+TEST(GeoCell, StrEqualsGeohashEncode) {
+  for (const GeoPoint& p : sweep_points()) {
+    for (int precision = 1; precision <= GeoCell::kMaxPrecision; ++precision) {
+      const GeoCell cell = GeoCell::of(p, precision);
+      ASSERT_EQ(cell.str(), geohash_encode(p, precision)) << p.str() << " at " << precision;
+      EXPECT_EQ(cell.precision(), precision);
+    }
+  }
+}
+
+TEST(GeoCell, ParseRoundTripsAndRefusesWhatIsNoCell) {
+  for (const GeoPoint& p : sweep_points()) {
+    for (int precision = 1; precision <= GeoCell::kMaxPrecision; ++precision) {
+      const GeoCell cell = GeoCell::of(p, precision);
+      const auto parsed = GeoCell::parse(cell.str());
+      ASSERT_TRUE(parsed.has_value());
+      EXPECT_EQ(*parsed, cell);
+      EXPECT_EQ(parsed->word(), cell.word());
+    }
+    const std::string full = geohash_encode(p, 12);
+    EXPECT_FALSE(GeoCell::parse(full + "0").has_value());
+    EXPECT_FALSE(GeoCell::parse(geohash_encode(p, 22)).has_value());
+  }
+  EXPECT_EQ(GeoCell::parse(""), GeoCell{});
+  for (const char bad : {'a', 'i', 'l', 'o', 'A', 'Z', '!', '-', ' ', '\0'}) {
+    EXPECT_FALSE(GeoCell::parse(std::string("wecp") + bad).has_value()) << int(bad);
+  }
+}
+
+TEST(GeoCell, WithinAgreesWithStringPrefix) {
+  // Each point's 12-digit cell against every prefix, 0 to 12 digits, of its
+  // own cell and of the next point's: the masked compare must say what the
+  // string compare says.
+  const std::vector<GeoPoint> points = sweep_points();
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    const std::string text = geohash_encode(points[i], 12);
+    const GeoCell cell = GeoCell::of(points[i], 12);
+    for (const GeoPoint& other : {points[i], points[(i + 1) % points.size()]}) {
+      const std::string other_text = geohash_encode(other, 12);
+      for (std::size_t k = 0; k <= 12; ++k) {
+        const std::string area = other_text.substr(0, k);
+        ASSERT_EQ(cell.within(*GeoCell::parse(area)), text.starts_with(area))
+            << text << " within " << area;
+      }
+    }
+    // A shorter cell is never within a longer area.
+    EXPECT_FALSE(GeoCell::of(points[i], 5).within(GeoCell::of(points[i], 6)));
+  }
+}
+
 TEST(PinnedStrings, GeohashCscAndRenderMatchManifest) {
   // Every geohash prefix, CSC string and rendered election-table row the
   // sweep produces, hashed together: a change to how cells or CSCs are

@@ -125,6 +125,33 @@ TEST(SybilFilter, UnflagRestoresDevice) {
   EXPECT_FALSE(filter.is_flagged(NodeId{1}));
 }
 
+TEST(SybilFilter, AreaPrefixNamingNoCellContainsNoClaim) {
+  // A prefix longer than a CSC cell, or with a character outside the
+  // geohash alphabet, names no cell: every claim is outside it.
+  const sim::Placement p = placement();
+  const GeoPoint spot = p.position(0);
+  const std::string full = geohash_encode(spot, 12);
+  for (const std::string& prefix :
+       {full + "0", geohash_encode(spot, 20), p.area_prefix() + "!", std::string("WECPK"),
+        std::string("we cp")}) {
+    SybilFilter filter(prefix, nullptr);
+    EXPECT_EQ(filter.check(NodeId{1}, spot, TimePoint{0}), ReportVerdict::OutsideArea)
+        << "prefix \"" << prefix << "\"";
+    EXPECT_TRUE(filter.is_flagged(NodeId{1}));
+  }
+}
+
+TEST(SybilFilter, EmptyAreaPrefixAcceptsClaimsEverywhere) {
+  SybilFilter filter("", nullptr);
+  std::uint64_t device = 1;
+  for (const GeoPoint& spot : {GeoPoint{90, 0}, GeoPoint{-90, -180}, GeoPoint{0, 0},
+                               GeoPoint{45, 90}, GeoPoint{-45, -90}, GeoPoint{22.3964, 114.1095}}) {
+    EXPECT_EQ(filter.check(NodeId{device}, spot, TimePoint{0}), ReportVerdict::Accepted)
+        << spot.str();
+    ++device;
+  }
+}
+
 TEST(SybilFilter, VerdictNames) {
   EXPECT_STREQ(verdict_name(ReportVerdict::Accepted), "accepted");
   EXPECT_STREQ(verdict_name(ReportVerdict::DuplicateLocation), "duplicate-location");
@@ -300,6 +327,25 @@ TEST(Algorithm1, EnrolledCellMatchingEndorserStays) {
   const auto outcome =
       run_geographic_authentication(fx.table, {NodeId{1}}, {}, now, fx.params, &enrolled);
   EXPECT_TRUE(outcome.demoted.empty());
+}
+
+TEST(Algorithm1, EnrolledTextNamingAnotherOrNoCellDemotes) {
+  // The enrolled text comes off the chain as written: empty, malformed,
+  // too long or of another precision, it matches no report, so a member
+  // reporting from its real cell is still demoted.
+  const GeoPoint home{22.3964, 114.1095};
+  const std::string cell = geohash_encode(home);
+  for (const std::string& text : {std::string(), cell.substr(0, 11) + "!", cell + "0",
+                                  cell.substr(0, 11), geohash_encode(home, 5)}) {
+    ElectionFixture fx;
+    const TimePoint now{Duration::seconds(500).ns};
+    fx.stationary_reports(NodeId{1}, home, now, 5);
+    EnrolledCells enrolled;
+    enrolled[NodeId{1}] = text;
+    const auto outcome =
+        run_geographic_authentication(fx.table, {NodeId{1}}, {}, now, fx.params, &enrolled);
+    EXPECT_EQ(outcome.demoted, std::vector<NodeId>{NodeId{1}}) << "enrolled \"" << text << "\"";
+  }
 }
 
 // --- ElectionTable edges ----------------------------------------------------------
