@@ -1,15 +1,20 @@
-// Micro-benchmarks: geohash, haversine, CSC, election table.
+// Micro-benchmarks: geohash, haversine, CSC, election table, and one geo
+// report through the Sybil filter and into the table.
 #include <benchmark/benchmark.h>
 
 #include "crypto/address.hpp"
 #include "geo/csc.hpp"
 #include "geo/election_table.hpp"
 #include "geo/geohash.hpp"
+#include "gpbft/area_registry.hpp"
 
 namespace {
 
-using namespace gpbft;
-using namespace gpbft::geo;
+using namespace ::gpbft;
+using namespace ::gpbft::geo;
+using ::gpbft::gpbft::AreaRegistry;
+using ::gpbft::gpbft::ReportVerdict;
+using ::gpbft::gpbft::SybilFilter;
 
 void BM_GeohashEncode(benchmark::State& state) {
   const GeoPoint point{22.3964, 114.1095};
@@ -67,5 +72,43 @@ void BM_ElectionWindowQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ElectionWindowQuery);
+
+// The report path an endorser runs per GEO-REPORT and per transaction geo
+// trailer, for one device reporting from its own spot every 3 s, through the
+// calls that take a point: each computes the report's cell itself.
+struct ReportPath {
+  const NodeId device{1};
+  const GeoPoint spot{22.3964, 114.1095};
+  const crypto::Address address = crypto::address_for_node(device);
+  AreaRegistry registry;
+  SybilFilter filter{geohash_encode(spot, 5), &registry};
+  ElectionTable table;
+  std::int64_t t = 0;
+
+  ReportPath() { registry.place(device, spot); }
+  TimePoint next() {
+    t += Duration::seconds(3).ns;
+    return TimePoint{t};
+  }
+};
+
+void BM_SybilFilterCheck(benchmark::State& state) {
+  ReportPath path;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(path.filter.check(path.device, path.spot, path.next()));
+  }
+}
+BENCHMARK(BM_SybilFilterCheck);
+
+void BM_GeoReport(benchmark::State& state) {
+  ReportPath path;
+  for (auto _ : state) {
+    const TimePoint at = path.next();
+    if (path.filter.check(path.device, path.spot, at) == ReportVerdict::Accepted) {
+      path.table.record(path.device, Csc(path.spot, path.address), at);
+    }
+  }
+}
+BENCHMARK(BM_GeoReport);
 
 }  // namespace
