@@ -39,7 +39,7 @@ struct GeoBox {
 /// Sub-meter precision used for CSCs.
 inline constexpr int kCscPrecision = 12;
 
-/// The geohash digits, by value.
+/// The 32 geohash digits; a digit's index is its 5-bit value.
 inline constexpr std::string_view kGeohashAlphabet = "0123456789bcdefghjkmnpqrstuvwxyz";
 
 /// A geohash cell as a value. Its 5 × precision interleaved bits (longitude
